@@ -8,11 +8,22 @@ those conjugating Majoranas linearly: U c_mu U^dag = sum_nu R[mu,nu] c_nu
 with R in O(2n). The levels are nested and closed under phases (k >= 2),
 under multiplication by Majoranas, and under tensor products.
 
-Membership at level k is decided by direct recursion over conjugations,
-costing about (2n)^(k-1) dense products; a guard refuses unreasonable
-searches. For two qubits a closed form is available: with determinant
-ratio det A / det B of the gate's parity blocks, a gate sits at level k
-(k >= 2) exactly when the ratio is a 2^(k-2)-th root of unity.
+Membership at level k is decided on the tree of conjugations: the
+children of a node V are the 2n operators V c_mu V^dag, every node at
+depths 1 .. k-1 must be parity odd and every node at depth k-1 must be
+first level. The tree has about (2n)^(k-1) nodes; a guard refuses
+unreasonable searches. Nodes are handled in batches through the Majorana
+word table: V c_mu is a column gather with phases, so one batched product
+makes a batch of children, the parity test is a sign mask and the
+first-level coefficients tr(c_mu V) / 2^n are gathers. The walk is depth
+first over batches of at most CHUNK_ENTRIES complex entries (one node when
+a single node is larger), so memory stays flat however large the tree is.
+Before the first batch it follows the single c_1 ... c_1 path, on which a
+generic gate already fails, so failing searches cost one descent.
+
+For two qubits a closed form is available: with determinant ratio
+det A / det B of the gate's parity blocks, a gate sits at level k (k >= 2)
+exactly when the ratio is a 2^(k-2)-th root of unity.
 """
 
 from __future__ import annotations
@@ -27,15 +38,24 @@ from .linalg import (
     DEFAULT_TOL,
     PAULI_I,
     Tolerances,
+    _guard_qubits,
     assert_unitary,
     kron,
     n_qubits_of,
     norm_max,
 )
-from .majorana import Parity, jw_set, parity_of, state_parity
+from .majorana import Parity, jw_set, majorana_words, parity_of, state_parity
 
 # Refuse level searches needing more than this many dense conjugations.
 COST_GUARD = 10**7
+
+# Largest batch of operators the level search stacks, in complex entries (1 MiB).
+CHUNK_ENTRIES = 2**16
+
+# The closed form accepts a root of unity only if neighbouring roots lie at
+# least this many angular tolerances apart; on a denser grid any angle would
+# snap to some root.
+ROOT_SPACING_FACTOR = 1000
 
 
 @lru_cache(maxsize=None)
@@ -52,18 +72,59 @@ def first_level_coeffs(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
     within tol.residual, and ||a|| = 1 within tol.norm; phases other than
     -1 push a gate out of the first level.
     """
-    n = n_qubits_of(u)
-    stack = _jw_stack(n)
-    a = np.einsum("kij,ji->k", stack, u) / 2**n
-    if float(np.abs(a.imag).max()) > tol.residual:
-        return None
-    a = a.real.copy()
-    recon = np.tensordot(a, stack, axes=1)
-    if norm_max(u - recon) > tol.residual:
-        return None
-    if abs(float(np.linalg.norm(a)) - 1.0) > tol.norm:
-        return None
-    return a
+    a, ok = _first_level(u[None], n_qubits_of(u), tol)
+    return a[0] if ok[0] else None
+
+
+@lru_cache(maxsize=None)
+def _word_gathers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gather tables of the batched kernels, from the Majorana word table.
+
+    Returns (phase, cols, col_phase, by_parity): phase[mu, i] = c_mu[i, i ^ f_mu],
+    cols[mu, j] = j ^ f_mu and col_phase[mu, j] = c_mu[j ^ f_mu, j], so that
+    (c_mu V)[i] = phase[mu, i] V[cols[mu, i]] and (V c_mu)[:, j] =
+    V[:, cols[mu, j]] col_phase[mu, j]; by_parity lists the flat entries of a
+    2^n x 2^n operator, the same-parity half first.
+    """
+    words = majorana_words(n)
+    cols = np.arange(2**n) ^ words.flip[:, None]
+    col_phase = np.take_along_axis(words.phase, cols, axis=1)
+    by_parity = np.argsort(~words.same_parity.ravel(), kind="stable")
+    for a in (cols, col_phase, by_parity):
+        a.setflags(write=False)
+    return words.phase, cols, col_phase, by_parity
+
+
+def _first_level(nodes: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Majorana coefficients (B, 2n) of a stack of operators and which pass the first-level checks."""
+    phase, cols, _, _ = _word_gathers(n)
+    # tr(c_mu V) = sum_i phase[mu, i] V[i ^ f_mu, i]
+    diag = nodes[:, cols, np.arange(2**n)]
+    coeffs = np.einsum("bmi,mi->bm", diag, phase) / 2**n
+    ok = np.abs(coeffs.imag).max(axis=1) <= tol.residual
+    a = coeffs.real.copy()
+    recon = a @ _jw_stack(n).reshape(2 * n, -1)
+    ok &= np.abs(nodes.reshape(len(nodes), -1) - recon).max(axis=1) <= tol.residual
+    # row times column is the dot product np.linalg.norm takes, to the bit
+    norm = np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
+    ok &= np.abs(norm - 1.0) <= tol.norm
+    return a, ok
+
+
+def _conjugates(parents: np.ndarray, n: int, mus: slice) -> np.ndarray:
+    """V c_mu V^dag for every V of the stack and every mu in mus, ordered by V, then mu."""
+    _, cols, col_phase, _ = _word_gathers(n)
+    vc = (parents[:, :, cols[mus]] * col_phase[mus]).transpose(0, 2, 1, 3)
+    kids = vc @ parents.conj().transpose(0, 2, 1)[:, None]
+    return kids.reshape(-1, 2**n, 2**n)
+
+
+def _all_odd(nodes: np.ndarray, n: int, tol: Tolerances) -> bool:
+    """True iff parity_of would call every operator of the stack odd."""
+    by_parity = _word_gathers(n)[3]
+    mags = np.abs(nodes).reshape(len(nodes), -1)[:, by_parity]
+    even, odd = mags.reshape(len(nodes), 2, -1).max(axis=2).T
+    return bool(np.all((odd >= tol.residual) & (even < tol.residual)))
 
 
 def conjugate_majoranas(u: np.ndarray) -> list[np.ndarray]:
@@ -109,19 +170,23 @@ def lambda_operator(n: int) -> np.ndarray:
 def is_gaussian_lambda(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Gaussian test via the pairing operator: [Lambda, U (x) U] = 0.
 
-    Works term by term, never materializing Lambda. Requires a fermionic
-    (parity even or odd) input; mixed-parity operators are rejected.
+    Never materializes Lambda. The commutator is sum_mu (c_mu U) (x) (c_mu U)
+    - (U c_mu) (x) (U c_mu); its entries, permuted, are those of the single
+    product [cu; uc]^T [cu; -uc] of the flattened operators. Requires a
+    fermionic (parity even or odd) input; mixed-parity operators are
+    rejected, and so are inputs whose commutator would exceed the kron
+    qubit limit.
     """
     n = n_qubits_of(u)
+    _guard_qubits(2 * n)
     if parity_of(u, tol.residual) == "none":
         raise ValueError("operator has no definite parity; Gaussian test undefined")
+    phase, cols, col_phase, _ = _word_gathers(n)
+    cu = (u[cols] * phase[:, :, None]).reshape(2 * n, -1)
+    uc = (u[:, cols].transpose(1, 0, 2) * col_phase[:, None, :]).reshape(2 * n, -1)
     # Only the sum over mu commutes; individual terms do not.
-    acc = np.zeros((4**n, 4**n), dtype=complex)
-    for c in jw_set(n):
-        cu = c @ u
-        uc = u @ c
-        acc += np.kron(cu, cu) - np.kron(uc, uc)
-    return norm_max(acc) < tol.residual
+    comm = np.concatenate([cu, uc]).T @ np.concatenate([cu, -uc])
+    return norm_max(comm) < tol.residual
 
 
 def is_gaussian_state_lambda(psi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -144,20 +209,49 @@ def level_membership(u: np.ndarray, k: int, tol: Tolerances = DEFAULT_TOL) -> bo
             f"level-{k} membership at n={n} needs about {(2 * n) ** (k - 1):.2e} "
             f"dense conjugations (guard {COST_GUARD:.0e})"
         )
-    return _member(u, k, n, tol)
-
-
-def _member(u: np.ndarray, k: int, n: int, tol: Tolerances) -> bool:
-    if k == 1:
-        return first_level_coeffs(u, tol) is not None
-    udag = u.conj().T
-    for c in jw_set(n):
-        v = u @ c @ udag
-        if parity_of(v, tol.residual) != "odd":
+    root = u[None]
+    # A generic gate already fails on the c_1 ... c_1 path, so trying it
+    # first keeps a failing search at the cost of a single descent.
+    path = root
+    for _ in range(k - 1):
+        path = _conjugates(path, n, slice(0, 1))
+        if not _all_odd(path, n, tol):
             return False
-        if not _member(v, k - 1, n, tol):
+    if not _first_level(path, n, tol)[1].all():
+        return False
+    return _subtree_ok(root, k - 1, n, tol)
+
+
+def _subtree_ok(parents: np.ndarray, depth: int, n: int, tol: Tolerances) -> bool:
+    """True iff all descendants of the stacked nodes down to `depth` levels
+    below are odd and those exactly `depth` levels below are first level."""
+    if depth == 0:
+        return True
+    for block, mus in _chunks(len(parents), n):
+        kids = _conjugates(parents[block], n, mus)
+        if not _all_odd(kids, n, tol):
+            return False
+        if depth == 1:
+            if not _first_level(kids, n, tol)[1].all():
+                return False
+        elif not _subtree_ok(kids, depth - 1, n, tol):
             return False
     return True
+
+
+def _chunks(count: int, n: int):
+    """(parents, mus) slices covering the children of `count` stacked
+    parents in order, each at most CHUNK_ENTRIES entries (or one child)."""
+    per_chunk = CHUNK_ENTRIES // 4**n
+    if per_chunk >= 2 * n:
+        step = per_chunk // (2 * n)
+        for p in range(0, count, step):
+            yield slice(p, p + step), slice(None)
+    else:
+        step = max(per_chunk, 1)
+        for p in range(count):
+            for mu in range(0, 2 * n, step):
+                yield slice(p, p + 1), slice(mu, mu + step)
 
 
 def min_level(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) -> int | None:
@@ -201,8 +295,10 @@ def two_qubit_min_level(
 
     First level: odd gates J(A, A^dag) with det A = -1. Otherwise the gate
     sits at the smallest k >= 2 for which det A / det B is a 2^(k-2)-th
-    root of unity (within tol.angle of the nearest root). Returns None for
-    a generic phase with no dyadic root up to k_cap.
+    root of unity (within tol.angle of the nearest root). Only k whose root
+    spacing 2 pi / 2^(k-2) is at least ROOT_SPACING_FACTOR * tol.angle are
+    tried (k <= 21 at the default tolerances). Returns None for a generic
+    phase with no dyadic root up to that bound or k_cap.
     """
     blocks = two_qubit_decompose(u, tol)
     det_a = complex(np.linalg.det(blocks.a))
@@ -213,6 +309,8 @@ def two_qubit_min_level(
     theta = float(np.angle(det_a / det_b))
     for k in range(2, k_cap + 1):
         step = 2 * np.pi / 2 ** (k - 2)
+        if step < ROOT_SPACING_FACTOR * tol.angle:
+            break
         if abs(theta - round(theta / step) * step) < tol.angle:
             return k
     return None

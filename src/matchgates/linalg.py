@@ -86,11 +86,15 @@ def basis_state(n: int, bits) -> np.ndarray:
     return psi
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with qubit-count overflow guard (first factor is most significant)."""
-    total = n_qubits_of(a) + n_qubits_of(b)
+def _guard_qubits(total: int) -> None:
+    """Refuse a tensor-product result on more than MAX_QUBITS qubits."""
     if total > MAX_QUBITS:
         raise ValueError(f"kron result would act on {total} qubits (limit {MAX_QUBITS})")
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tensor product with qubit-count overflow guard (first factor is most significant)."""
+    _guard_qubits(n_qubits_of(a) + n_qubits_of(b))
     return np.kron(a, b)
 
 

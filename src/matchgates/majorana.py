@@ -12,6 +12,12 @@ Monomials c_{mu_1} ... c_{mu_m} with mu_1 < ... < mu_m (4^n of them,
 including the empty product) form a basis of the full matrix algebra.
 A monomial is encoded as an integer bit mask, little-endian in mu:
 bit 0 set means c_1 participates.
+
+Every c_mu is also a signed permutation: it sends basis state i to
+i ^ f_mu with a phase in {+-1, +-i}. The word table of ``majorana_words``
+stores these flip masks and phases, together with the parity signs of the
+basis states, so products with Majoranas and parity tests become gathers
+and sign masks instead of dense matrix products.
 """
 
 from __future__ import annotations
@@ -58,6 +64,54 @@ def jw_majorana(n: int, mu: int) -> np.ndarray:
 def jw_set(n: int) -> list[np.ndarray]:
     """All 2n Jordan-Wigner Majorana operators in index order."""
     return [jw_majorana(n, mu) for mu in range(1, 2 * n + 1)]
+
+
+@dataclass(frozen=True)
+class MajoranaWords:
+    """The Jordan-Wigner Majoranas on n qubits as signed permutations.
+
+    flip[mu - 1] and phase[mu - 1] give c_mu[i, i ^ flip] = phase[i], every
+    other entry being zero. sign[i] = (-1)^popcount(i) is the diagonal of
+    Z^{(x)n}, and same_parity[i, j] marks the entries (sign[i] == sign[j])
+    that a parity-even operator may occupy.
+    """
+
+    flip: np.ndarray
+    phase: np.ndarray
+    sign: np.ndarray
+    same_parity: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def majorana_words(n: int) -> MajoranaWords:
+    """Word table of the 2n Majoranas on n qubits (cached per n, read-only)."""
+    if n < 1:
+        raise ValueError(f"need at least one qubit, got n={n}")
+    index = np.arange(2**n)
+    flip = np.empty(2 * n, dtype=np.intp)
+    phase = np.empty((2 * n, 2**n), dtype=complex)
+    for k in range(1, n + 1):
+        shift = n - k  # qubit k is bit n - k, counted from the least significant
+        z_string = _popcount_sign(index >> (shift + 1))
+        bit = (index >> shift) & 1
+        flip[2 * k - 2] = flip[2 * k - 1] = 1 << shift
+        phase[2 * k - 2] = z_string
+        phase[2 * k - 1] = z_string * np.where(bit == 1, 1j, -1j)
+    sign = _popcount_sign(index)
+    same = sign[:, None] == sign[None, :]
+    for a in (flip, phase, sign, same):
+        a.setflags(write=False)
+    return MajoranaWords(flip, phase, sign, same)
+
+
+def _popcount_sign(index: np.ndarray) -> np.ndarray:
+    """(-1)^popcount for each entry of a non-negative integer array."""
+    odd = np.zeros(index.shape, dtype=np.intp)
+    rest = index.copy()
+    while rest.any():
+        odd ^= rest & 1
+        rest >>= 1
+    return 1.0 - 2.0 * odd
 
 
 def mask_from_indices(indices) -> int:
@@ -169,12 +223,12 @@ def parity_decompose(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split an operator into its parity-even and parity-odd parts.
 
     The even part commutes with Z^{(x)n}, the odd part anticommutes;
-    their sum is the input.
+    their sum is the input. The even part keeps the entries between basis
+    states of equal parity and the odd part the rest, which is exactly
+    (op +- Z op Z) / 2.
     """
-    n = n_qubits_of(op)
-    z = total_parity(n)
-    conj = z @ op @ z
-    return (op + conj) / 2, (op - conj) / 2
+    same = majorana_words(n_qubits_of(op)).same_parity
+    return np.where(same, op, 0j), np.where(same, 0j, op)
 
 
 def parity_of(op: np.ndarray, tol: float = DEFAULT_TOL.residual) -> Parity:

@@ -135,6 +135,24 @@ def test_two_qubit_generic_phase_is_none():
     assert two_qubit_min_level(gate) is None
 
 
+@pytest.mark.parametrize("name", ["CZ", "GHH"])
+def test_closed_form_refuses_perturbed_gates(name):
+    # expm(i eps H) with eps = 1e-7 moves the phase off every root whose
+    # spacing is well above tol.angle; finer grids must not claim it.
+    h = np.array([0.3, -0.5, 0.2, 0.4])
+    u = np.exp(1e-7j * h)[:, None] * named_gate(name)
+    assert two_qubit_min_level(u) is None
+    report = classify_gate(u)
+    assert report.min_level is None and report.two_qubit["level_closed_form"] is None
+
+
+def test_lambda_test_respects_kron_limit():
+    # mixed parity, so only the size guard can produce the kron message
+    u = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(128))
+    with pytest.raises(ValueError, match=r"kron result would act on 16 qubits \(limit 15\)"):
+        is_gaussian_lambda(u)
+
+
 def test_equiv_class_cz():
     cls = equiv_class(named_gate("CZ"))
     assert abs(cls.phi - np.pi) < 1e-12

@@ -24,6 +24,7 @@ from matchgates import (
     state_parity,
     total_parity,
 )
+from matchgates.majorana import majorana_words
 
 
 def test_jw_explicit_forms_two_modes():
@@ -169,3 +170,15 @@ def test_expand_preserves_products_property(seed):
     poly = expand(a @ b).prune()
     assert set(poly.terms) == {int(masks[0]) ^ int(masks[1])}
     assert abs(abs(next(iter(poly.terms.values()))) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_word_table_reproduces_jordan_wigner(n):
+    words = majorana_words(n)
+    rows = np.arange(2**n)
+    for mu, c in enumerate(jw_set(n)):
+        dense = np.zeros_like(c)
+        dense[rows, rows ^ words.flip[mu]] = words.phase[mu]
+        assert np.array_equal(dense, c)
+    assert np.array_equal(np.diag(words.sign), total_parity(n))
+    assert np.array_equal(words.same_parity, np.outer(words.sign, words.sign) > 0)

@@ -31,13 +31,21 @@ Circuit text format (case-insensitive, '#' starts a comment):
     CPHASE(pi/2) @ 1          # angles: decimal radians or [K]pi[/M]
 
 Gate lists are in time order: the first gate listed acts first.
+
+Backends. Both check every gate's wires before doing any work. The dense
+route, circuit_to_operator, applies each gate to its own wires of the
+2^n x 2^n product, O(2^w 4^n) for a w-qubit gate; it forms no Kronecker
+embedding. The compact route, circuit_to_rotation, finds the local
+rotations of all one-qubit and of all two-qubit gates in one call each
+of the batched rotation kernel on the Majorana word table (the kernel
+behind hierarchy.extract_rotation), then composes them into the 2n x 2n
+rotation by updating only the columns each gate touches.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,14 +57,12 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     Tolerances,
+    _guard_qubits,
+    _guard_wires,
     assert_unitary,
-    embed_one_qubit,
-    embed_two_qubit,
     identity,
-    n_qubits_of,
-    norm_max,
 )
-from .majorana import Parity, jw_set, parity_of
+from .majorana import _parity_maxima, _rotations
 
 Pattern = tuple  # entries 0, 1, or None (None is the wildcard)
 
@@ -440,68 +446,37 @@ def circuit_to_text(circuit: CircuitIR) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_wires(circuit: CircuitIR) -> None:
+    """Refuse a circuit with any gate whose wires do not fit its qubits."""
+    for g in circuit.gates:
+        _guard_wires(g.pos, g.n_wires, circuit.n_qubits)
+
+
 def circuit_to_operator(circuit: CircuitIR) -> np.ndarray:
-    """Dense unitary of the circuit (first-listed gate applied first)."""
+    """Dense unitary of the circuit (first-listed gate applied first).
+
+    Each gate acts on its own wires of the current product, seen as a
+    (2^(pos-1), 2^w, rest) array, so a w-qubit gate costs O(2^w 4^n).
+    """
     n = circuit.n_qubits
+    _guard_qubits(n)
+    _check_wires(circuit)
     u = identity(n)
     for g in circuit.gates:
         local = g.local_matrix()
-        if g.n_wires == 1:
-            emb = embed_one_qubit(local, g.pos, n)
-        else:
-            emb = embed_two_qubit(local, g.pos, n)
-        u = emb @ u
+        u = (local @ u.reshape(2 ** (g.pos - 1), len(local), -1)).reshape(u.shape)
     return u
 
 
-@lru_cache(maxsize=None)
-def _local_majoranas(w: int) -> tuple[np.ndarray, ...]:
-    return tuple(jw_set(w))
-
-
-def _local_rotation(g: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, Parity] | None:
-    """Rotation of a 1- or 2-qubit gate on its own wires, or None if the
-    gate does not conjugate Majoranas linearly."""
-    w = n_qubits_of(g)
-    par = parity_of(g, tol.residual)
-    if par == "none":
-        return None
-    cs = _local_majoranas(w)
-    dim = 2**w
-    r = np.zeros((2 * w, 2 * w))
-    for mu in range(2 * w):
-        v = g @ cs[mu] @ g.conj().T
-        for nu in range(2 * w):
-            r[mu, nu] = np.trace(cs[nu] @ v).real / dim
-        if norm_max(v - sum(r[mu, nu] * cs[nu] for nu in range(2 * w))) > tol.residual:
-            return None
-    if norm_max(r @ r.T - np.eye(2 * w)) > tol.residual:
-        return None
-    return r, par
-
-
 def gate_rotation(g: GateApp, n_qubits: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Embed the local rotation of one gate into the full 2n x 2n rotation.
+    """The full 2n x 2n rotation of one gate: circuit_to_rotation of the
+    circuit holding only g.
 
     Majoranas on wires left of the gate are untouched; the gate's own block
     rotates; Majoranas to the right pick up the gate's parity sign, because
     their Pauli-Z strings cross the gate's wires.
     """
-    local = g.local_matrix()
-    got = _local_rotation(local, tol)
-    if got is None:
-        raise NotGaussianError(
-            f"gate {g.name or g.kind} @ {g.pos} does not act linearly on Majorana operators"
-        )
-    r_loc, par = got
-    w = g.n_wires
-    r = np.eye(2 * n_qubits)
-    lo = 2 * (g.pos - 1)
-    r[lo : lo + 2 * w, lo : lo + 2 * w] = r_loc
-    if par == "odd":
-        for idx in range(lo + 2 * w, 2 * n_qubits):
-            r[idx, idx] = -1.0
-    return r
+    return circuit_to_rotation(CircuitIR(n_qubits, (g,)), tol)
 
 
 def circuit_to_rotation(circuit: CircuitIR, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -511,6 +486,12 @@ def circuit_to_rotation(circuit: CircuitIR, tol: Tolerances = DEFAULT_TOL) -> np
     U c_mu U^dag = sum_nu R[mu, nu] c_nu for the dense circuit unitary U,
     and det R = (-1)^(number of parity-odd gates). Free-form gates are
     refused: such circuits are not Gaussian.
+
+    The local rotations and parities of all gates of one width come from
+    one batched kernel call on the stack of their 2x2 or 4x4 matrices. Gate
+    by gate in time order, R is then multiplied on the right by the gate's
+    rotation, which touches only the columns of its own Majoranas and,
+    for an odd gate, flips the sign of the columns to its right.
     """
     for g in circuit.gates:
         if g.freeform:
@@ -522,9 +503,38 @@ def circuit_to_rotation(circuit: CircuitIR, tol: Tolerances = DEFAULT_TOL) -> np
             raise NotGaussianError(
                 f"free-form gate {g.name or g.kind} @ {g.pos} has no rotation{detail}"
             )
+    _check_wires(circuit)
+    gates = circuit.gates
+    local_rotations: list[np.ndarray | None] = [None] * len(gates)
+    odd = np.zeros(len(gates), dtype=bool)
+    failed = np.zeros(len(gates), dtype=bool)
+    for w in (1, 2):
+        idx = [i for i, g in enumerate(gates) if g.n_wires == w]
+        if not idx:
+            continue
+        stack = np.stack([gates[i].local_matrix() for i in idx])
+        rots, ok = _rotations(stack, w, tol)
+        # the tests of parity_of, on every gate at once
+        even_max, odd_max = _parity_maxima(stack, w)
+        is_even = odd_max < tol.residual
+        is_odd = ~is_even & (even_max < tol.residual)
+        failed[idx] = ~(ok & (is_even | is_odd))
+        odd[idx] = is_odd
+        for i, r_loc in zip(idx, rots):
+            local_rotations[i] = r_loc
+    if failed.any():
+        g = gates[int(np.argmax(failed))]
+        raise NotGaussianError(
+            f"gate {g.name or g.kind} @ {g.pos} does not act linearly on Majorana operators"
+        )
     r = np.eye(2 * circuit.n_qubits)
-    for g in circuit.gates:
-        r = r @ gate_rotation(g, circuit.n_qubits, tol)
+    for g, r_loc, g_odd in zip(gates, local_rotations, odd):
+        lo = 2 * (g.pos - 1)
+        hi = lo + 2 * g.n_wires
+        r[:, lo:hi] = r[:, lo:hi] @ r_loc
+        if g_odd:
+            # 0 - x rather than -x: zeros stay +0.0, as the matrix product gives them
+            r[:, hi:] = 0.0 - r[:, hi:]
     return r
 
 

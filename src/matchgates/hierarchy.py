@@ -29,7 +29,6 @@ exactly when the ratio is a 2^(k-2)-th root of unity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,25 +43,28 @@ from .linalg import (
     n_qubits_of,
     norm_max,
 )
-from .majorana import Parity, jw_set, majorana_words, parity_of, state_parity
+from .majorana import (
+    CHUNK_ENTRIES,
+    Parity,
+    _chunks,
+    _conjugates,
+    _jw_stack,
+    _parity_maxima,
+    _rotations,
+    _traces,
+    _word_gathers,
+    jw_set,
+    parity_of,
+    state_parity,
+)
 
 # Refuse level searches needing more than this many dense conjugations.
 COST_GUARD = 10**7
-
-# Largest batch of operators the level search stacks, in complex entries (1 MiB).
-CHUNK_ENTRIES = 2**16
 
 # The closed form accepts a root of unity only if neighbouring roots lie at
 # least this many angular tolerances apart; on a denser grid any angle would
 # snap to some root.
 ROOT_SPACING_FACTOR = 1000
-
-
-@lru_cache(maxsize=None)
-def _jw_stack(n: int) -> np.ndarray:
-    stack = np.stack(jw_set(n))
-    stack.setflags(write=False)
-    return stack
 
 
 def first_level_coeffs(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
@@ -76,31 +78,9 @@ def first_level_coeffs(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
     return a[0] if ok[0] else None
 
 
-@lru_cache(maxsize=None)
-def _word_gathers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gather tables of the batched kernels, from the Majorana word table.
-
-    Returns (phase, cols, col_phase, by_parity): phase[mu, i] = c_mu[i, i ^ f_mu],
-    cols[mu, j] = j ^ f_mu and col_phase[mu, j] = c_mu[j ^ f_mu, j], so that
-    (c_mu V)[i] = phase[mu, i] V[cols[mu, i]] and (V c_mu)[:, j] =
-    V[:, cols[mu, j]] col_phase[mu, j]; by_parity lists the flat entries of a
-    2^n x 2^n operator, the same-parity half first.
-    """
-    words = majorana_words(n)
-    cols = np.arange(2**n) ^ words.flip[:, None]
-    col_phase = np.take_along_axis(words.phase, cols, axis=1)
-    by_parity = np.argsort(~words.same_parity.ravel(), kind="stable")
-    for a in (cols, col_phase, by_parity):
-        a.setflags(write=False)
-    return words.phase, cols, col_phase, by_parity
-
-
 def _first_level(nodes: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Majorana coefficients (B, 2n) of a stack of operators and which pass the first-level checks."""
-    phase, cols, _, _ = _word_gathers(n)
-    # tr(c_mu V) = sum_i phase[mu, i] V[i ^ f_mu, i]
-    diag = nodes[:, cols, np.arange(2**n)]
-    coeffs = np.einsum("bmi,mi->bm", diag, phase) / 2**n
+    coeffs = _traces(nodes, n)
     ok = np.abs(coeffs.imag).max(axis=1) <= tol.residual
     a = coeffs.real.copy()
     recon = a @ _jw_stack(n).reshape(2 * n, -1)
@@ -111,27 +91,10 @@ def _first_level(nodes: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray
     return a, ok
 
 
-def _conjugates(parents: np.ndarray, n: int, mus: slice) -> np.ndarray:
-    """V c_mu V^dag for every V of the stack and every mu in mus, ordered by V, then mu."""
-    _, cols, col_phase, _ = _word_gathers(n)
-    vc = (parents[:, :, cols[mus]] * col_phase[mus]).transpose(0, 2, 1, 3)
-    kids = vc @ parents.conj().transpose(0, 2, 1)[:, None]
-    return kids.reshape(-1, 2**n, 2**n)
-
-
 def _all_odd(nodes: np.ndarray, n: int, tol: Tolerances) -> bool:
     """True iff parity_of would call every operator of the stack odd."""
-    by_parity = _word_gathers(n)[3]
-    mags = np.abs(nodes).reshape(len(nodes), -1)[:, by_parity]
-    even, odd = mags.reshape(len(nodes), 2, -1).max(axis=2).T
+    even, odd = _parity_maxima(nodes, n)
     return bool(np.all((odd >= tol.residual) & (even < tol.residual)))
-
-
-def conjugate_majoranas(u: np.ndarray) -> list[np.ndarray]:
-    """The tuple u c_mu u^dag for mu = 1 .. 2n."""
-    n = n_qubits_of(u)
-    udag = u.conj().T
-    return [u @ c @ udag for c in jw_set(n)]
 
 
 def extract_rotation(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
@@ -140,22 +103,11 @@ def extract_rotation(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
     Returns the real 2n x 2n matrix R with u c_mu u^dag = sum_nu R[mu,nu] c_nu,
     or None when the conjugations fail to be linear in the Majoranas or R
     fails orthogonality. det R = +1 for proper Gaussian gates, -1 for the
-    generalised ones.
+    generalised ones. This is the batched rotation kernel of the word table
+    on a batch of one; the compact circuit route runs the same kernel.
     """
-    n = n_qubits_of(u)
-    stack = _jw_stack(n)
-    dim = 2**n
-    udag = u.conj().T
-    r = np.zeros((2 * n, 2 * n))
-    for mu in range(2 * n):
-        v = u @ stack[mu] @ udag
-        row = np.einsum("kij,ji->k", stack, v).real / dim
-        r[mu] = row
-        if norm_max(v - np.tensordot(row, stack, axes=1)) > tol.residual:
-            return None
-    if norm_max(r @ r.T - np.eye(2 * n)) > tol.residual:
-        return None
-    return r
+    r, ok = _rotations(u[None], n_qubits_of(u), tol)
+    return r[0] if ok[0] else None
 
 
 def lambda_operator(n: int) -> np.ndarray:
@@ -227,7 +179,7 @@ def _subtree_ok(parents: np.ndarray, depth: int, n: int, tol: Tolerances) -> boo
     below are odd and those exactly `depth` levels below are first level."""
     if depth == 0:
         return True
-    for block, mus in _chunks(len(parents), n):
+    for block, mus in _chunks(len(parents), n, CHUNK_ENTRIES):
         kids = _conjugates(parents[block], n, mus)
         if not _all_odd(kids, n, tol):
             return False
@@ -237,21 +189,6 @@ def _subtree_ok(parents: np.ndarray, depth: int, n: int, tol: Tolerances) -> boo
         elif not _subtree_ok(kids, depth - 1, n, tol):
             return False
     return True
-
-
-def _chunks(count: int, n: int):
-    """(parents, mus) slices covering the children of `count` stacked
-    parents in order, each at most CHUNK_ENTRIES entries (or one child)."""
-    per_chunk = CHUNK_ENTRIES // 4**n
-    if per_chunk >= 2 * n:
-        step = per_chunk // (2 * n)
-        for p in range(0, count, step):
-            yield slice(p, p + step), slice(None)
-    else:
-        step = max(per_chunk, 1)
-        for p in range(count):
-            for mu in range(0, 2 * n, step):
-                yield slice(p, p + 1), slice(mu, mu + step)
 
 
 def min_level(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) -> int | None:

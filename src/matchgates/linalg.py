@@ -110,12 +110,20 @@ def kron_all(*factors) -> np.ndarray:
     return out
 
 
+def _guard_wires(k: int, width: int, n: int) -> None:
+    """Refuse a gate on `width` (1 or 2) wires starting at wire k (1-based)
+    that does not fit n qubits."""
+    if width == 1 and not 1 <= k <= n:
+        raise ValueError(f"wire {k} out of range for {n} qubits")
+    if width == 2 and not 1 <= k <= n - 1:
+        raise ValueError(f"wire pair ({k},{k + 1}) out of range for {n} qubits")
+
+
 def embed_one_qubit(g: np.ndarray, k: int, n: int) -> np.ndarray:
     """Embed a one-qubit gate on wire k (1-based) into an n-qubit operator."""
     if g.shape != (2, 2):
         raise ValueError(f"expected a 2x2 gate, got shape {g.shape}")
-    if not 1 <= k <= n:
-        raise ValueError(f"wire {k} out of range for {n} qubits")
+    _guard_wires(k, 1, n)
     return kron_all(identity(k - 1), g, identity(n - k))
 
 
@@ -123,8 +131,7 @@ def embed_two_qubit(g: np.ndarray, k: int, n: int) -> np.ndarray:
     """Embed a two-qubit gate on wires (k, k+1), 1-based, into an n-qubit operator."""
     if g.shape != (4, 4):
         raise ValueError(f"expected a 4x4 gate, got shape {g.shape}")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"wire pair ({k},{k + 1}) out of range for {n} qubits")
+    _guard_wires(k, 2, n)
     return kron_all(identity(k - 1), g, identity(n - k - 1))
 
 

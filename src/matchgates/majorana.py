@@ -17,7 +17,12 @@ Every c_mu is also a signed permutation: it sends basis state i to
 i ^ f_mu with a phase in {+-1, +-i}. The word table of ``majorana_words``
 stores these flip masks and phases, together with the parity signs of the
 basis states, so products with Majoranas and parity tests become gathers
-and sign masks instead of dense matrix products.
+and sign masks instead of dense matrix products. The batched kernels built
+on it take stacks (B, 2^n, 2^n) of operators: conjugation of each by every
+c_mu, the coefficients tr(c_mu V) / 2^n, the parity maxima and the
+rotation R of each operator, chunked so that no intermediate array holds
+more than CHUNK_ENTRIES complex entries (or one operator, when a single
+operator is larger).
 """
 
 from __future__ import annotations
@@ -34,12 +39,16 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    Tolerances,
     kron_all,
     n_qubits_of,
     norm_max,
 )
 
 Parity = Literal["even", "odd", "none"]
+
+# Largest batch of operators the batched kernels stack, in complex entries (1 MiB).
+CHUNK_ENTRIES = 2**16
 
 
 @lru_cache(maxsize=None)
@@ -112,6 +121,94 @@ def _popcount_sign(index: np.ndarray) -> np.ndarray:
         odd ^= rest & 1
         rest >>= 1
     return 1.0 - 2.0 * odd
+
+
+@lru_cache(maxsize=None)
+def _jw_stack(n: int) -> np.ndarray:
+    stack = np.stack(jw_set(n))
+    stack.setflags(write=False)
+    return stack
+
+
+@lru_cache(maxsize=None)
+def _word_gathers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gather tables of the batched kernels, from the Majorana word table.
+
+    Returns (phase, cols, col_phase, by_parity): phase[mu, i] = c_mu[i, i ^ f_mu],
+    cols[mu, j] = j ^ f_mu and col_phase[mu, j] = c_mu[j ^ f_mu, j], so that
+    (c_mu V)[i] = phase[mu, i] V[cols[mu, i]] and (V c_mu)[:, j] =
+    V[:, cols[mu, j]] col_phase[mu, j]; by_parity lists the flat entries of a
+    2^n x 2^n operator, the same-parity half first.
+    """
+    words = majorana_words(n)
+    cols = np.arange(2**n) ^ words.flip[:, None]
+    col_phase = np.take_along_axis(words.phase, cols, axis=1)
+    by_parity = np.argsort(~words.same_parity.ravel(), kind="stable")
+    for a in (cols, col_phase, by_parity):
+        a.setflags(write=False)
+    return words.phase, cols, col_phase, by_parity
+
+
+def _chunks(count: int, n: int, limit: int):
+    """(operators, mus) slices covering the 2n conjugates of `count` stacked
+    operators in order, each at most `limit` entries (or one conjugate)."""
+    per_chunk = limit // 4**n
+    if per_chunk >= 2 * n:
+        step = per_chunk // (2 * n)
+        for p in range(0, count, step):
+            yield slice(p, p + step), slice(None)
+    else:
+        step = max(per_chunk, 1)
+        for p in range(count):
+            for mu in range(0, 2 * n, step):
+                yield slice(p, p + 1), slice(mu, mu + step)
+
+
+def _conjugates(parents: np.ndarray, n: int, mus: slice) -> np.ndarray:
+    """V c_mu V^dag for every V of the stack and every mu in mus, ordered by V, then mu."""
+    _, cols, col_phase, _ = _word_gathers(n)
+    vc = (parents[:, :, cols[mus]] * col_phase[mus]).transpose(0, 2, 1, 3)
+    kids = vc @ parents.conj().transpose(0, 2, 1)[:, None]
+    return kids.reshape(-1, 2**n, 2**n)
+
+
+def _traces(nodes: np.ndarray, n: int) -> np.ndarray:
+    """tr(c_mu V) / 2^n for every V of the stack and every mu, as a (B, 2n) array."""
+    phase, cols, _, _ = _word_gathers(n)
+    # tr(c_mu V) = sum_i phase[mu, i] V[i ^ f_mu, i]
+    diag = nodes[:, cols, np.arange(2**n)]
+    return np.einsum("bmi,mi->bm", diag, phase) / 2**n
+
+
+def _parity_maxima(ops: np.ndarray, n: int) -> np.ndarray:
+    """Largest |entry| of the parity-even and of the parity-odd part of each
+    operator of the stack: the two values parity_of compares, as a (2, B) array."""
+    by_parity = _word_gathers(n)[3]
+    mags = np.abs(ops).reshape(len(ops), -1)[:, by_parity]
+    return mags.reshape(len(ops), 2, -1).max(axis=2).T
+
+
+def _rotations(ops: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (B, 2n, 2n) of a stack of operators u, and which of them pass.
+
+    R[mu, nu] = Re tr(c_nu V) / 2^n with V = u c_mu u^dag. An operator passes
+    when every V equals sum_nu R[mu, nu] c_nu and R R^T equals the identity,
+    both within tol.residual. The work stops once every operator has failed.
+    """
+    r = np.zeros((len(ops), 2 * n, 2 * n))
+    ok = np.ones(len(ops), dtype=bool)
+    basis = _jw_stack(n).reshape(2 * n, -1)
+    for block, mus in _chunks(len(ops), n, CHUNK_ENTRIES):
+        kids = _conjugates(ops[block], n, mus)
+        rows = _traces(kids, n).real
+        resid = np.abs(kids.reshape(len(kids), -1) - rows @ basis).max(axis=1)
+        per_op = (len(ops[block]), -1)
+        r[block, mus] = rows.reshape(*per_op, 2 * n)
+        ok[block] &= (resid <= tol.residual).reshape(per_op).all(axis=1)
+        if not ok.any():
+            return r, ok
+    ok &= np.abs(r @ r.transpose(0, 2, 1) - np.eye(2 * n)).max(axis=(1, 2)) <= tol.residual
+    return r, ok
 
 
 def mask_from_indices(indices) -> int:

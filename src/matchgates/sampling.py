@@ -6,17 +6,26 @@ single seed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.stats import unitary_group
 
 from .circuits import CircuitIR, GateApp, build_G, build_J
 from .linalg import embed_one_qubit, PAULI_X
-from .majorana import jw_set
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary."""
-    return np.asarray(unitary_group.rvs(dim, random_state=rng), dtype=complex)
+    """Haar-random unitary: the Q factor of a complex Ginibre matrix, its
+    columns rephased by the phases of R's diagonal (Mezzadri's recipe).
+
+    This is the recipe of scipy.stats.unitary_group.rvs, so the same
+    Generator gives the same draws, bit for bit.
+    """
+    z = 1 / math.sqrt(2) * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    q, r = np.linalg.qr(z)
+    d = r.diagonal()
+    q *= d / abs(d)
+    return q
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -65,13 +74,6 @@ def random_two_qubit_at_root(
     b = haar_unitary(2, rng)
     b = b * np.sqrt((np.linalg.det(a) / ratio) / np.linalg.det(b))
     return build_J(a, b) if odd else build_G(a, b)
-
-
-def random_first_level(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random first-level gate: a real unit combination of Majoranas."""
-    a = rng.standard_normal(2 * n)
-    a = a / np.linalg.norm(a)
-    return np.tensordot(a, np.stack(jw_set(n)), axes=1)
 
 
 def random_fermionic(n: int, rng: np.random.Generator, parity: str = "even") -> np.ndarray:

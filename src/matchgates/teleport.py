@@ -51,8 +51,12 @@ def magic_state(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> MagicState:
     Gaussianity. The state parity always matches the parity of U; the
     state is Gaussian exactly when U is."""
     assert_unitary(u, tol.unitary, "teleported gate")
+    return _magic_state(u, circuit_to_operator(build_bn(n_qubits_of(u))), tol)
+
+
+def _magic_state(u: np.ndarray, bn: np.ndarray, tol: Tolerances) -> MagicState:
+    """magic_state of a unitary u, given the dense Bell-pair network bn."""
     n = n_qubits_of(u)
-    bn = circuit_to_operator(build_bn(n))
     zero = np.zeros(4**n, dtype=complex)
     zero[0] = 1.0
     psi = np.kron(np.eye(2**n, dtype=complex), u) @ (bn @ zero)
@@ -160,8 +164,8 @@ def simulate_protocol(
     n = n_qubits_of(u)
     if abs(np.linalg.norm(psi_in) - 1.0) > tol.norm:
         raise ValueError("input state must be normalized")
-    magic = magic_state(u, tol)
     bn = circuit_to_operator(build_bn(n))
+    magic = _magic_state(u, bn, tol)
     joint = np.kron(psi_in, magic.psi)
     rows = bn.conj().T @ joint.reshape(4**n, 2**n)
     target = u @ psi_in

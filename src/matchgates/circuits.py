@@ -30,7 +30,8 @@ Circuit text format (case-insensitive, '#' starts a comment):
     X @ 1                     # named one-qubit gate
     CPHASE(pi/2) @ 1          # angles: decimal radians or [K]pi[/M]
 
-Gate lists are in time order: the first gate listed acts first.
+Gate lists are in time order: the first gate listed acts first. Gate
+tokens here and in `mgh --gate` share lex_token, split_args and named_token.
 
 Backends. Both check every gate's wires before doing any work. The dense
 route, circuit_to_operator, applies each gate to its own wires of the
@@ -80,28 +81,55 @@ class NotGaussianError(ValueError):
     """Raised when the compact rotation backend meets a non-Gaussian gate."""
 
 
+def _is_unitary_2x2(m: np.ndarray, tol: float) -> bool:
+    """linalg.is_unitary's test, ||U*U - 1||_max < tol, in scalar arithmetic,
+    free of numpy's per-call overhead: every GateApp runs it on its blocks
+    when built. NaN entries fail it."""
+    (p, q), (r, s) = m.tolist()
+    return (
+        abs(abs(p) ** 2 + abs(r) ** 2 - 1) < tol
+        and abs(abs(q) ** 2 + abs(s) ** 2 - 1) < tol
+        and abs(p.conjugate() * q + r.conjugate() * s) < tol
+    )
+
+
+def _check_blocks(a, b, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """G/J blocks as complex arrays, refused unless each is a 2x2 unitary;
+    linalg.assert_unitary words the refusal."""
+    checked = []
+    for block, what in ((a, "block A"), (b, "block B")):
+        block = np.asarray(block, dtype=complex)
+        if block.shape != (2, 2) or not _is_unitary_2x2(block, tol):
+            assert_unitary(block, tol, what)
+            if block.shape != (2, 2):
+                raise ValueError(f"{what} must be a 2x2 one-qubit gate, got shape {block.shape}")
+        checked.append(block)
+    return tuple(checked)
+
+
+# Where the blocks of G(A, B) and of J(A, B) sit in the 4x4 matrix.
+_BLOCK_SLOTS = {
+    False: (np.ix_((0, 3), (0, 3)), np.ix_((1, 2), (1, 2))),
+    True: (np.ix_((0, 3), (1, 2)), np.ix_((1, 2), (0, 3))),
+}
+
+
+def _block_gate(a: np.ndarray, b: np.ndarray, odd: bool) -> np.ndarray:
+    """G(A, B), or J(A, B) when odd, from blocks already checked."""
+    g = np.zeros((4, 4), dtype=complex)
+    slot_a, slot_b = _BLOCK_SLOTS[odd]
+    g[slot_a], g[slot_b] = a, b
+    return g
+
+
 def build_G(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL.unitary) -> np.ndarray:
     """Parity-even two-qubit gate from blocks A (even subspace) and B (odd)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    assert_unitary(a, tol, "block A")
-    assert_unitary(b, tol, "block B")
-    g = np.zeros((4, 4), dtype=complex)
-    g[0, 0], g[0, 3], g[3, 0], g[3, 3] = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
-    g[1, 1], g[1, 2], g[2, 1], g[2, 2] = b[0, 0], b[0, 1], b[1, 0], b[1, 1]
-    return g
+    return _block_gate(*_check_blocks(a, b, tol), odd=False)
 
 
 def build_J(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL.unitary) -> np.ndarray:
     """Parity-odd two-qubit gate from blocks A and B."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    assert_unitary(a, tol, "block A")
-    assert_unitary(b, tol, "block B")
-    g = np.zeros((4, 4), dtype=complex)
-    g[0, 1], g[0, 2], g[3, 1], g[3, 2] = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
-    g[1, 0], g[1, 3], g[2, 0], g[2, 3] = b[0, 0], b[0, 1], b[1, 0], b[1, 1]
-    return g
+    return _block_gate(*_check_blocks(a, b, tol), odd=True)
 
 
 def phase_gate(phi: float) -> np.ndarray:
@@ -140,19 +168,21 @@ _FERMIONIC_1Q = {"I", "X", "Y", "Z", "P", "RZ"}
 
 
 def named_gate(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
-    """Dense matrix of a named gate (2x2 or 4x4), case-insensitive."""
+    """Dense matrix of a named gate (2x2 or 4x4), case-insensitive.
+
+    The package's one arity check. Only blocks that depend on an angle,
+    those of CPHASE(phi), are checked for unitarity.
+    """
     key = name.upper()
-    if key in _ONE_QUBIT:
-        arity, fn = _ONE_QUBIT[key]
-        if len(params) != arity:
-            raise ValueError(f"{key} takes {arity} parameter(s), got {len(params)}")
+    table = _ONE_QUBIT if key in _ONE_QUBIT else _TWO_QUBIT if key in _TWO_QUBIT else None
+    if table is None:
+        raise ValueError(f"unknown gate name {name!r}")
+    arity, fn = table[key]
+    if len(params) != arity:
+        raise ValueError(f"{key} takes {arity} parameter(s), got {len(params)}")
+    if table is _ONE_QUBIT:
         return fn(*params)
-    if key in _TWO_QUBIT:
-        arity, fn = _TWO_QUBIT[key]
-        if len(params) != arity:
-            raise ValueError(f"{key} takes {arity} parameter(s), got {len(params)}")
-        return build_G(*fn(*params))
-    raise ValueError(f"unknown gate name {name!r}")
+    return build_G(*fn(*params)) if params else _block_gate(*fn(), odd=False)
 
 
 def pattern_weight(pattern: Pattern) -> int:
@@ -173,6 +203,7 @@ def build_F(pattern: Pattern) -> np.ndarray:
     for p in pattern:
         if p not in (0, 1, None):
             raise ValueError(f"pattern entries must be 0, 1, or None, got {p!r}")
+    _guard_qubits(n)
     diag = np.ones(2**n, dtype=complex)
     for z in range(2**n):
         bits = [(z >> (n - 1 - k)) & 1 for k in range(n)]
@@ -194,6 +225,7 @@ class GateApp:
     of the gate (leftmost wire for two-qubit gates). blocks holds (A, B) for
     G/J kinds, block_names their canonical text tokens when available.
     freeform marks gates admitted only under the `allow freeform` directive.
+    The blocks of a G/J gate are checked once, when it is built.
     """
 
     kind: str
@@ -204,6 +236,11 @@ class GateApp:
     block_names: tuple[str, str] | None = None
     freeform: bool = False
 
+    def __post_init__(self) -> None:
+        if self.kind in ("G", "J"):
+            # frozen: object.__setattr__ keeps the checked arrays
+            object.__setattr__(self, "blocks", _check_blocks(*self.blocks, DEFAULT_TOL.unitary))
+
     @property
     def n_wires(self) -> int:
         if self.kind in ("G", "J"):
@@ -211,10 +248,8 @@ class GateApp:
         return 1 if self.name.upper() in _ONE_QUBIT else 2
 
     def local_matrix(self) -> np.ndarray:
-        if self.kind == "G":
-            return build_G(*self.blocks)
-        if self.kind == "J":
-            return build_J(*self.blocks)
+        if self.kind in ("G", "J"):
+            return _block_gate(*self.blocks, odd=self.kind == "J")
         return named_gate(self.name, self.params)
 
     def wires(self) -> tuple[int, ...]:
@@ -247,38 +282,39 @@ def parse_angle(token: str) -> float:
         raise ValueError(f"cannot parse angle {token!r}") from None
 
 
-_NAME_RE = re.compile(r"^([A-Za-z]+)(?:\((.*)\))?$")
+_TOKEN_RE = re.compile(r"^([A-Za-z]+)(?:\((.*)\))?$", re.DOTALL)
 
 
-def _parse_block_token(token: str, line: int, col: int) -> tuple[str, tuple[float, ...], np.ndarray]:
-    """A one-qubit gate token such as H or P(pi/2); returns canonical form."""
-    m = _NAME_RE.match(token)
+def lex_token(token: str, what: str = "gate") -> tuple[str, str | None]:
+    """Split a NAME or NAME(...) token into NAME, as written, and the text
+    inside the parentheses (None without them)."""
+    m = _TOKEN_RE.match(token.strip())
     if not m:
-        raise CircuitError(f"bad gate token {token!r}", line, col)
-    name = m.group(1).upper()
-    if name not in _ONE_QUBIT:
-        raise CircuitError(f"unknown block gate {m.group(1)!r}", line, col)
-    arity = _ONE_QUBIT[name][0]
-    raw = m.group(2)
-    if raw is None:
-        params: tuple[float, ...] = ()
-    else:
-        try:
-            params = tuple(parse_angle(p) for p in raw.split(",") if p.strip())
-        except ValueError as exc:
-            raise CircuitError(str(exc), line, col) from None
-    if len(params) != arity:
-        raise CircuitError(f"{name} takes {arity} parameter(s), got {len(params)}", line, col)
-    return name, params, named_gate(name, params)
+        raise ValueError(f"bad {what} token {token!r}")
+    return m.group(1), m.group(2)
 
 
-def _block_det(block: np.ndarray) -> complex:
-    return complex(np.linalg.det(block))
+def split_args(text: str) -> list[str]:
+    """Arguments split on commas outside parentheses; blanks are dropped."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return [p.strip() for p in parts if p.strip()]
+
+
+def named_token(name: str, inner: str | None) -> tuple[str, tuple[float, ...], np.ndarray]:
+    """(NAME, angles, matrix) of a lexed named-gate token such as RZ(pi/4)."""
+    params = tuple(parse_angle(p) for p in split_args(inner or ""))
+    return name.upper(), params, named_gate(name, params)
 
 
 def _matchgate_violation(a: np.ndarray, b: np.ndarray, tol: float) -> str | None:
     """None when det A = det B within tol, else a description of the mismatch."""
-    da, db = _block_det(a), _block_det(b)
+    da, db = complex(np.linalg.det(a)), complex(np.linalg.det(b))
     if abs(da - db) < tol:
         return None
     return f"determinant mismatch: |A| = {da:.6g}, |B| = {db:.6g}"
@@ -343,84 +379,71 @@ def parse_circuit(text: str, tol: Tolerances = DEFAULT_TOL) -> CircuitIR:
     return CircuitIR(n_qubits, tuple(gates), allow_freeform)
 
 
+def _circuit_token(token: str, line_no: int, col: int, known, unknown: str):
+    """named_token of a circuit-file token whose name must be in known;
+    errors point at (line_no, col)."""
+    try:
+        name, inner = lex_token(token)
+        if name.upper() not in known:
+            raise ValueError(f"unknown {unknown} {name!r}")
+        return named_token(name, inner)
+    except ValueError as exc:
+        raise CircuitError(str(exc), line_no, col) from None
+
+
 def _parse_gate(gate_tokens, pos, n_qubits, allow_freeform, line_no, tol) -> GateApp:
     head, head_col = gate_tokens[0]
-    head_up = head.upper()
+    kind = head.upper()
 
-    if head_up in ("G", "J"):
+    if kind in ("G", "J"):
         if len(gate_tokens) != 3:
-            raise CircuitError(f"{head_up} needs two block tokens", line_no, head_col)
-        name_a, params_a, block_a = _parse_block_token(gate_tokens[1][0], line_no, gate_tokens[1][1])
-        name_b, params_b, block_b = _parse_block_token(gate_tokens[2][0], line_no, gate_tokens[2][1])
-        _check_two_qubit_pos(pos, n_qubits, line_no, head_col)
-        violation = _matchgate_violation(block_a, block_b, tol.residual)
-        if violation is not None and not allow_freeform:
-            raise CircuitError(
-                f"{violation} (not a matchgate; add 'allow freeform' to admit it)",
-                line_no,
-                head_col,
-            )
-        return GateApp(
-            kind=head_up,
-            pos=pos,
-            blocks=(block_a, block_b),
-            block_names=(_format_block(name_a, params_a), _format_block(name_b, params_b)),
-            freeform=violation is not None,
+            raise CircuitError(f"{kind} needs two block tokens", line_no, head_col)
+        (name_a, params_a, a), (name_b, params_b, b) = (
+            _circuit_token(tok, line_no, col, _ONE_QUBIT, "block gate") for tok, col in gate_tokens[1:]
         )
-
-    if len(gate_tokens) != 1:
-        raise CircuitError(f"unexpected token {gate_tokens[1][0]!r}", line_no, gate_tokens[1][1])
-    m = _NAME_RE.match(head)
-    if not m:
-        raise CircuitError(f"bad gate token {head!r}", line_no, head_col)
-    name = m.group(1).upper()
-    raw = m.group(2)
-    if name in _ONE_QUBIT:
-        arity = _ONE_QUBIT[name][0]
-    elif name in _TWO_QUBIT:
-        arity = _TWO_QUBIT[name][0]
+        block_names = (_format_block(name_a, params_a), _format_block(name_b, params_b))
+        fields = dict(blocks=(a, b), block_names=block_names)
+        prefix = ""
     else:
-        raise CircuitError(f"unknown gate {m.group(1)!r}", line_no, head_col)
-    try:
-        params = tuple(parse_angle(p) for p in raw.split(",") if p.strip()) if raw else ()
-    except ValueError as exc:
-        raise CircuitError(str(exc), line_no, head_col) from None
-    if len(params) != arity:
-        raise CircuitError(f"{name} takes {arity} parameter(s), got {len(params)}", line_no, head_col)
+        if len(gate_tokens) != 1:
+            raise CircuitError(f"unexpected token {gate_tokens[1][0]!r}", line_no, gate_tokens[1][1])
+        known = _ONE_QUBIT.keys() | _TWO_QUBIT.keys()
+        name, params, _ = _circuit_token(head, line_no, head_col, known, "gate")
+        if name in _ONE_QUBIT:
+            if not 1 <= pos <= n_qubits:
+                raise CircuitError(f"wire {pos} out of range 1..{n_qubits}", line_no, head_col)
+            freeform = name not in _FERMIONIC_1Q
+            if freeform and not allow_freeform:
+                raise CircuitError(
+                    f"{name} mixes parities (not a matchgate-circuit gate; "
+                    "add 'allow freeform' to admit it)",
+                    line_no,
+                    head_col,
+                )
+            return GateApp(kind="NAMED", pos=pos, name=name, params=params, freeform=freeform)
+        kind = "NAMED"
+        a, b = _TWO_QUBIT[name][1](*params)
+        fields = dict(name=name, params=params)
+        prefix = f"{name}: "
 
-    if name in _ONE_QUBIT:
-        if not 1 <= pos <= n_qubits:
-            raise CircuitError(f"wire {pos} out of range 1..{n_qubits}", line_no, head_col)
-        freeform = name not in _FERMIONIC_1Q
-        if freeform and not allow_freeform:
-            raise CircuitError(
-                f"{name} mixes parities (not a matchgate-circuit gate; "
-                "add 'allow freeform' to admit it)",
-                line_no,
-                head_col,
-            )
-        return GateApp(kind="NAMED", pos=pos, name=name, params=params, freeform=freeform)
-
-    _check_two_qubit_pos(pos, n_qubits, line_no, head_col)
-    block_a, block_b = _TWO_QUBIT[name][1](*params)
-    violation = _matchgate_violation(block_a, block_b, tol.residual)
-    if violation is not None and not allow_freeform:
-        raise CircuitError(
-            f"{name}: {violation} (not a matchgate; add 'allow freeform' to admit it)",
-            line_no,
-            head_col,
-        )
-    return GateApp(kind="NAMED", pos=pos, name=name, params=params, freeform=violation is not None)
-
-
-def _check_two_qubit_pos(pos: int, n_qubits: int, line_no: int, col: int) -> None:
     if not 1 <= pos <= n_qubits - 1:
         raise CircuitError(
             f"two-qubit gate at wires ({pos},{pos + 1}) out of range for {n_qubits} qubits "
             "(nearest-neighbour positions only)",
             line_no,
-            col,
+            head_col,
         )
+    violation = _matchgate_violation(a, b, tol.residual)
+    if violation is not None and not allow_freeform:
+        raise CircuitError(
+            f"{prefix}{violation} (not a matchgate; add 'allow freeform' to admit it)",
+            line_no,
+            head_col,
+        )
+    try:
+        return GateApp(kind=kind, pos=pos, freeform=violation is not None, **fields)
+    except ValueError as exc:  # a G/J block that is not unitary, e.g. RZ(inf)
+        raise CircuitError(str(exc), line_no, head_col) from None
 
 
 def _format_block(name: str, params: tuple[float, ...]) -> str:

@@ -16,7 +16,6 @@ The environment variable MGH_TOL overrides the residual tolerance.
 from __future__ import annotations
 
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -33,9 +32,10 @@ from .circuits import (
     circuit_to_operator,
     circuit_to_rotation,
     circuit_to_text,
-    named_gate,
-    parse_angle,
+    lex_token,
+    named_token,
     parse_circuit,
+    split_args,
 )
 from .hierarchy import class_phases, classify_gate
 from .io import (
@@ -74,28 +74,6 @@ def _tolerances() -> Tolerances:
     return Tolerances(residual=value)
 
 
-def _split_args(s: str) -> list[str]:
-    """Split on commas outside parentheses."""
-    parts: list[str] = []
-    depth = 0
-    cur: list[str] = []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
-
-
-_TOKEN_RE = re.compile(r"^([A-Za-z]+)(?:\((.*)\))?$", re.DOTALL)
-
-
 def gate_from_token(token: str, n_qubits: int | None = None) -> np.ndarray:
     """Dense unitary from a gate token.
 
@@ -104,33 +82,26 @@ def gate_from_token(token: str, n_qubits: int | None = None) -> np.ndarray:
     G(H,H) and J(X,X) with one-qubit gate tokens as blocks, pattern gates
     F(1,*,1) with * as wildcard, CNZ(n), and MAJORANA(mu) which needs
     --n-qubits when mu is not meant for the smallest register that fits.
+    Named gates and blocks use the circuit-file grammar of `circuits`;
+    F, CNZ and MAJORANA are command-line only.
     """
-    m = _TOKEN_RE.match(token.strip())
-    if not m:
-        raise ValueError(f"bad gate token {token!r}")
-    head = m.group(1).upper()
-    inner = m.group(2)
+    name, inner = lex_token(token)
+    head = name.upper()
 
     if head in ("G", "J"):
         if inner is None:
             raise ValueError(f"{head} needs two block gates, e.g. {head}(H,H)")
-        args = _split_args(inner)
+        args = split_args(inner)
         if len(args) != 2:
             raise ValueError(f"{head} needs exactly two block gates, got {len(args)}")
-        blocks = []
-        for arg in args:
-            bm = _TOKEN_RE.match(arg)
-            if not bm:
-                raise ValueError(f"bad block token {arg!r}")
-            params = tuple(parse_angle(p) for p in _split_args(bm.group(2) or ""))
-            blocks.append(named_gate(bm.group(1), params))
+        blocks = [named_token(*lex_token(arg, "block"))[2] for arg in args]
         return build_G(*blocks) if head == "G" else build_J(*blocks)
 
     if head == "F":
         if inner is None:
             raise ValueError("F needs a pattern, e.g. F(1,*,1)")
         entries: list[int | None] = []
-        for p in _split_args(inner):
+        for p in split_args(inner):
             if p in ("*", "?"):
                 entries.append(None)
             elif p in ("0", "1"):
@@ -153,8 +124,7 @@ def gate_from_token(token: str, n_qubits: int | None = None) -> np.ndarray:
         n = n_qubits if n_qubits is not None else (mu + 1) // 2
         return jw_majorana(n, mu)
 
-    params = tuple(parse_angle(p) for p in _split_args(inner or ""))
-    return named_gate(head, params)
+    return named_token(head, inner)[2]
 
 
 def _load_unitary(

@@ -40,6 +40,7 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     Tolerances,
+    _guard_qubits,
     kron_all,
     n_qubits_of,
     norm_max,
@@ -67,6 +68,7 @@ def jw_majorana(n: int, mu: int) -> np.ndarray:
         raise ValueError(f"need at least one qubit, got n={n}")
     if not 1 <= mu <= 2 * n:
         raise ValueError(f"Majorana index {mu} out of range 1..{2 * n}")
+    _guard_qubits(n)
     return _jw_cached(n, mu)
 
 

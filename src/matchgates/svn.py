@@ -37,7 +37,6 @@ class SvnResult:
 
     u: np.ndarray
     residuals: np.ndarray  # ||u^dag c_mu u - d_mu||_max per mu
-    phase_fixed: bool
 
     @property
     def max_residual(self) -> float:
@@ -85,7 +84,7 @@ def svn_reconstruct(ops: list[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> Svn
     residuals = np.array(
         [norm_max(u.conj().T @ cs[mu] @ u - ops[mu]) for mu in range(2 * n)]
     )
-    return SvnResult(u, residuals, True)
+    return SvnResult(u, residuals)
 
 
 def verify_uniqueness(

@@ -45,6 +45,7 @@ rotation by updating only the columns each gate touches.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -275,11 +276,15 @@ def parse_angle(token: str) -> float:
         sign = -1.0 if m.group(1) == "-" else 1.0
         num = float(m.group(2)) if m.group(2) else 1.0
         den = float(m.group(3)) if m.group(3) else 1.0
-        return sign * num * np.pi / den
-    try:
-        return float(token)
-    except ValueError:
-        raise ValueError(f"cannot parse angle {token!r}") from None
+        angle = sign * num * np.pi / den
+    else:
+        try:
+            angle = float(token)
+        except ValueError:
+            raise ValueError(f"cannot parse angle {token!r}") from None
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {token!r}")
+    return angle
 
 
 _TOKEN_RE = re.compile(r"^([A-Za-z]+)(?:\((.*)\))?$", re.DOTALL)

@@ -17,7 +17,10 @@ Every c_mu is also a signed permutation: it sends basis state i to
 i ^ f_mu with a phase in {+-1, +-i}. The word table of ``majorana_words``
 stores these flip masks and phases, together with the parity signs of the
 basis states, so products with Majoranas and parity tests become gathers
-and sign masks instead of dense matrix products. The batched kernels built
+and sign masks instead of dense matrix products. Every ordered product of
+Majoranas (a monomial, a teleportation byproduct word) is again a signed
+permutation, composed from the table by ``_word`` without a dense matrix
+product. The batched kernels built
 on it take stacks (B, 2^n, 2^n) of operators: conjugation of each by every
 c_mu, the coefficients tr(c_mu V) / 2^n, the parity maxima and the
 rotation R of each operator, chunked so that no intermediate array holds
@@ -113,6 +116,30 @@ def majorana_words(n: int) -> MajoranaWords:
     for a in (flip, phase, sign, same):
         a.setflags(write=False)
     return MajoranaWords(flip, phase, sign, same)
+
+
+def _word(n: int, mus) -> tuple[int, np.ndarray]:
+    """The ordered product c_{mus[0]} c_{mus[1]} ... as a signed permutation.
+
+    Returns (flip, phase) with product[i, i ^ flip] = phase[i]. Appending
+    c_mu to a word (f, p) gives (f ^ f_mu, p[i] phase_mu[i ^ f]); the empty
+    product is the identity.
+    """
+    index = np.arange(2**n)
+    flip, phase = 0, np.ones(2**n, dtype=complex)
+    for mu in mus:
+        words = majorana_words(n)
+        phase = phase * words.phase[mu - 1][index ^ flip]
+        flip ^= int(words.flip[mu - 1])
+    return flip, phase
+
+
+def _word_matrix(flip: int, phase: np.ndarray) -> np.ndarray:
+    """Dense matrix of the signed permutation i -> i ^ flip with phase[i]."""
+    index = np.arange(len(phase))
+    out = np.zeros((len(phase), len(phase)), dtype=complex)
+    out[index, index ^ flip] = phase
+    return out
 
 
 def _popcount_sign(index: np.ndarray) -> np.ndarray:
@@ -233,10 +260,8 @@ def majorana_monomial(n: int, mask: int) -> np.ndarray:
     """Ordered product of the Majoranas selected by mask (empty mask gives 1)."""
     if mask < 0 or mask >= 1 << (2 * n):
         raise ValueError(f"mask {mask} out of range for {2 * n} Majorana modes")
-    out = np.eye(2**n, dtype=complex)
-    for mu in indices_from_mask(mask):
-        out = out @ jw_majorana(n, mu)
-    return out
+    _guard_qubits(n)
+    return _word_matrix(*_word(n, indices_from_mask(mask)))
 
 
 @dataclass
@@ -342,8 +367,7 @@ def parity_of(op: np.ndarray, tol: float = DEFAULT_TOL.residual) -> Parity:
 
 def state_parity(psi: np.ndarray, tol: float = DEFAULT_TOL.residual) -> Parity:
     """Classify a state vector by Z^{(x)n} psi = +/- psi."""
-    n = n_qubits_of(psi)
-    zpsi = total_parity(n) @ psi
+    zpsi = majorana_words(n_qubits_of(psi)).sign * psi
     if float(np.linalg.norm(zpsi - psi)) < tol:
         return "even"
     if float(np.linalg.norm(zpsi + psi)) < tol:

@@ -10,13 +10,22 @@ reconstruction here is constructive:
   range, applied to any computational basis probe with nonvanishing
   image, yields the vacuum column,
 * the remaining columns follow from the odd-indexed word
-  d_1^{z1} d_3^{z2} ... d_{2n-1}^{zn} applied to that vacuum.
+  d_1^{z1} d_3^{z2} ... d_{2n-1}^{zn} applied to that vacuum. They are
+  built by one recurrence rather than one word product per column: when
+  qubit k carries the highest set bit of z (bit n - k), column z is
+  d_{2k-1} times column z - 2^(n-k), so columns 2^(n-k) .. 2^(n-k+1) - 1
+  come from the ones before them in one matrix product, for k = n .. 1.
 
 Assembled that way, the columns form the matrix S with S c_mu S^dag =
 d_mu, so the unitary satisfying U^dag c_mu U = d_mu is S^dag; the free
 phase is fixed with canonical_phase. Feeding d_mu = V^dag c_mu V
 recovers V up to phase. When every d_mu is an odd gate of hierarchy
 level k, the reconstructed U lives at level k+1.
+
+The contract residuals ||U^dag c_mu U - d_mu||_max read each c_mu from the
+Majorana word table: U^dag c_mu is a gather of U^dag's columns times a
+phase, so each conjugate costs one matrix product, computed in chunks of
+at most CHUNK_ENTRIES entries.
 """
 
 from __future__ import annotations
@@ -25,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances, canonical_phase, equal_up_to_phase, norm_max
-from .majorana import check_car, jw_set
+from .linalg import DEFAULT_TOL, Tolerances, canonical_phase, equal_up_to_phase
+from .majorana import CHUNK_ENTRIES, _chunks, _conjugates, check_car
 
 PROBE_THRESHOLD = 1e-6
 
@@ -71,20 +80,25 @@ def svn_reconstruct(ops: list[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> Svn
             "the tuple is degenerate"
         )
 
-    columns = []
-    for zi in range(dim):
-        word = np.eye(dim, dtype=complex)
-        for k in range(1, n + 1):
-            if (zi >> (n - k)) & 1:
-                word = word @ ops[2 * (k - 1)]
-        columns.append(word @ vacuum)
-    u = canonical_phase(np.stack(columns, axis=1).conj().T, tol.norm)
+    # Row z holds column z of S: d_{2k-1} times column z - h, h = 2^(n-k).
+    columns = np.empty((dim, dim), dtype=complex)
+    columns[0] = vacuum
+    for k in range(n, 0, -1):
+        h = 1 << (n - k)
+        columns[h : 2 * h] = columns[:h] @ ops[2 * k - 2].T
+    u = canonical_phase(columns.conj(), tol.norm)
+    return SvnResult(u, _contract_residuals(u, ops))
 
-    cs = jw_set(n)
-    residuals = np.array(
-        [norm_max(u.conj().T @ cs[mu] @ u - ops[mu]) for mu in range(2 * n)]
-    )
-    return SvnResult(u, residuals)
+
+def _contract_residuals(u: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
+    """||u^dag c_mu u - d_mu||_max for every mu of the tuple, in order."""
+    n = len(ops) // 2
+    u_dag = u.conj().T[None]
+    residuals = np.empty(2 * n)
+    for _, mus in _chunks(1, n, CHUNK_ENTRIES):
+        conj = _conjugates(u_dag, n, mus)
+        residuals[mus] = np.abs(conj - np.stack(ops[mus])).max(axis=(1, 2))
+    return residuals
 
 
 def verify_uniqueness(
@@ -98,13 +112,9 @@ def verify_uniqueness(
     A contract violation (some u^dag c_mu u != d_mu) raises, reporting the
     offending indices for each candidate.
     """
-    cs = jw_set(len(ops) // 2)
     for label, u in (("u1", u1), ("u2", u2)):
-        bad = [
-            (mu + 1, norm_max(u.conj().T @ cs[mu] @ u - ops[mu]))
-            for mu in range(len(ops))
-            if norm_max(u.conj().T @ cs[mu] @ u - ops[mu]) > tol.residual
-        ]
+        residuals = _contract_residuals(u, ops)
+        bad = [(mu + 1, res) for mu, res in enumerate(residuals) if res > tol.residual]
         if bad:
             detail = ", ".join(f"mu={mu}: {res:.3e}" for mu, res in bad)
             raise ValueError(f"{label} violates the conjugation contract ({detail})")

@@ -13,6 +13,12 @@ measurement byproduct is the Majorana word
           (-1)^(sum_j (z_{2j-1} + z_{2j})(z_{2j+1} + ... + z_{2n}))
           c_1^{z2} c_2^{z1} c_3^{z4} c_4^{z3} ... c_{2n-1}^{z_{2n}} c_{2n}^{z_{2n-1}}.
 
+Like every Majorana word, K_z is a signed permutation: it sends basis
+state i to i ^ f_z with a phase in {+-1, +-i}. The table of all 4^n
+(flip, phase) pairs is built once per n from the Majorana word table, and
+a branch's correction is a column gather of U times the conjugate phases,
+then one product with U^dag; no K_z is ever multiplied out densely.
+
 The correction R_z = U K_z^dag U^dag therefore lands every branch exactly
 on U|psi>, phase included. When U sits at level k of the hierarchy, each
 correction sits at level k - 1 at most, which is what makes the protocol
@@ -22,13 +28,14 @@ repeatable down to plain matchgate circuits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .circuits import build_bn, circuit_to_operator
 from .hierarchy import is_gaussian_state_lambda, min_level
 from .linalg import DEFAULT_TOL, Tolerances, assert_unitary, equal_up_to_phase, n_qubits_of
-from .majorana import Parity, jw_majorana, state_parity
+from .majorana import Parity, _word, _word_matrix, state_parity
 from .sampling import random_state
 
 
@@ -68,6 +75,17 @@ def _magic_state(u: np.ndarray, bn: np.ndarray, tol: Tolerances) -> MagicState:
 
 def correction_K(z, n: int) -> np.ndarray:
     """The measurement byproduct word K_z for outcome bits z in {0,1}^{2n}."""
+    return _word_matrix(*_byproduct(z, n))
+
+
+def correction_R(z, u: np.ndarray) -> np.ndarray:
+    """The branch correction R_z = U K_z^dag U^dag; exact, phase included."""
+    flip, phase = _byproduct(z, n_qubits_of(u))
+    return _corrections(u, np.array([flip]), phase[None])[0]
+
+
+def _byproduct(z, n: int) -> tuple[int, np.ndarray]:
+    """K_z as a signed permutation (flip, phase): K_z[i, i ^ flip] = phase[i]."""
     z = tuple(int(b) for b in z)
     if len(z) != 2 * n or any(b not in (0, 1) for b in z):
         raise ValueError(f"need {2 * n} outcome bits, got {z}")
@@ -75,20 +93,40 @@ def correction_K(z, n: int) -> np.ndarray:
     t = 0
     for j in range(1, n):
         t += (z[2 * j - 2] + z[2 * j - 1]) * sum(z[2 * j :])
-    word = np.eye(2**n, dtype=complex)
+    mus = []
     for k in range(1, n + 1):
         if z[2 * k - 1]:
-            word = word @ jw_majorana(n, 2 * k - 1)
+            mus.append(2 * k - 1)
         if z[2 * k - 2]:
-            word = word @ jw_majorana(n, 2 * k)
-    return ((-1j) ** s) * ((-1) ** t) * word
+            mus.append(2 * k)
+    flip, phase = _word(n, mus)
+    return flip, ((-1j) ** s) * ((-1) ** t) * phase
 
 
-def correction_R(z, u: np.ndarray) -> np.ndarray:
-    """The branch correction R_z = U K_z^dag U^dag; exact, phase included."""
-    n = n_qubits_of(u)
-    k = correction_K(z, n)
-    return u @ k.conj().T @ u.conj().T
+@lru_cache(maxsize=None)
+def _outcome(zi: int, n: int) -> tuple[int, ...]:
+    """The 2n outcome bits of branch zi, most significant first."""
+    return tuple((zi >> (2 * n - 1 - b)) & 1 for b in range(2 * n))
+
+
+@lru_cache(maxsize=None)
+def _byproducts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flips (4^n,) and phases (4^n, 2^n) of every K_z, in branch order (read-only)."""
+    words = [_byproduct(_outcome(zi, n), n) for zi in range(4**n)]
+    flips = np.array([flip for flip, _ in words], dtype=np.intp)
+    phases = np.stack([phase for _, phase in words])
+    for a in (flips, phases):
+        a.setflags(write=False)
+    return flips, phases
+
+
+def _corrections(u: np.ndarray, flips: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """U K^dag U^dag for every word K = (flips[b], phases[b]), as a (B, 2^n, 2^n) stack."""
+    # (U K^dag)[:, j] = U[:, j ^ flip] conj(phase[j])
+    cols = np.arange(u.shape[0]) ^ flips[:, None]
+    uk = u[:, cols]
+    uk *= phases.conj()
+    return uk.transpose(1, 0, 2) @ u.conj().T
 
 
 @dataclass(frozen=True)
@@ -169,19 +207,20 @@ def simulate_protocol(
     joint = np.kron(psi_in, magic.psi)
     rows = bn.conj().T @ joint.reshape(4**n, 2**n)
     target = u @ psi_in
-    branches = []
-    for zi in range(4**n):
-        row = rows[zi]
+    probs = []
+    for zi, row in enumerate(rows):
         prob = float(np.linalg.norm(row) ** 2)
         if prob < tol.norm:
             raise ValueError(f"branch {zi:0{2 * n}b} has vanishing probability; protocol broken")
-        raw = row / np.sqrt(prob)
-        z = tuple((zi >> (2 * n - 1 - b)) & 1 for b in range(2 * n))
-        corr = correction_R(z, u)
-        corrected = corr @ raw
-        residual = float(np.linalg.norm(corrected - target))
-        phase = complex(np.vdot(target, corrected))
-        branches.append(Branch(z, prob, raw, corr, corrected, residual, phase))
+        probs.append(prob)
+    raws = rows / np.sqrt(probs)[:, None]
+    corrs = _corrections(u, *_byproducts(n))
+    corrected = (corrs @ raws[:, :, None])[:, :, 0]
+    branches = []
+    for zi, (prob, raw, corr, out) in enumerate(zip(probs, raws, corrs, corrected)):
+        residual = float(np.linalg.norm(out - target))
+        phase = complex(np.vdot(target, out))
+        branches.append(Branch(_outcome(zi, n), prob, raw, corr, out, residual, phase))
     return TeleportTranscript(n, psi_in, target, tuple(branches))
 
 
@@ -235,9 +274,7 @@ def verify_protocol(
     # Corrections depend only on z, not the input; group them up to phase.
     reps: list[np.ndarray] = []
     counts: list[int] = []
-    for zi in range(4**n):
-        z = tuple((zi >> (2 * n - 1 - b)) & 1 for b in range(2 * n))
-        r = correction_R(z, u)
+    for r in _corrections(u, *_byproducts(n)):
         for i, rep in enumerate(reps):
             if equal_up_to_phase(r, rep, tol.residual).equal:
                 counts[i] += 1

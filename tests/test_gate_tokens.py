@@ -146,7 +146,7 @@ def test_builders_guard_qubits_before_allocating():
         ("G(CPHASE,I)", "CPHASE takes 1 parameter(s), got 0"),
         ("G(P(two),I)", "cannot parse angle 'two'"),
         ("P((1,2))", "cannot parse angle '(1,2)'"),
-        ("CPHASE(inf)", "block A is not unitary"),
+        ("CPHASE(inf)", "angle must be finite, got 'inf'"),
         ("F(2)", "pattern entries are 0, 1, or *, got '2'"),
         ("CNZ(3,4)", "invalid literal for int() with base 10: '3,4'"),
     ],
@@ -189,10 +189,10 @@ def test_gate_app_checks_blocks_once_when_built():
         GateApp(kind="J", pos=1, blocks=(PAULI_I, np.ones((2, 2))))
     with pytest.raises(ValueError, match="block A must be a 2x2"):
         GateApp(kind="G", pos=1, blocks=(named_gate("CZ"), PAULI_I))
-    # a freeform block with a non-finite angle is refused at parse, with its position
-    with pytest.raises(CircuitError, match="block A is not unitary") as exc:
+    # a freeform block with a non-finite angle is refused at parse, at the angle's block token
+    with pytest.raises(CircuitError, match="angle must be finite, got 'inf'") as exc:
         parse_circuit("qubits 2\nallow freeform\nG RZ(inf) I @ 1\n")
-    assert (exc.value.line, exc.value.col) == (3, 1)
+    assert (exc.value.line, exc.value.col) == (3, 3)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -204,7 +204,7 @@ def build_F(pattern: Pattern) -> np.ndarray:
     for p in pattern:
         if p not in (0, 1, None):
             raise ValueError(f"pattern entries must be 0, 1, or None, got {p!r}")
-    _guard_qubits(n)
+    _guard_qubits(n, "pattern gate")
     diag = np.ones(2**n, dtype=complex)
     for z in range(2**n):
         bits = [(z >> (n - 1 - k)) & 1 for k in range(n)]
@@ -487,7 +487,7 @@ def circuit_to_operator(circuit: CircuitIR) -> np.ndarray:
     (2^(pos-1), 2^w, rest) array, so a w-qubit gate costs O(2^w 4^n).
     """
     n = circuit.n_qubits
-    _guard_qubits(n)
+    _guard_qubits(n, "circuit operator")
     _check_wires(circuit)
     u = identity(n)
     for g in circuit.gates:

@@ -54,6 +54,7 @@ from .majorana import (
     _traces,
     _word_gathers,
     jw_set,
+    majorana_words,
     parity_of,
     state_parity,
 )
@@ -126,11 +127,11 @@ def is_gaussian_lambda(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     - (U c_mu) (x) (U c_mu); its entries, permuted, are those of the single
     product [cu; uc]^T [cu; -uc] of the flattened operators. Requires a
     fermionic (parity even or odd) input; mixed-parity operators are
-    rejected, and so are inputs whose commutator would exceed the kron
-    qubit limit.
+    rejected, and so are inputs whose commutator would exceed the qubit
+    limit.
     """
     n = n_qubits_of(u)
-    _guard_qubits(2 * n)
+    _guard_qubits(2 * n, "Lambda commutator")
     if parity_of(u, tol.residual) == "none":
         raise ValueError("operator has no definite parity; Gaussian test undefined")
     phase, cols, col_phase, _ = _word_gathers(n)
@@ -142,13 +143,22 @@ def is_gaussian_lambda(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def is_gaussian_state_lambda(psi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Gaussian-state test: Lambda (psi (x) psi) = 0."""
+    """Gaussian-state test: Lambda (psi (x) psi) = 0.
+
+    Each c_mu psi is a gather from the Majorana word table, a row of C
+    (2n, 2^n); sum_mu (c_mu psi) (x) (c_mu psi) is then the single product
+    C^T C, whose norm is taken directly.
+    """
+    return _state_lambda_norm(psi) < tol.residual
+
+
+def _state_lambda_norm(psi: np.ndarray) -> float:
+    """||Lambda (psi (x) psi)||, the quantity is_gaussian_state_lambda thresholds."""
     n = n_qubits_of(psi)
-    acc = np.zeros(4**n, dtype=complex)
-    for c in jw_set(n):
-        cpsi = c @ psi
-        acc += np.kron(cpsi, cpsi)
-    return float(np.linalg.norm(acc)) < tol.residual
+    _guard_qubits(n, "state Lambda test")
+    words = majorana_words(n)
+    c = words.phase * psi[np.arange(2**n) ^ words.flip[:, None]]
+    return float(np.linalg.norm(c.T @ c))
 
 
 def level_membership(u: np.ndarray, k: int, tol: Tolerances = DEFAULT_TOL) -> bool:

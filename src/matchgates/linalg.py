@@ -23,7 +23,7 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
-# Refuse kron results beyond this many qubits; 2**15 square matrices are
+# Refuse dense operators beyond this many qubits; 2**15 square matrices are
 # already ~16 GiB and nothing in this package needs them.
 MAX_QUBITS = 15
 
@@ -86,15 +86,15 @@ def basis_state(n: int, bits) -> np.ndarray:
     return psi
 
 
-def _guard_qubits(total: int) -> None:
-    """Refuse a tensor-product result on more than MAX_QUBITS qubits."""
+def _guard_qubits(total: int, what: str) -> None:
+    """Refuse to build `what` (named in the message) on more than MAX_QUBITS qubits."""
     if total > MAX_QUBITS:
-        raise ValueError(f"kron result would act on {total} qubits (limit {MAX_QUBITS})")
+        raise ValueError(f"{what} would act on {total} qubits (limit {MAX_QUBITS})")
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with qubit-count overflow guard (first factor is most significant)."""
-    _guard_qubits(n_qubits_of(a) + n_qubits_of(b))
+    _guard_qubits(n_qubits_of(a) + n_qubits_of(b), "kron result")
     return np.kron(a, b)
 
 

@@ -71,7 +71,7 @@ def jw_majorana(n: int, mu: int) -> np.ndarray:
         raise ValueError(f"need at least one qubit, got n={n}")
     if not 1 <= mu <= 2 * n:
         raise ValueError(f"Majorana index {mu} out of range 1..{2 * n}")
-    _guard_qubits(n)
+    _guard_qubits(n, "Majorana operator")
     return _jw_cached(n, mu)
 
 
@@ -260,7 +260,7 @@ def majorana_monomial(n: int, mask: int) -> np.ndarray:
     """Ordered product of the Majoranas selected by mask (empty mask gives 1)."""
     if mask < 0 or mask >= 1 << (2 * n):
         raise ValueError(f"mask {mask} out of range for {2 * n} Majorana modes")
-    _guard_qubits(n)
+    _guard_qubits(n, "Majorana monomial")
     return _word_matrix(*_word(n, indices_from_mask(mask)))
 
 

@@ -23,6 +23,15 @@ The correction R_z = U K_z^dag U^dag therefore lands every branch exactly
 on U|psi>, phase included. When U sits at level k of the hierarchy, each
 correction sits at level k - 1 at most, which is what makes the protocol
 repeatable down to plain matchgate circuits.
+
+A protocol run does only the work that depends on U and the input state.
+The dense network B and B|0...0> depend on n alone and are built once per
+n, then cached read-only (B is 4^n x 4^n: 16 MB stays alive after an n = 5
+run). The magic state applies U to the low n wires of B|0...0> by one
+2^n x 2^n product; no kron(1, U) is formed. Branch probabilities and
+residuals come from one batched pass of row norms. The Lambda Gaussianity
+test of the magic state runs only in magic_state, which reports it; the
+protocol never reads it.
 """
 
 from __future__ import annotations
@@ -58,19 +67,34 @@ def magic_state(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> MagicState:
     Gaussianity. The state parity always matches the parity of U; the
     state is Gaussian exactly when U is."""
     assert_unitary(u, tol.unitary, "teleported gate")
-    return _magic_state(u, circuit_to_operator(build_bn(n_qubits_of(u))), tol)
+    psi, par = _magic_psi(u, tol)
+    return MagicState(n_qubits_of(u), psi, par, is_gaussian_state_lambda(psi, tol))
 
 
-def _magic_state(u: np.ndarray, bn: np.ndarray, tol: Tolerances) -> MagicState:
-    """magic_state of a unitary u, given the dense Bell-pair network bn."""
+def _magic_psi(u: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, Parity]:
+    """The magic state (1 (x) U) B |0^{2n}> of a unitary u and its parity;
+    refuses a state of no definite parity."""
     n = n_qubits_of(u)
-    zero = np.zeros(4**n, dtype=complex)
-    zero[0] = 1.0
-    psi = np.kron(np.eye(2**n, dtype=complex), u) @ (bn @ zero)
+    # b0 as a 2^n x 2^n array indexes (high wires, low wires), so
+    # (1 (x) U) b0 is that array times U^T.
+    b0 = _network(n)[1]
+    psi = (b0.reshape(2**n, 2**n) @ u.T).ravel()
     par = state_parity(psi, tol.residual)
     if par == "none":
         raise ValueError("magic state has no definite parity; the gate is not fermionic")
-    return MagicState(n, psi, par, is_gaussian_state_lambda(psi, tol))
+    return psi, par
+
+
+@lru_cache(maxsize=None)
+def _network(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dense Bell-pair network B_n and B_n |0^{2n}> (cached per n, read-only)."""
+    bn = circuit_to_operator(build_bn(n))
+    zero = np.zeros(4**n, dtype=complex)
+    zero[0] = 1.0
+    b0 = bn @ zero
+    for a in (bn, b0):
+        a.setflags(write=False)
+    return bn, b0
 
 
 def correction_K(z, n: int) -> np.ndarray:
@@ -202,26 +226,36 @@ def simulate_protocol(
     n = n_qubits_of(u)
     if abs(np.linalg.norm(psi_in) - 1.0) > tol.norm:
         raise ValueError("input state must be normalized")
-    bn = circuit_to_operator(build_bn(n))
-    magic = _magic_state(u, bn, tol)
-    joint = np.kron(psi_in, magic.psi)
+    bn = _network(n)[0]
+    psi, _ = _magic_psi(u, tol)
+    joint = np.kron(psi_in, psi)
     rows = bn.conj().T @ joint.reshape(4**n, 2**n)
     target = u @ psi_in
-    probs = []
-    for zi, row in enumerate(rows):
-        prob = float(np.linalg.norm(row) ** 2)
+    # Squared one by one: libm's pow(x, 2), which the scalar ** calls, is
+    # not always x * x, and an array ** 2 squares.
+    probs = [float(norm) ** 2 for norm in _row_norms(rows)]
+    for zi, prob in enumerate(probs):
         if prob < tol.norm:
             raise ValueError(f"branch {zi:0{2 * n}b} has vanishing probability; protocol broken")
-        probs.append(prob)
     raws = rows / np.sqrt(probs)[:, None]
     corrs = _corrections(u, *_byproducts(n))
     corrected = (corrs @ raws[:, :, None])[:, :, 0]
+    residuals = _row_norms(corrected - target)
     branches = []
-    for zi, (prob, raw, corr, out) in enumerate(zip(probs, raws, corrs, corrected)):
-        residual = float(np.linalg.norm(out - target))
+    for zi, (prob, raw, corr, out, residual) in enumerate(
+        zip(probs, raws, corrs, corrected, residuals)
+    ):
         phase = complex(np.vdot(target, out))
-        branches.append(Branch(_outcome(zi, n), prob, raw, corr, out, residual, phase))
+        branches.append(Branch(_outcome(zi, n), prob, raw, corr, out, float(residual), phase))
     return TeleportTranscript(n, psi_in, target, tuple(branches))
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of every row, to the bit: sqrt(re.re + im.im), each dot
+    a row times a column, which matmul hands to the same BLAS dot."""
+    re, im = rows.real, rows.imag
+    sq = (re[:, None, :] @ re[:, :, None]) + (im[:, None, :] @ im[:, :, None])
+    return np.sqrt(sq[:, 0, 0])
 
 
 @dataclass(frozen=True)

@@ -251,7 +251,7 @@ def test_both_routes_refuse_out_of_range_wires(gate, message):
 
 def test_dense_route_refuses_past_qubit_limit():
     circ = CircuitIR(16, (GateApp(kind="NAMED", pos=1, name="X"),))
-    with pytest.raises(ValueError, match=r"kron result would act on 16 qubits \(limit 15\)"):
+    with pytest.raises(ValueError, match=r"circuit operator would act on 16 qubits \(limit 15\)"):
         circuit_to_operator(circ)
 
 
@@ -263,9 +263,11 @@ def test_teleportation_builds_the_bell_network_once(monkeypatch):
         return circuit_to_operator(circuit)
 
     monkeypatch.setattr(teleport, "circuit_to_operator", counting)
+    teleport._network.cache_clear()
     rng = np.random.default_rng(2)
     u = build_G(*random_matchgate_blocks(rng))
-    transcript = simulate_protocol(u, random_state(2, rng))
+    for _ in range(2):
+        transcript = simulate_protocol(u, random_state(2, rng))
+        assert transcript.max_residual < DEFAULT_TOL.residual
     assert calls == [4]
-    assert transcript.max_residual < DEFAULT_TOL.residual
 

@@ -149,7 +149,7 @@ def test_closed_form_refuses_perturbed_gates(name):
 def test_lambda_test_respects_kron_limit():
     # mixed parity, so only the size guard can produce the kron message
     u = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(128))
-    with pytest.raises(ValueError, match=r"kron result would act on 16 qubits \(limit 15\)"):
+    with pytest.raises(ValueError, match=r"Lambda commutator would act on 16 qubits \(limit 15\)"):
         is_gaussian_lambda(u)
 
 

@@ -8,7 +8,8 @@ Exit codes: 0 success, 1 bad input (parse errors, non-unitary matrices,
 tuples failing the anticommutation relations), 2 classification ran but
 was inconclusive (fermionic gate with no level up to k_max), 3 a
 verification check failed (teleportation residual, reconstruction
-contract, self-test criterion).
+contract, self-test criterion), 4 a level search was refused before it
+started because it would exceed the work guard (lower --k-max).
 
 The environment variable MGH_TOL overrides the residual tolerance.
 """
@@ -37,7 +38,7 @@ from .circuits import (
     parse_circuit,
     split_args,
 )
-from .hierarchy import class_phases, classify_gate
+from .hierarchy import SearchBudgetError, class_phases, classify_gate
 from .io import (
     dumps_stable,
     load_json,
@@ -54,6 +55,7 @@ from .teleport import simulate_protocol, verify_protocol
 EXIT_INPUT = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_VERIFY = 3
+EXIT_BUDGET = 4
 
 
 def _fail(message: str, code: int = EXIT_INPUT) -> None:
@@ -186,12 +188,15 @@ def classify(gate, circuit, matrix, n_qubits, k_max, fmt) -> None:
     """Classify a gate: parity, Gaussianity, rotation, minimum level.
 
     Exits 2 when the gate is fermionic but no level up to k-max contains
-    it (raise --k-max or accept that the gate sits above the cap).
+    it (raise --k-max or accept that the gate sits above the cap), and 4
+    when the search up to k-max would exceed the work guard.
     """
     tol = _tolerances()
     u = _load_unitary(gate, circuit, matrix, n_qubits, tol)
     try:
         report = classify_gate(u, k_max=k_max, tol=tol)
+    except SearchBudgetError as exc:
+        _fail(str(exc), EXIT_BUDGET)
     except ValueError as exc:
         _fail(str(exc))
 

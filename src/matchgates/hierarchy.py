@@ -21,6 +21,17 @@ a single node is larger), so memory stays flat however large the tree is.
 Before the first batch it follows the single c_1 ... c_1 path, on which a
 generic gate already fails, so failing searches cost one descent.
 
+Trees of diagonal gates such as CnZ(n) and the pattern gates F are mostly
+exact repeats, so each membership call expands every distinct node once.
+A node that will be expanded is keyed by its remaining depth and its raw
+bytes; a node whose key this call has already queued is dropped, because
+bit-identical nodes have bit-identical subtrees under the same kernels.
+Keys are never rounded or phase-normalised, so two nodes on opposite
+sides of a check are never merged. Leaves and the root's children are
+not keyed. The keys live for one call and stop growing once they hold
+MEMO_ENTRIES complex entries; after that the walk still looks keys up but
+adds none.
+
 For two qubits a closed form is available: with determinant ratio
 det A / det B of the gate's parity blocks, a gate sits at level k (k >= 2)
 exactly when the ratio is a 2^(k-2)-th root of unity.
@@ -62,10 +73,17 @@ from .majorana import (
 # Refuse level searches needing more than this many dense conjugations.
 COST_GUARD = 10**7
 
+# Most complex entries one level search keeps as keys of expanded nodes (64 MiB).
+MEMO_ENTRIES = 2**22
+
 # The closed form accepts a root of unity only if neighbouring roots lie at
 # least this many angular tolerances apart; on a denser grid any angle would
 # snap to some root.
 ROOT_SPACING_FACTOR = 1000
+
+
+class SearchBudgetError(ValueError):
+    """A level search refused before it starts because it would exceed COST_GUARD."""
 
 
 def first_level_coeffs(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
@@ -125,21 +143,28 @@ def is_gaussian_lambda(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
 
     Never materializes Lambda. The commutator is sum_mu (c_mu U) (x) (c_mu U)
     - (U c_mu) (x) (U c_mu); its entries, permuted, are those of the single
-    product [cu; uc]^T [cu; -uc] of the flattened operators. Requires a
+    product [cu; uc]^T [cu; -uc] of the flattened operators, whose max norm
+    is taken over row blocks of at most CHUNK_ENTRIES entries. Requires a
     fermionic (parity even or odd) input; mixed-parity operators are
     rejected, and so are inputs whose commutator would exceed the qubit
     limit.
     """
-    n = n_qubits_of(u)
-    _guard_qubits(2 * n, "Lambda commutator")
+    _guard_qubits(2 * n_qubits_of(u), "Lambda commutator")
     if parity_of(u, tol.residual) == "none":
         raise ValueError("operator has no definite parity; Gaussian test undefined")
+    return _lambda_commutator_norm(u) < tol.residual
+
+
+def _lambda_commutator_norm(u: np.ndarray) -> float:
+    """||[Lambda, U (x) U]||_max, the quantity is_gaussian_lambda thresholds."""
+    n = n_qubits_of(u)
     phase, cols, col_phase, _ = _word_gathers(n)
     cu = (u[cols] * phase[:, :, None]).reshape(2 * n, -1)
     uc = (u[:, cols].transpose(1, 0, 2) * col_phase[:, None, :]).reshape(2 * n, -1)
     # Only the sum over mu commutes; individual terms do not.
-    comm = np.concatenate([cu, uc]).T @ np.concatenate([cu, -uc])
-    return norm_max(comm) < tol.residual
+    left, right = np.concatenate([cu, uc]).T, np.concatenate([cu, -uc])
+    step = max(CHUNK_ENTRIES // right.shape[1], 1)
+    return max(norm_max(left[i : i + step] @ right) for i in range(0, len(left), step))
 
 
 def is_gaussian_state_lambda(psi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -167,7 +192,7 @@ def level_membership(u: np.ndarray, k: int, tol: Tolerances = DEFAULT_TOL) -> bo
         raise ValueError(f"level must be >= 1, got {k}")
     n = n_qubits_of(u)
     if (2 * n) ** (k - 1) > COST_GUARD:
-        raise ValueError(
+        raise SearchBudgetError(
             f"level-{k} membership at n={n} needs about {(2 * n) ** (k - 1):.2e} "
             f"dense conjugations (guard {COST_GUARD:.0e})"
         )
@@ -181,22 +206,63 @@ def level_membership(u: np.ndarray, k: int, tol: Tolerances = DEFAULT_TOL) -> bo
             return False
     if not _first_level(path, n, tol)[1].all():
         return False
-    return _subtree_ok(root, k - 1, n, tol)
+    return _subtree_ok(root, k - 1, n, tol, _Seen(n, k - 1))
 
 
-def _subtree_ok(parents: np.ndarray, depth: int, n: int, tol: Tolerances) -> bool:
+class _Seen:
+    """Exact keys of the nodes queued for expansion in one level search.
+
+    A node is keyed by its remaining depth and its raw bytes, never rounded,
+    so only bit-identical nodes, whose subtrees are bit-identical, share a
+    key. Keys stop being added once they hold MEMO_ENTRIES complex entries.
+    Only the nodes strictly between the root's children and the leaves are
+    keyed: the children of one operator are distinct conjugates of it, and
+    a leaf costs less to check than to key. `top` is the root's depth.
+    """
+
+    def __init__(self, n: int, top: int):
+        self.keys: dict[int, set[bytes]] = {}
+        self.room = MEMO_ENTRIES // 4**n
+        self.top = top
+
+    def new(self, kids: np.ndarray, depth: int) -> np.ndarray:
+        """The kids whose (depth, bytes) key is not yet seen, first copies only."""
+        rows = kids.reshape(len(kids), -1)
+        keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+        seen = self.keys.setdefault(depth, set())
+        keep = []
+        for i, key in enumerate(keys):
+            if key in seen:
+                continue
+            keep.append(i)
+            if self.room > 0:
+                seen.add(key)
+                self.room -= 1
+        return kids if len(keep) == len(kids) else kids[keep]
+
+
+def _subtree_ok(parents: np.ndarray, depth: int, n: int, tol: Tolerances, seen: _Seen) -> bool:
     """True iff all descendants of the stacked nodes down to `depth` levels
-    below are odd and those exactly `depth` levels below are first level."""
+    below are odd and those exactly `depth` levels below are first level.
+
+    Kids that will be expanded are dropped when `seen` already holds a
+    bit-identical node at the same depth: the walk is depth first and stops
+    at the first failure, so that twin's subtree is checked in this call.
+    """
     if depth == 0:
         return True
     for block, mus in _chunks(len(parents), n, CHUNK_ENTRIES):
         kids = _conjugates(parents[block], n, mus)
+        if 1 < depth < seen.top:
+            kids = seen.new(kids, depth - 1)
+            if not len(kids):
+                continue
         if not _all_odd(kids, n, tol):
             return False
         if depth == 1:
             if not _first_level(kids, n, tol)[1].all():
                 return False
-        elif not _subtree_ok(kids, depth - 1, n, tol):
+        elif not _subtree_ok(kids, depth - 1, n, tol, seen):
             return False
     return True
 

@@ -154,7 +154,8 @@ def _popcount_sign(index: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _jw_stack(n: int) -> np.ndarray:
-    stack = np.stack(jw_set(n))
+    """The 2n dense Majoranas as one (2n, 2^n, 2^n) stack, scattered from the word table."""
+    stack = np.stack([_word_matrix(*_word(n, (mu,))) for mu in range(1, 2 * n + 1)])
     stack.setflags(write=False)
     return stack
 

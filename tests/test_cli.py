@@ -257,3 +257,12 @@ def test_mgh_tol_env_loosens_admission(runner, tmp_path):
     assert strict.exit_code == 1
     loose = runner.invoke(main, ["svn", "--tuple", str(path)], env={"MGH_TOL": "1e-4"})
     assert loose.exit_code == 0
+
+
+def test_classify_past_the_work_guard_exits_four(runner):
+    # levels 2..12 are searched and fail; level 13 would need 4^12 conjugations
+    result = runner.invoke(main, ["classify", "--gate", "CPHASE(1)", "--k-max", "13"])
+    assert result.exit_code == 4
+    assert _err(result).strip() == (
+        "error: level-13 membership at n=2 needs about 1.68e+07 dense conjugations (guard 1e+07)"
+    )

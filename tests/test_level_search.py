@@ -199,3 +199,26 @@ def test_parity_decompose_on_gates_with_zero_entries():
         even, odd = parity_decompose(op)
         assert np.array_equal(even, (op + z @ op @ z) / 2)
         assert np.array_equal(odd, (op - z @ op @ z) / 2)
+
+
+def _full_lambda_norm(u):
+    """||[cu; uc]^T [cu; -uc]||_max from the dense Jordan-Wigner set, one product."""
+    cu = np.stack([(c @ u).ravel() for c in jw_set(n_qubits_of(u))])
+    uc = np.stack([(u @ c).ravel() for c in jw_set(n_qubits_of(u))])
+    return norm_max(np.concatenate([cu, uc]).T @ np.concatenate([cu, -uc]))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lambda_row_blocks_match_the_full_product(monkeypatch, n):
+    rng = np.random.default_rng(90 + n)
+    cases = _lambda_cases(rng, n, 0.0) if n < 6 else []
+    cases += [build_CnZ(n)] if n >= 2 else []
+    # each entry sums 4n products of entries of modulus <= 1
+    bound = 16 * n * np.finfo(float).eps
+    for u in cases:
+        want = _full_lambda_norm(u)
+        # about seven blocks, the last one short; single rows while that is cheap
+        for chunk in [4**n * (4**n // 7) + 5] + ([1] if n <= 4 else []):
+            monkeypatch.setattr(hierarchy, "CHUNK_ENTRIES", chunk)
+            assert abs(hierarchy._lambda_commutator_norm(u) - want) <= bound
+            assert is_gaussian_lambda(u) == (want < DEFAULT_TOL.residual)

@@ -15,9 +15,13 @@ from click.testing import CliRunner
 
 from matchgates import (
     Tolerances,
+    build_CnZ,
     check_car,
+    circuit_to_rotation,
+    classify_gate,
     correction_K,
     correction_R,
+    extract_rotation,
     jw_majorana,
     jw_set,
     majorana_monomial,
@@ -32,7 +36,7 @@ from matchgates import (
     verify_protocol,
     verify_uniqueness,
 )
-from matchgates import teleport
+from matchgates import hierarchy, majorana, teleport
 from matchgates.circuits import CircuitError
 from matchgates.cli import main
 from matchgates.hierarchy import min_level
@@ -226,6 +230,40 @@ def test_monomials_match_the_dense_product(n):
             if (mask >> (mu - 1)) & 1:
                 dense = dense @ jw_majorana(n, mu)
         assert np.array_equal(majorana_monomial(n, mask), dense)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_jw_stack_is_the_dense_jordan_wigner_set(n):
+    # equal values; only the sign of some zeros differs from the kron products
+    stack = majorana._jw_stack(n)
+    assert np.array_equal(stack, np.stack(jw_set(n)))
+    assert stack.dtype == np.complex128 and not stack.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kernels_on_the_scattered_stack_match_the_kron_stack(monkeypatch, n):
+    rng = np.random.default_rng(60 + n)
+    parity = ["even", "odd"]
+    ops = [random_fermionic(n, rng, parity[i % 2]) for i in range(4)] if n > 1 else [np.eye(2)]
+    ops = np.stack(ops + [jw_majorana(n, 1), jw_majorana(n, 2 * n) @ jw_majorana(n, 1)]).astype(complex)
+    ops[-1] = ops[-1] + 1e-10 * rng.standard_normal(ops[-1].shape)
+    got = [*majorana._rotations(ops, n, DEFAULT_TOL), *hierarchy._first_level(ops, n, DEFAULT_TOL)]
+    kron_stack = np.stack(jw_set(n))
+    monkeypatch.setattr(majorana, "_jw_stack", lambda _: kron_stack)
+    monkeypatch.setattr(hierarchy, "_jw_stack", lambda _: kron_stack)
+    want = [*majorana._rotations(ops, n, DEFAULT_TOL), *hierarchy._first_level(ops, n, DEFAULT_TOL)]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_kernels_leave_the_dense_jordan_wigner_cache_empty():
+    majorana._jw_cached.cache_clear()
+    majorana._jw_stack.cache_clear()
+    rng = np.random.default_rng(8)
+    assert extract_rotation(random_fermionic(6, rng, "even")) is None
+    assert classify_gate(build_CnZ(3)).min_level == 4
+    assert circuit_to_rotation(parse_circuit("qubits 3\nG H H @ 1\n")).shape == (6, 6)
+    assert majorana._jw_stack.cache_info().currsize > 0
+    assert majorana._jw_cached.cache_info().currsize == 0
 
 
 def test_state_parity_matches_the_dense_parity_operator():

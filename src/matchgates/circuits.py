@@ -64,7 +64,7 @@ from .linalg import (
     assert_unitary,
     identity,
 )
-from .majorana import _parity_maxima, _rotations
+from .majorana import _parities, _rotations
 
 Pattern = tuple  # entries 0, 1, or None (None is the wildcard)
 
@@ -542,10 +542,7 @@ def circuit_to_rotation(circuit: CircuitIR, tol: Tolerances = DEFAULT_TOL) -> np
             continue
         stack = np.stack([gates[i].local_matrix() for i in idx])
         rots, ok = _rotations(stack, w, tol)
-        # the tests of parity_of, on every gate at once
-        even_max, odd_max = _parity_maxima(stack, w)
-        is_even = odd_max < tol.residual
-        is_odd = ~is_even & (even_max < tol.residual)
+        is_even, is_odd = _parities(stack, w, tol.residual)
         failed[idx] = ~(ok & (is_even | is_odd))
         odd[idx] = is_odd
         for i, r_loc in zip(idx, rots):

@@ -40,6 +40,7 @@ from .circuits import (
 )
 from .hierarchy import SearchBudgetError, class_phases, classify_gate
 from .io import (
+    complex_to_json,
     dumps_stable,
     load_json,
     matrix_from_json,
@@ -316,9 +317,7 @@ def svn(tuple_path, expect, fmt) -> None:
         out["expect"] = {
             "equal": match.equal,
             "residual": float(match.residual),
-            "phase": None
-            if match.phase is None
-            else {"re": float(match.phase.real), "im": float(match.phase.imag)},
+            "phase": None if match.phase is None else complex_to_json(match.phase),
         }
         ok = ok and match.equal
     out["passed"] = ok

@@ -8,6 +8,12 @@ those conjugating Majoranas linearly: U c_mu U^dag = sum_nu R[mu,nu] c_nu
 with R in O(2n). The levels are nested and closed under phases (k >= 2),
 under multiplication by Majoranas, and under tensor products.
 
+classify_gate decides Gaussianity once, by the rotation kernel: a gate is
+Gaussian exactly when extract_rotation finds its R. The Lambda test
+is_gaussian_lambda ([Lambda, U (x) U] = 0) is an independent route to the
+same fact; self-test criterion 2 and the tests check the two against each
+other, and the classifier never runs it.
+
 Membership at level k is decided on the tree of conjugations: the
 children of a node V are the 2n operators V c_mu V^dag, every node at
 depths 1 .. k-1 must be parity odd and every node at depth k-1 must be
@@ -43,14 +49,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import build_G, phase_gate
+from .circuits import _BLOCK_SLOTS, build_G, phase_gate
+from .io import complex_to_json
 from .linalg import (
     DEFAULT_TOL,
     PAULI_I,
     Tolerances,
     _guard_qubits,
     assert_unitary,
-    kron,
     n_qubits_of,
     norm_max,
 )
@@ -60,14 +66,12 @@ from .majorana import (
     _chunks,
     _conjugates,
     _jw_stack,
-    _parity_maxima,
+    _parities,
     _rotations,
     _traces,
     _word_gathers,
-    jw_set,
     majorana_words,
     parity_of,
-    state_parity,
 )
 
 # Refuse level searches needing more than this many dense conjugations.
@@ -112,8 +116,7 @@ def _first_level(nodes: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray
 
 def _all_odd(nodes: np.ndarray, n: int, tol: Tolerances) -> bool:
     """True iff parity_of would call every operator of the stack odd."""
-    even, odd = _parity_maxima(nodes, n)
-    return bool(np.all((odd >= tol.residual) & (even < tol.residual)))
+    return bool(_parities(nodes, n, tol.residual)[1].all())
 
 
 def extract_rotation(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
@@ -127,15 +130,6 @@ def extract_rotation(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
     """
     r, ok = _rotations(u[None], n_qubits_of(u), tol)
     return r[0] if ok[0] else None
-
-
-def lambda_operator(n: int) -> np.ndarray:
-    """The dense pairing operator sum_mu c_mu (x) c_mu on 2n qubits."""
-    cs = jw_set(n)
-    out = np.zeros((4**n, 4**n), dtype=complex)
-    for c in cs:
-        out += kron(c, c)
-    return out
 
 
 def is_gaussian_lambda(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -292,13 +286,8 @@ def two_qubit_decompose(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> TwoQubi
     par = parity_of(u, tol.residual)
     if par == "none":
         raise ValueError("gate mixes parity sectors; it has no G/J block form")
-    if par == "even":
-        a = np.array([[u[0, 0], u[0, 3]], [u[3, 0], u[3, 3]]])
-        b = np.array([[u[1, 1], u[1, 2]], [u[2, 1], u[2, 2]]])
-    else:
-        a = np.array([[u[0, 1], u[0, 2]], [u[3, 1], u[3, 2]]])
-        b = np.array([[u[1, 0], u[1, 3]], [u[2, 0], u[2, 3]]])
-    return TwoQubitBlocks(par, a, b)
+    slot_a, slot_b = _BLOCK_SLOTS[par == "odd"]
+    return TwoQubitBlocks(par, u[slot_a], u[slot_b])
 
 
 def two_qubit_min_level(
@@ -360,16 +349,25 @@ def equiv_class(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> EquivClass:
 
 @dataclass(frozen=True)
 class HierarchyReport:
-    """Everything the classifier can say about one gate."""
+    """Everything the classifier can say about one gate.
+
+    Gaussianity is the rotation kernel's verdict: the gate is Gaussian
+    exactly when it has a rotation. The Lambda test is_gaussian_lambda is
+    the independent check of that verdict, run by self-test criterion 2
+    and by the tests, not by the classifier.
+    """
 
     n_qubits: int
     parity: Parity
-    is_gaussian: bool
     rotation: np.ndarray | None
     rotation_det: float | None
     min_level: int | None
     k_max: int
     two_qubit: dict | None
+
+    @property
+    def is_gaussian(self) -> bool:
+        return self.rotation is not None
 
     def to_json(self) -> dict:
         return {
@@ -386,31 +384,29 @@ class HierarchyReport:
 
 def classify_gate(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) -> HierarchyReport:
     """Full classification of a unitary: parity, Gaussianity, rotation,
-    minimum hierarchy level, and (for two qubits) the closed-form data."""
+    minimum hierarchy level, and (for two qubits) the closed-form data.
+
+    The gate is Gaussian exactly when the rotation kernel finds its rotation.
+    """
     assert_unitary(u, tol.unitary, "gate")
     n = n_qubits_of(u)
     par = parity_of(u, tol.residual)
     rotation = extract_rotation(u, tol)
     rotation_det = None if rotation is None else float(np.linalg.det(rotation))
-    gaussian = is_gaussian_lambda(u, tol) if par != "none" else False
     level = min_level(u, k_max, tol) if par != "none" else None
     two_qubit = None
     if n == 2 and par != "none":
         blocks = two_qubit_decompose(u, tol)
         cls = equiv_class(u, tol)
         two_qubit = {
-            "detA": _c2j(np.linalg.det(blocks.a)),
-            "detB": _c2j(np.linalg.det(blocks.b)),
+            "detA": complex_to_json(np.linalg.det(blocks.a)),
+            "detB": complex_to_json(np.linalg.det(blocks.b)),
             "phi": cls.phi,
             "generalised_phi": cls.generalised_phi,
             "level_closed_form": two_qubit_min_level(u, tol),
             "class_representative": cls.representative_name,
         }
-    return HierarchyReport(n, par, gaussian, rotation, rotation_det, level, k_max, two_qubit)
-
-
-def _c2j(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
+    return HierarchyReport(n, par, rotation, rotation_det, level, k_max, two_qubit)
 
 
 def class_phases(k: int) -> dict[str, list[float]]:

@@ -15,6 +15,10 @@ import numpy as np
 from .linalg import n_qubits_of
 
 
+def complex_to_json(z: complex) -> dict:
+    return {"re": float(z.real), "im": float(z.imag)}
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     n = n_qubits_of(m)
     return {

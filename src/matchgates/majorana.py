@@ -20,12 +20,12 @@ basis states, so products with Majoranas and parity tests become gathers
 and sign masks instead of dense matrix products. Every ordered product of
 Majoranas (a monomial, a teleportation byproduct word) is again a signed
 permutation, composed from the table by ``_word`` without a dense matrix
-product. The batched kernels built
-on it take stacks (B, 2^n, 2^n) of operators: conjugation of each by every
-c_mu, the coefficients tr(c_mu V) / 2^n, the parity maxima and the
-rotation R of each operator, chunked so that no intermediate array holds
-more than CHUNK_ENTRIES complex entries (or one operator, when a single
-operator is larger).
+product. The batched kernels built on it take stacks (B, 2^n, 2^n) of
+operators: conjugation of each by every c_mu, the coefficients
+tr(c_mu V) / 2^n, the parity of each operator (``_parities``, the one
+threshold rule behind parity_of) and the rotation R of each operator,
+chunked so that no intermediate array holds more than CHUNK_ENTRIES
+complex entries (or one operator, when a single operator is larger).
 """
 
 from __future__ import annotations
@@ -210,12 +210,16 @@ def _traces(nodes: np.ndarray, n: int) -> np.ndarray:
     return np.einsum("bmi,mi->bm", diag, phase) / 2**n
 
 
-def _parity_maxima(ops: np.ndarray, n: int) -> np.ndarray:
-    """Largest |entry| of the parity-even and of the parity-odd part of each
-    operator of the stack: the two values parity_of compares, as a (2, B) array."""
+def _parities(ops: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which operators of the stack are parity even and which parity odd, as
+    two (B,) masks: even when the largest |entry| of the parity-odd part is
+    below tol, otherwise odd when that of the parity-even part is, otherwise
+    neither."""
     by_parity = _word_gathers(n)[3]
     mags = np.abs(ops).reshape(len(ops), -1)[:, by_parity]
-    return mags.reshape(len(ops), 2, -1).max(axis=2).T
+    even_max, odd_max = mags.reshape(len(ops), 2, -1).max(axis=2).T
+    is_even = odd_max < tol
+    return is_even, ~is_even & (even_max < tol)
 
 
 def _rotations(ops: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
@@ -358,12 +362,8 @@ def parity_decompose(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def parity_of(op: np.ndarray, tol: float = DEFAULT_TOL.residual) -> Parity:
     """Classify an operator as parity even, odd, or neither."""
-    even, odd = parity_decompose(op)
-    if norm_max(odd) < tol:
-        return "even"
-    if norm_max(even) < tol:
-        return "odd"
-    return "none"
+    is_even, is_odd = _parities(op[None], n_qubits_of(op), tol)
+    return "even" if is_even[0] else "odd" if is_odd[0] else "none"
 
 
 def state_parity(psi: np.ndarray, tol: float = DEFAULT_TOL.residual) -> Parity:

@@ -14,16 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import build_F, build_G, build_bn, circuit_to_operator, circuit_to_rotation, named_gate, phase_gate
+from .circuits import build_F, circuit_to_operator, circuit_to_rotation, named_gate
 from .hierarchy import (
+    equiv_class,
     extract_rotation,
+    first_level_coeffs,
     is_gaussian_lambda,
     is_gaussian_state_lambda,
     level_membership,
     min_level,
     two_qubit_min_level,
 )
-from .linalg import DEFAULT_TOL, PAULI_I, equal_up_to_phase, norm_max
+from .linalg import equal_up_to_phase, norm_max
 from .majorana import check_car, jw_majorana, jw_set, parity_of, parity_sign, total_parity
 from .sampling import (
     random_fermionic,
@@ -196,8 +198,6 @@ def criterion_5(seed: int = BASE_SEED + 4) -> CriterionResult:
     for g in gates:
         lvl = two_qubit_min_level(g)
         par = parity_of(g)
-        from .hierarchy import equiv_class
-
         cls = equiv_class(g)
         records.append((lvl, par, cls.phi, cls.generalised_phi))
     finest = 2 * np.pi / 16
@@ -383,8 +383,6 @@ def criterion_10(seed: int = BASE_SEED + 10) -> CriterionResult:
         v = random_two_qubit_at_root(rng, k, j, odd=bool(rng.integers(2)))
         if not level_membership(np.kron(u, v), k):
             failures.append(f"tensor closure instance {i}")
-
-    from .hierarchy import first_level_coeffs
 
     worst = 0.0
     for i in range(50):

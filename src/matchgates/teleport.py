@@ -44,7 +44,8 @@ import numpy as np
 from .circuits import build_bn, circuit_to_operator
 from .hierarchy import is_gaussian_state_lambda, min_level
 from .linalg import DEFAULT_TOL, Tolerances, assert_unitary, equal_up_to_phase, n_qubits_of
-from .majorana import Parity, _word, _word_matrix, state_parity
+from .io import complex_to_json
+from .majorana import Parity, _word, _word_matrix, parity_sign, state_parity
 from .sampling import random_state
 
 
@@ -59,7 +60,7 @@ class MagicState:
 
     @property
     def parity_sign(self) -> int:
-        return 1 if self.parity == "even" else -1
+        return parity_sign(self.parity)
 
 
 def magic_state(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> MagicState:
@@ -189,7 +190,7 @@ class TeleportTranscript:
                 "z": list(b.z),
                 "probability": float(b.probability),
                 "residual_vs_target": float(b.residual_vs_target),
-                "phase": {"re": float(b.phase.real), "im": float(b.phase.imag)},
+                "phase": complex_to_json(b.phase),
             }
             if include_states:
                 entry["raw_state"] = _vec_json(b.raw_state)

@@ -17,7 +17,6 @@ from matchgates import (
     is_gaussian_state_lambda,
     jw_majorana,
     jw_set,
-    lambda_operator,
     level_membership,
     magic_state,
     min_level,
@@ -28,6 +27,12 @@ from matchgates import (
     two_qubit_decompose,
     two_qubit_min_level,
 )
+
+
+def lambda_operator(n):
+    """Dense pairing operator sum_mu c_mu (x) c_mu on 2n qubits: the test oracle
+    of the Lambda commutator, which the package never materializes."""
+    return sum(np.kron(c, c) for c in jw_set(n))
 
 
 def test_first_level_round_trip():

@@ -23,7 +23,6 @@ from matchgates import (
     is_gaussian_lambda,
     jw_majorana,
     jw_set,
-    lambda_operator,
     level_membership,
     min_level,
     n_qubits_of,
@@ -36,6 +35,12 @@ from matchgates import (
     total_parity,
 )
 from matchgates import hierarchy
+
+
+def lambda_operator(n):
+    """Dense pairing operator sum_mu c_mu (x) c_mu on 2n qubits: the test oracle
+    of the Lambda commutator, which the package never materializes."""
+    return sum(np.kron(c, c) for c in jw_set(n))
 
 EPSILONS = (0.0, 1e-13, 1e-11, 1e-10, 3e-10, 1e-9, 1e-8, 1e-7)
 ORACLE_GUARD = 10**7

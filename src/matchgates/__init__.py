@@ -5,212 +5,36 @@ Jordan-Wigner algebra, matchgate circuits and their rotation backends,
 the recursive hierarchy with its two-qubit closed form, gate
 teleportation through magic states, and reconstruction of a unitary from
 a conjugated Majorana tuple.
+
+The package re-exports the names the README quick start and the demos
+use; every other name is imported from its module, for example
+``from matchgates.hierarchy import level_membership``.
 """
 
 from .circuits import (
-    CircuitError,
-    CircuitIR,
-    GateApp,
-    NotGaussianError,
-    build_CnZ,
     build_F,
     build_G,
     build_J,
-    build_bn,
     circuit_to_operator,
     circuit_to_rotation,
-    circuit_to_text,
-    gate_rotation,
     named_gate,
-    parse_angle,
     parse_circuit,
-    pattern_weight,
     phase_gate,
 )
 from .hierarchy import (
-    EquivClass,
-    HierarchyReport,
-    TwoQubitBlocks,
     class_phases,
     classify_gate,
     equiv_class,
     extract_rotation,
-    first_level_coeffs,
     is_gaussian_lambda,
     is_gaussian_state_lambda,
-    level_membership,
     min_level,
-    two_qubit_decompose,
     two_qubit_min_level,
 )
-from .io import (
-    dumps_stable,
-    load_json,
-    matrix_from_json,
-    matrix_to_json,
-    save_json,
-    state_from_json,
-    state_to_json,
-    tuple_from_json,
-    tuple_to_json,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    HADAMARD,
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    PhaseMatch,
-    Tolerances,
-    basis_state,
-    canonical_phase,
-    embed_one_qubit,
-    embed_two_qubit,
-    equal_up_to_phase,
-    identity,
-    is_unitary,
-    kron,
-    kron_all,
-    n_qubits_of,
-    norm_max,
-)
-from .majorana import (
-    CarReport,
-    MajoranaPoly,
-    check_car,
-    expand,
-    indices_from_mask,
-    jw_majorana,
-    jw_set,
-    majorana_monomial,
-    mask_from_indices,
-    parity_decompose,
-    parity_of,
-    parity_sign,
-    poly_to_operator,
-    state_parity,
-    total_parity,
-)
-from .sampling import (
-    haar_unitary,
-    random_fermionic,
-    random_matchgate,
-    random_matchgate_circuit,
-    random_state,
-    random_two_qubit_at_root,
-)
-from .selftest import CriterionResult, run_all, run_selected
-from .svn import SvnResult, svn_reconstruct, verify_uniqueness
-from .teleport import (
-    Branch,
-    MagicState,
-    ProtocolReport,
-    TeleportTranscript,
-    correction_K,
-    correction_R,
-    magic_state,
-    simulate_protocol,
-    verify_protocol,
-)
+from .linalg import HADAMARD, PAULI_I, PAULI_X, equal_up_to_phase
+from .majorana import check_car, expand, indices_from_mask, jw_majorana, jw_set, parity_of
+from .sampling import random_fermionic, random_matchgate, random_state, random_two_qubit_at_root
+from .svn import svn_reconstruct
+from .teleport import magic_state, simulate_protocol, verify_protocol
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Branch",
-    "CarReport",
-    "CircuitError",
-    "CircuitIR",
-    "CriterionResult",
-    "DEFAULT_TOL",
-    "EquivClass",
-    "GateApp",
-    "HADAMARD",
-    "HierarchyReport",
-    "MagicState",
-    "MajoranaPoly",
-    "NotGaussianError",
-    "PAULI_I",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "PhaseMatch",
-    "ProtocolReport",
-    "SvnResult",
-    "TeleportTranscript",
-    "Tolerances",
-    "TwoQubitBlocks",
-    "basis_state",
-    "build_CnZ",
-    "build_F",
-    "build_G",
-    "build_J",
-    "build_bn",
-    "canonical_phase",
-    "check_car",
-    "circuit_to_operator",
-    "circuit_to_rotation",
-    "circuit_to_text",
-    "class_phases",
-    "classify_gate",
-    "correction_K",
-    "correction_R",
-    "dumps_stable",
-    "embed_one_qubit",
-    "embed_two_qubit",
-    "equal_up_to_phase",
-    "equiv_class",
-    "expand",
-    "extract_rotation",
-    "first_level_coeffs",
-    "gate_rotation",
-    "haar_unitary",
-    "identity",
-    "indices_from_mask",
-    "is_gaussian_lambda",
-    "is_gaussian_state_lambda",
-    "is_unitary",
-    "jw_majorana",
-    "jw_set",
-    "kron",
-    "kron_all",
-    "level_membership",
-    "load_json",
-    "magic_state",
-    "majorana_monomial",
-    "mask_from_indices",
-    "matrix_from_json",
-    "matrix_to_json",
-    "min_level",
-    "n_qubits_of",
-    "named_gate",
-    "norm_max",
-    "parity_decompose",
-    "parity_of",
-    "parity_sign",
-    "parse_angle",
-    "parse_circuit",
-    "pattern_weight",
-    "phase_gate",
-    "poly_to_operator",
-    "random_fermionic",
-    "random_matchgate",
-    "random_matchgate_circuit",
-    "random_state",
-    "random_two_qubit_at_root",
-    "run_all",
-    "run_selected",
-    "save_json",
-    "simulate_protocol",
-    "state_from_json",
-    "state_parity",
-    "state_to_json",
-    "svn_reconstruct",
-    "total_parity",
-    "tuple_from_json",
-    "tuple_to_json",
-    "two_qubit_decompose",
-    "two_qubit_min_level",
-    "verify_protocol",
-    "verify_uniqueness",
-]

@@ -286,8 +286,18 @@ def two_qubit_decompose(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> TwoQubi
     par = parity_of(u, tol.residual)
     if par == "none":
         raise ValueError("gate mixes parity sectors; it has no G/J block form")
+    return _blocks(u, par)
+
+
+def _blocks(u: np.ndarray, par: Parity) -> TwoQubitBlocks:
+    """The G/J blocks of a two-qubit gate whose parity par is even or odd."""
     slot_a, slot_b = _BLOCK_SLOTS[par == "odd"]
     return TwoQubitBlocks(par, u[slot_a], u[slot_b])
+
+
+def _dets(blocks: TwoQubitBlocks) -> tuple[complex, complex]:
+    """det A and det B, the two numbers every two-qubit closed form reads."""
+    return complex(np.linalg.det(blocks.a)), complex(np.linalg.det(blocks.b))
 
 
 def two_qubit_min_level(
@@ -303,8 +313,13 @@ def two_qubit_min_level(
     phase with no dyadic root up to that bound or k_cap.
     """
     blocks = two_qubit_decompose(u, tol)
-    det_a = complex(np.linalg.det(blocks.a))
-    det_b = complex(np.linalg.det(blocks.b))
+    return _closed_form_level(blocks, *_dets(blocks), tol, k_cap)
+
+
+def _closed_form_level(
+    blocks: TwoQubitBlocks, det_a: complex, det_b: complex, tol: Tolerances, k_cap: int = 30
+) -> int | None:
+    """two_qubit_min_level from the blocks and their determinants."""
     if blocks.parity == "odd":
         if norm_max(blocks.b - blocks.a.conj().T) < tol.residual and abs(det_a + 1) < tol.residual:
             return 1
@@ -331,7 +346,10 @@ class EquivClass:
 
     phi: float
     generalised_phi: float
-    representative: np.ndarray
+
+    @property
+    def representative(self) -> np.ndarray:
+        return build_G(phase_gate(self.phi), PAULI_I)
 
     @property
     def representative_name(self) -> str:
@@ -340,11 +358,13 @@ class EquivClass:
 
 def equiv_class(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> EquivClass:
     """Equivalence-class phase of a fermionic two-qubit gate."""
-    blocks = two_qubit_decompose(u, tol)
-    ratio = complex(np.linalg.det(blocks.a)) / complex(np.linalg.det(blocks.b))
-    phi = float(np.angle(ratio)) % (2 * np.pi)
-    generalised = min(phi, 2 * np.pi - phi)
-    return EquivClass(phi, generalised, build_G(phase_gate(phi), PAULI_I))
+    return _equiv_class(*_dets(two_qubit_decompose(u, tol)))
+
+
+def _equiv_class(det_a: complex, det_b: complex) -> EquivClass:
+    """equiv_class from the block determinants."""
+    phi = float(np.angle(det_a / det_b)) % (2 * np.pi)
+    return EquivClass(phi, min(phi, 2 * np.pi - phi))
 
 
 @dataclass(frozen=True)
@@ -396,14 +416,15 @@ def classify_gate(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) 
     level = min_level(u, k_max, tol) if par != "none" else None
     two_qubit = None
     if n == 2 and par != "none":
-        blocks = two_qubit_decompose(u, tol)
-        cls = equiv_class(u, tol)
+        blocks = _blocks(u, par)
+        det_a, det_b = _dets(blocks)
+        cls = _equiv_class(det_a, det_b)
         two_qubit = {
-            "detA": complex_to_json(np.linalg.det(blocks.a)),
-            "detB": complex_to_json(np.linalg.det(blocks.b)),
+            "detA": complex_to_json(det_a),
+            "detB": complex_to_json(det_b),
             "phi": cls.phi,
             "generalised_phi": cls.generalised_phi,
-            "level_closed_form": two_qubit_min_level(u, tol),
+            "level_closed_form": _closed_form_level(blocks, det_a, det_b, tol),
             "class_representative": cls.representative_name,
         }
     return HierarchyReport(n, par, rotation, rotation_det, level, k_max, two_qubit)

@@ -433,8 +433,3 @@ def run_selected(indices, seed: int = BASE_SEED) -> list[CriterionResult]:
             raise ValueError(f"no criterion {idx}; valid range is 1..{len(ALL_CRITERIA)}")
         results.append(ALL_CRITERIA[idx - 1](seed + _SEED_OFFSETS[idx]))
     return results
-
-
-def run_all(seed: int = BASE_SEED) -> list[CriterionResult]:
-    """Run every criterion."""
-    return run_selected(range(1, len(ALL_CRITERIA) + 1), seed)

@@ -36,6 +36,7 @@ protocol never reads it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,8 +44,8 @@ import numpy as np
 
 from .circuits import build_bn, circuit_to_operator
 from .hierarchy import is_gaussian_state_lambda, min_level
-from .linalg import DEFAULT_TOL, Tolerances, assert_unitary, equal_up_to_phase, n_qubits_of
-from .io import complex_to_json
+from .linalg import DEFAULT_TOL, Tolerances, assert_unitary, n_qubits_of
+from .io import complex_to_json, state_to_json
 from .majorana import Parity, _word, _word_matrix, parity_sign, state_parity
 from .sampling import random_state
 
@@ -193,8 +194,8 @@ class TeleportTranscript:
                 "phase": complex_to_json(b.phase),
             }
             if include_states:
-                entry["raw_state"] = _vec_json(b.raw_state)
-                entry["corrected"] = _vec_json(b.corrected)
+                entry["raw_state"] = state_to_json(b.raw_state)
+                entry["corrected"] = state_to_json(b.corrected)
             branches.append(entry)
         out = {
             "n": self.n,
@@ -204,13 +205,9 @@ class TeleportTranscript:
             "branches": branches,
         }
         if include_states:
-            out["input_state"] = _vec_json(self.input_state)
-            out["target_state"] = _vec_json(self.target_state)
+            out["input_state"] = state_to_json(self.input_state)
+            out["target_state"] = state_to_json(self.target_state)
         return out
-
-
-def _vec_json(v: np.ndarray) -> dict:
-    return {"re": [float(x) for x in v.real], "im": [float(x) for x in v.imag]}
 
 
 def simulate_protocol(
@@ -295,7 +292,7 @@ def verify_protocol(
     tol: Tolerances = DEFAULT_TOL,
 ) -> ProtocolReport:
     """Teleport `trials` seeded random states through U and aggregate the
-    worst residual and probability deviation; also classify the distinct
+    worst residual and probability deviation; also classify the
     corrections R_z into hierarchy levels (they sit one level below U)."""
     n = n_qubits_of(u)
     rng = np.random.default_rng(seed)
@@ -306,21 +303,11 @@ def verify_protocol(
         max_resid = max(max_resid, transcript.max_residual)
         max_prob_dev = max(max_prob_dev, transcript.max_probability_deviation)
 
-    # Corrections depend only on z, not the input; group them up to phase.
-    reps: list[np.ndarray] = []
-    counts: list[int] = []
-    for r in _corrections(u, *_byproducts(n)):
-        for i, rep in enumerate(reps):
-            if equal_up_to_phase(r, rep, tol.residual).equal:
-                counts[i] += 1
-                break
-        else:
-            reps.append(r)
-            counts.append(1)
-    by_level: dict[int | None, int] = {}
-    for rep, cnt in zip(reps, counts):
-        lvl = min_level(rep, k_max_corrections, tol)
-        by_level[lvl] = by_level.get(lvl, 0) + cnt
+    # Corrections depend only on z, not the input. No two are equal up to
+    # phase: distinct z give distinct, trace-orthogonal Majorana words K_z,
+    # so ||R_z - lambda R_z'||_F^2 = 2 * 2^n for every phase lambda.
+    corrections = _corrections(u, *_byproducts(n))
+    by_level = Counter(min_level(r, k_max_corrections, tol) for r in corrections)
     levels = tuple(sorted(by_level.items(), key=lambda kv: (kv[0] is None, kv[0])))
     return ProtocolReport(
         n,

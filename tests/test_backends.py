@@ -12,31 +12,23 @@ import numpy as np
 import pytest
 
 from matchgates import (
-    DEFAULT_TOL,
-    NotGaussianError,
-    build_CnZ,
     build_G,
     build_J,
     circuit_to_operator,
     circuit_to_rotation,
     extract_rotation,
-    gate_rotation,
-    haar_unitary,
     jw_majorana,
     jw_set,
-    kron_all,
-    n_qubits_of,
     named_gate,
-    norm_max,
     parity_of,
     random_fermionic,
-    random_matchgate_circuit,
     random_state,
     simulate_protocol,
 )
 from matchgates import majorana, teleport
-from matchgates.circuits import CircuitIR, GateApp
-from matchgates.sampling import random_matchgate_blocks
+from matchgates.circuits import CircuitIR, GateApp, NotGaussianError, build_CnZ, gate_rotation
+from matchgates.linalg import DEFAULT_TOL, kron_all, n_qubits_of, norm_max
+from matchgates.sampling import haar_unitary, random_matchgate_blocks, random_matchgate_circuit
 
 EPSILONS = (0.0, 1e-11, 1e-10, 1e-9, 1e-8)
 ONE_QUBIT = (("X", ()), ("Y", ()), ("Z", ()), ("I", ()), ("RZ", (0.7,)), ("P", (1.9,)))

@@ -5,32 +5,29 @@ from matchgates import (
     HADAMARD,
     PAULI_I,
     PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    CircuitError,
-    NotGaussianError,
-    basis_state,
-    build_CnZ,
     build_F,
     build_G,
     build_J,
-    build_bn,
     circuit_to_operator,
     circuit_to_rotation,
-    circuit_to_text,
-    embed_one_qubit,
-    embed_two_qubit,
     extract_rotation,
-    gate_rotation,
     jw_majorana,
-    kron,
     named_gate,
-    parse_angle,
     parse_circuit,
-    pattern_weight,
     phase_gate,
 )
-from matchgates.circuits import GateApp
+from matchgates.circuits import (
+    CircuitError,
+    GateApp,
+    NotGaussianError,
+    build_CnZ,
+    build_bn,
+    circuit_to_text,
+    gate_rotation,
+    parse_angle,
+    pattern_weight,
+)
+from matchgates.linalg import PAULI_Y, PAULI_Z, basis_state, embed_one_qubit, embed_two_qubit, kron
 
 
 def test_build_g_block_layout():

@@ -12,25 +12,20 @@ import numpy as np
 import pytest
 
 from matchgates import (
-    DEFAULT_TOL,
-    CircuitIR,
-    GateApp,
-    NotGaussianError,
-    Tolerances,
-    build_CnZ,
     build_F,
     circuit_to_rotation,
     classify_gate,
     is_gaussian_lambda,
     named_gate,
-    norm_max,
-    parity_decompose,
     parity_of,
     random_fermionic,
     random_two_qubit_at_root,
-    two_qubit_decompose,
 )
 from matchgates import circuits, hierarchy, selftest
+from matchgates.circuits import CircuitIR, GateApp, NotGaussianError, build_CnZ
+from matchgates.hierarchy import two_qubit_decompose
+from matchgates.linalg import DEFAULT_TOL, Tolerances, norm_max
+from matchgates.majorana import parity_decompose
 from test_level_search import EPSILONS, perturbed
 
 TOL = DEFAULT_TOL.residual

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from matchgates import jw_set, matrix_to_json, named_gate, save_json, state_to_json, tuple_to_json
+from matchgates import jw_set, named_gate
 from matchgates.cli import main
+from matchgates.io import matrix_to_json, save_json, state_to_json, tuple_to_json
 
 
 @pytest.fixture()
@@ -169,7 +170,7 @@ def test_parse_canonical(runner, tmp_path):
 
 
 def test_parse_emit_matrix(runner, tmp_path):
-    from matchgates import matrix_from_json
+    from matchgates.io import matrix_from_json
 
     path = tmp_path / "c.txt"
     path.write_text("qubits 2\nFSWAP @ 1\n")

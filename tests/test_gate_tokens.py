@@ -7,25 +7,29 @@ from click.testing import CliRunner
 
 from matchgates import (
     PAULI_I,
-    CircuitError,
-    build_CnZ,
     build_F,
     build_G,
     build_J,
     circuit_to_operator,
     circuit_to_rotation,
-    circuit_to_text,
     classify_gate,
-    dumps_stable,
-    haar_unitary,
-    is_unitary,
     jw_majorana,
     named_gate,
     parse_circuit,
 )
 from matchgates import circuits
-from matchgates.circuits import GateApp, lex_token, split_args
+from matchgates.circuits import (
+    CircuitError,
+    GateApp,
+    build_CnZ,
+    circuit_to_text,
+    lex_token,
+    split_args,
+)
 from matchgates.cli import gate_from_token, main
+from matchgates.io import dumps_stable
+from matchgates.linalg import is_unitary
+from matchgates.sampling import haar_unitary
 
 # Every one-qubit name, with a sample angle for those that take one.
 BLOCK_TOKENS = ["I", "X", "Y", "Z", "H", "P(0.3)", "RX(pi/3)", "RY(-1.25)", "RZ(2pi/3)"]

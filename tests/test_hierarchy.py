@@ -5,28 +5,26 @@ from hypothesis import strategies as st
 
 from matchgates import (
     PAULI_I,
-    basis_state,
     build_F,
     build_G,
     class_phases,
     classify_gate,
     equiv_class,
     extract_rotation,
-    first_level_coeffs,
     is_gaussian_lambda,
     is_gaussian_state_lambda,
     jw_majorana,
     jw_set,
-    level_membership,
     magic_state,
     min_level,
     named_gate,
     phase_gate,
     random_matchgate,
     random_two_qubit_at_root,
-    two_qubit_decompose,
     two_qubit_min_level,
 )
+from matchgates.hierarchy import first_level_coeffs, level_membership, two_qubit_decompose
+from matchgates.linalg import basis_state
 
 
 def lambda_operator(n):

@@ -13,16 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchgates import (
-    DEFAULT_TOL,
-    build_CnZ,
-    build_F,
-    level_membership,
-    min_level,
-    random_fermionic,
-    random_two_qubit_at_root,
-)
+from matchgates import build_F, min_level, random_fermionic, random_two_qubit_at_root
 from matchgates import hierarchy
+from matchgates.circuits import build_CnZ
+from matchgates.hierarchy import level_membership
+from matchgates.linalg import DEFAULT_TOL
 from test_level_search import EPSILONS, assert_agrees, oracle_member, perturbed
 
 PHASES = (1, 1j, -1, np.exp(0.3j))

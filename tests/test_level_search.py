@@ -16,25 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchgates import (
-    DEFAULT_TOL,
-    build_CnZ,
     build_F,
     circuit_to_operator,
     is_gaussian_lambda,
     jw_majorana,
     jw_set,
-    level_membership,
     min_level,
-    n_qubits_of,
     named_gate,
-    norm_max,
-    parity_decompose,
     random_fermionic,
-    random_matchgate_circuit,
     random_two_qubit_at_root,
-    total_parity,
 )
 from matchgates import hierarchy
+from matchgates.circuits import build_CnZ
+from matchgates.hierarchy import level_membership
+from matchgates.linalg import DEFAULT_TOL, n_qubits_of, norm_max
+from matchgates.majorana import parity_decompose, total_parity
+from matchgates.sampling import random_matchgate_circuit
 
 
 def lambda_operator(n):

@@ -3,25 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchgates import (
-    HADAMARD,
-    PAULI_X,
+from matchgates import HADAMARD, PAULI_X, equal_up_to_phase, named_gate
+from matchgates.linalg import (
     PAULI_Z,
     Tolerances,
+    assert_unitary,
     basis_state,
     canonical_phase,
     embed_one_qubit,
     embed_two_qubit,
-    equal_up_to_phase,
     identity,
     is_unitary,
     kron,
     kron_all,
     n_qubits_of,
-    named_gate,
     norm_max,
 )
-from matchgates.linalg import assert_unitary
 
 
 def test_basis_state_bits_and_index_agree():

@@ -5,26 +5,26 @@ from hypothesis import strategies as st
 
 from matchgates import (
     PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    MajoranaPoly,
     check_car,
     expand,
     indices_from_mask,
     jw_majorana,
     jw_set,
-    kron,
-    majorana_monomial,
-    mask_from_indices,
     named_gate,
-    parity_decompose,
     parity_of,
+)
+from matchgates.linalg import PAULI_Y, PAULI_Z, kron
+from matchgates.majorana import (
+    MajoranaPoly,
+    majorana_monomial,
+    majorana_words,
+    mask_from_indices,
+    parity_decompose,
     parity_sign,
     poly_to_operator,
     state_parity,
     total_parity,
 )
-from matchgates.majorana import majorana_words
 
 
 def test_jw_explicit_forms_two_modes():
@@ -142,7 +142,7 @@ def test_parity_decompose():
 
 
 def test_state_parity():
-    from matchgates import basis_state
+    from matchgates.linalg import basis_state
 
     assert state_parity(basis_state(2, (0, 0))) == "even"
     assert state_parity(basis_state(2, (0, 1))) == "odd"

@@ -1,17 +1,10 @@
 import numpy as np
 import pytest
 
-from matchgates import (
-    canonical_phase,
-    equal_up_to_phase,
-    jw_set,
-    named_gate,
-    random_fermionic,
-    svn_reconstruct,
-    tuple_from_json,
-    tuple_to_json,
-    verify_uniqueness,
-)
+from matchgates import equal_up_to_phase, jw_set, named_gate, random_fermionic, svn_reconstruct
+from matchgates.io import tuple_from_json, tuple_to_json
+from matchgates.linalg import canonical_phase
+from matchgates.svn import verify_uniqueness
 
 
 def _conjugated_tuple(v):

@@ -2,11 +2,6 @@ import numpy as np
 import pytest
 
 from matchgates import (
-    basis_state,
-    correction_K,
-    correction_R,
-    dumps_stable,
-    is_unitary,
     jw_majorana,
     jw_set,
     magic_state,
@@ -14,9 +9,12 @@ from matchgates import (
     named_gate,
     random_state,
     simulate_protocol,
-    state_parity,
     verify_protocol,
 )
+from matchgates.io import dumps_stable
+from matchgates.linalg import basis_state, is_unitary
+from matchgates.majorana import state_parity
+from matchgates.teleport import correction_K, correction_R
 
 
 def test_correction_k_identity_outcome():
@@ -136,7 +134,7 @@ def test_transcript_json_shapes():
 
 
 def test_magic_state_parity_matches_total_parity_operator():
-    from matchgates import total_parity
+    from matchgates.majorana import total_parity
 
     for gate in (named_gate("CZ"), named_gate("FSWAP"), jw_majorana(2, 2)):
         m = magic_state(gate)

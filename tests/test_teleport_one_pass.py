@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from matchgates import (
-    build_CnZ,
     is_gaussian_state_lambda,
     jw_majorana,
     jw_set,
@@ -21,12 +20,12 @@ from matchgates import (
     random_fermionic,
     random_state,
     simulate_protocol,
-    state_parity,
 )
 from matchgates import teleport
-from matchgates.circuits import build_bn, circuit_to_operator
+from matchgates.circuits import build_CnZ, build_bn, circuit_to_operator
 from matchgates.hierarchy import _state_lambda_norm
 from matchgates.linalg import n_qubits_of
+from matchgates.majorana import state_parity
 from matchgates.sampling import random_matchgate_circuit
 
 FIELDS = ("z", "probability", "raw_state", "correction", "corrected", "residual_vs_target", "phase")

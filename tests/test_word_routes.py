@@ -14,35 +14,27 @@ import pytest
 from click.testing import CliRunner
 
 from matchgates import (
-    Tolerances,
-    build_CnZ,
     check_car,
     circuit_to_rotation,
     classify_gate,
-    correction_K,
-    correction_R,
     extract_rotation,
     jw_majorana,
     jw_set,
-    majorana_monomial,
-    parse_angle,
     parse_circuit,
     random_fermionic,
     random_state,
     simulate_protocol,
-    state_parity,
     svn_reconstruct,
-    total_parity,
     verify_protocol,
-    verify_uniqueness,
 )
 from matchgates import hierarchy, majorana, teleport
-from matchgates.circuits import CircuitError
+from matchgates.circuits import CircuitError, build_CnZ, parse_angle
 from matchgates.cli import main
 from matchgates.hierarchy import min_level
-from matchgates.linalg import DEFAULT_TOL, canonical_phase, equal_up_to_phase, norm_max
-from matchgates.majorana import majorana_words
-from matchgates.svn import PROBE_THRESHOLD
+from matchgates.linalg import DEFAULT_TOL, Tolerances, canonical_phase, equal_up_to_phase, norm_max
+from matchgates.majorana import majorana_monomial, majorana_words, state_parity, total_parity
+from matchgates.svn import PROBE_THRESHOLD, verify_uniqueness
+from matchgates.teleport import correction_K, correction_R
 
 
 def _dense_svn(ops, tol=DEFAULT_TOL):

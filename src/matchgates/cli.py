@@ -5,11 +5,12 @@ protocol, reconstruct a unitary from a conjugated Majorana tuple, parse
 and re-emit circuit files, and run the built-in verification corpus.
 
 Exit codes: 0 success, 1 bad input (parse errors, non-unitary matrices,
-tuples failing the anticommutation relations), 2 classification ran but
-was inconclusive (fermionic gate with no level up to k_max), 3 a
-verification check failed (teleportation residual, reconstruction
-contract, self-test criterion), 4 a level search was refused before it
-started because it would exceed the work guard (lower --k-max).
+tuples failing the anticommutation relations, a teleport option of the
+mode not run), 2 classification ran but was inconclusive (fermionic gate
+with no level up to k_max), 3 a verification check failed (teleportation
+residual, reconstruction contract, self-test criterion), 4 a level search
+was refused before it started because it would exceed the work guard
+(lower --k-max).
 
 The environment variable MGH_TOL overrides the residual tolerance.
 """
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .circuits import (
     CircuitError,
@@ -232,18 +234,32 @@ def classify(gate, circuit, matrix, n_qubits, k_max, fmt) -> None:
 @main.command()
 @_with_gate_sources
 @click.option("--state", default=None, type=click.Path(), help="Input state JSON; omit to verify over random states.")
-@click.option("--trials", default=5, show_default=True, help="Random input states when --state is absent.")
-@click.option("--seed", default=0, show_default=True)
-@click.option("--k-max-corrections", default=6, show_default=True, help="Level cap when classifying the corrections.")
-@click.option("--include-states", is_flag=True, help="Embed branch state vectors in the transcript output.")
+@click.option("--trials", default=5, show_default=True, help="Random input states (without --state).")
+@click.option("--seed", default=0, show_default=True, help="Seed of the random input states (without --state).")
+@click.option("--k-max-corrections", default=6, show_default=True, help="Level cap when classifying the corrections (without --state).")
+@click.option("--include-states", is_flag=True, help="Embed branch state vectors in the transcript (with --state).")
 @_FMT
 def teleport(gate, circuit, matrix, n_qubits, state, trials, seed, k_max_corrections, include_states, fmt) -> None:
     """Teleport a gate through its magic state and verify every branch.
 
-    With --state, runs a single transcript on that input; otherwise
-    aggregates over seeded random inputs and classifies the corrections.
-    Exits 3 when any branch misses the target beyond tolerance.
+    With --state, runs a single transcript on that input; --include-states
+    belongs to this mode. Otherwise aggregates over seeded random inputs
+    and classifies the corrections; --trials, --seed and
+    --k-max-corrections belong to that mode. An option of the other mode
+    is refused (exit 1). Exits 3 when any branch misses the target beyond
+    tolerance.
     """
+    if state is None and include_states:
+        _fail("--include-states needs --state")
+    if state is not None:
+        ctx = click.get_current_context()
+        given = [
+            "--" + name.replace("_", "-")
+            for name in ("trials", "seed", "k_max_corrections")
+            if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT
+        ]
+        if given:
+            _fail(f"{', '.join(given)} cannot be used with --state")
     tol = _tolerances()
     u = _load_unitary(gate, circuit, matrix, n_qubits, tol)
     try:

@@ -19,13 +19,21 @@ children of a node V are the 2n operators V c_mu V^dag, every node at
 depths 1 .. k-1 must be parity odd and every node at depth k-1 must be
 first level. The tree has about (2n)^(k-1) nodes; a guard refuses
 unreasonable searches. Nodes are handled in batches through the Majorana
-word table: V c_mu is a column gather with phases, so one batched product
-makes a batch of children, the parity test is a sign mask and the
-first-level coefficients tr(c_mu V) / 2^n are gathers. The walk is depth
-first over batches of at most CHUNK_ENTRIES complex entries (one node when
-a single node is larger), so memory stays flat however large the tree is.
-Before the first batch it follows the single c_1 ... c_1 path, on which a
-generic gate already fails, so failing searches cost one descent.
+word table: the children of a parent come from one contiguous gather and
+one GEMM of the word-conjugation kernel, the parity test is a sign mask and
+the first-level coefficients tr(c_mu V) / 2^n are gathers. Before the first
+batch the walk follows the single c_1 ... c_1 path, on which a generic gate
+already fails, so failing searches cost one descent.
+
+The walk is depth first and stops at the first failing batch, so a batch
+is kept small: whole parents up to CHUNK_ENTRIES / 8 complex entries of
+children (128 KiB, small enough to stay in a per-core cache with its
+temporaries), or one parent's 2n children when those are larger, split
+only where CHUNK_ENTRIES already requires it. The batch limit is thus
+min(CHUNK_ENTRIES, max(CHUNK_ENTRIES / 8, 2n 4^n)) entries. Memory stays
+flat however large the tree is, and a failing level wastes at most the
+rest of one small batch. The batch size changes neither the order in
+which nodes are visited nor any answer.
 
 Trees of diagonal gates such as CnZ(n) and the pattern gates F are mostly
 exact repeats, so each membership call expands every distinct node once.
@@ -152,7 +160,7 @@ def is_gaussian_lambda(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
 def _lambda_commutator_norm(u: np.ndarray) -> float:
     """||[Lambda, U (x) U]||_max, the quantity is_gaussian_lambda thresholds."""
     n = n_qubits_of(u)
-    phase, cols, col_phase, _ = _word_gathers(n)
+    phase, cols, col_phase = _word_gathers(n)
     cu = (u[cols] * phase[:, :, None]).reshape(2 * n, -1)
     uc = (u[:, cols].transpose(1, 0, 2) * col_phase[:, None, :]).reshape(2 * n, -1)
     # Only the sum over mu commutes; individual terms do not.
@@ -245,7 +253,8 @@ def _subtree_ok(parents: np.ndarray, depth: int, n: int, tol: Tolerances, seen: 
     """
     if depth == 0:
         return True
-    for block, mus in _chunks(len(parents), n, CHUNK_ENTRIES):
+    limit = min(CHUNK_ENTRIES, max(CHUNK_ENTRIES // 8, 2 * n * 4**n))
+    for block, mus in _chunks(len(parents), n, limit):
         kids = _conjugates(parents[block], n, mus)
         if 1 < depth < seen.top:
             kids = seen.new(kids, depth - 1)

@@ -26,6 +26,18 @@ tr(c_mu V) / 2^n, the parity of each operator (``_parities``, the one
 threshold rule behind parity_of) and the rotation R of each operator,
 chunked so that no intermediate array holds more than CHUNK_ENTRIES
 complex entries (or one operator, when a single operator is larger).
+
+One word-conjugation kernel, ``_word_conjugates``, computes V W V^dag for
+every V of a stack and every word W of a list given as a column gather
+with phases: the Majoranas c_mu for ``_conjugates``, the teleportation
+byproducts for ``teleport._corrections``. It gathers V W for all m words
+of a parent straight into one contiguous (m 2^n, 2^n) block, stored
+column-major so that every gathered piece is a whole row of V^T, and
+multiplies that block by V^dag in one tall product: BLAS runs one GEMM per
+parent instead of one small GEMM per (parent, word) pair, and every entry
+of the result is the same dot product, to the bit. The gather indices are
+the (m, 2^n) word table itself; no flat index of the m 4^n gathered
+entries is built or cached.
 """
 
 from __future__ import annotations
@@ -161,22 +173,28 @@ def _jw_stack(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _word_gathers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _word_gathers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gather tables of the batched kernels, from the Majorana word table.
 
-    Returns (phase, cols, col_phase, by_parity): phase[mu, i] = c_mu[i, i ^ f_mu],
-    cols[mu, j] = j ^ f_mu and col_phase[mu, j] = c_mu[j ^ f_mu, j], so that
-    (c_mu V)[i] = phase[mu, i] V[cols[mu, i]] and (V c_mu)[:, j] =
-    V[:, cols[mu, j]] col_phase[mu, j]; by_parity lists the flat entries of a
-    2^n x 2^n operator, the same-parity half first.
+    Returns (phase, cols, col_phase), each (2n, 2^n): phase[mu, i] =
+    c_mu[i, i ^ f_mu], cols[mu, j] = j ^ f_mu and col_phase[mu, j] =
+    c_mu[j ^ f_mu, j], so that (c_mu V)[i] = phase[mu, i] V[cols[mu, i]] and
+    (V c_mu)[:, j] = V[:, cols[mu, j]] col_phase[mu, j].
     """
     words = majorana_words(n)
     cols = np.arange(2**n) ^ words.flip[:, None]
     col_phase = np.take_along_axis(words.phase, cols, axis=1)
-    by_parity = np.argsort(~words.same_parity.ravel(), kind="stable")
-    for a in (cols, col_phase, by_parity):
+    for a in (cols, col_phase):
         a.setflags(write=False)
-    return words.phase, cols, col_phase, by_parity
+    return words.phase, cols, col_phase
+
+
+@lru_cache(maxsize=None)
+def _parity_order(n: int) -> np.ndarray:
+    """The flat entries of a 2^n x 2^n operator, the same-parity half first (read-only)."""
+    by_parity = np.argsort(~majorana_words(n).same_parity.ravel(), kind="stable")
+    by_parity.setflags(write=False)
+    return by_parity
 
 
 def _chunks(count: int, n: int, limit: int):
@@ -194,17 +212,40 @@ def _chunks(count: int, n: int, limit: int):
                 yield slice(p, p + 1), slice(mu, mu + step)
 
 
+def _word_conjugates(parents: np.ndarray, cols: np.ndarray, phases: np.ndarray, out=None) -> np.ndarray:
+    """V W V^dag for every V of the stack (B, 2^n, 2^n) and every word W of
+    the list, as a (B, m 2^n, 2^n) array ordered by V, then W.
+
+    Word w is the column gather (V W)[:, j] = V[:, cols[w, j]] phases[w, j].
+    The m products V W of one parent are gathered, row by row from V^T, into
+    one contiguous (m 2^n, 2^n) block in column-major order, and one GEMM per
+    parent multiplies the block by V^dag. out, when given, receives the result.
+    """
+    b, m, dim = len(parents), len(cols), parents.shape[-1]
+    # rows[b, k] is column k of V
+    rows = parents.transpose(0, 2, 1).copy()
+    # vw[b, j, w] is column j of V W
+    vw = rows[:, cols.T]
+    vw *= phases.T[:, :, None]
+    tall = vw.reshape(b, dim, m * dim).transpose(0, 2, 1)
+    # conjugated in place, rows becomes V^dag
+    return np.matmul(tall, np.conjugate(rows, out=rows), out=out)
+
+
 def _conjugates(parents: np.ndarray, n: int, mus: slice) -> np.ndarray:
-    """V c_mu V^dag for every V of the stack and every mu in mus, ordered by V, then mu."""
-    _, cols, col_phase, _ = _word_gathers(n)
-    vc = (parents[:, :, cols[mus]] * col_phase[mus]).transpose(0, 2, 1, 3)
-    kids = vc @ parents.conj().transpose(0, 2, 1)[:, None]
-    return kids.reshape(-1, 2**n, 2**n)
+    """V c_mu V^dag for every V of the stack and every mu in mus, ordered by V, then mu.
+
+    The word-conjugation kernel on the Majorana words: the products V c_mu of
+    one parent are gathered into one contiguous block and conjugated by one
+    GEMM with V^dag.
+    """
+    _, cols, col_phase = _word_gathers(n)
+    return _word_conjugates(parents, cols[mus], col_phase[mus]).reshape(-1, 2**n, 2**n)
 
 
 def _traces(nodes: np.ndarray, n: int) -> np.ndarray:
     """tr(c_mu V) / 2^n for every V of the stack and every mu, as a (B, 2n) array."""
-    phase, cols, _, _ = _word_gathers(n)
+    phase, cols, _ = _word_gathers(n)
     # tr(c_mu V) = sum_i phase[mu, i] V[i ^ f_mu, i]
     diag = nodes[:, cols, np.arange(2**n)]
     return np.einsum("bmi,mi->bm", diag, phase) / 2**n
@@ -215,8 +256,7 @@ def _parities(ops: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, np.ndarr
     two (B,) masks: even when the largest |entry| of the parity-odd part is
     below tol, otherwise odd when that of the parity-even part is, otherwise
     neither."""
-    by_parity = _word_gathers(n)[3]
-    mags = np.abs(ops).reshape(len(ops), -1)[:, by_parity]
+    mags = np.abs(ops).reshape(len(ops), -1)[:, _parity_order(n)]
     even_max, odd_max = mags.reshape(len(ops), 2, -1).max(axis=2).T
     is_even = odd_max < tol
     return is_even, ~is_even & (even_max < tol)
@@ -415,8 +455,9 @@ def check_car(ops: list[np.ndarray], tol: float = DEFAULT_TOL.residual) -> CarRe
         if a.shape != (dim, dim):
             raise ValueError(f"operator {i + 1} has shape {a.shape}, expected {(dim, dim)}")
         herm = max(herm, norm_max(a - a.conj().T))
+        square = a @ a
         for j in range(i, len(ops)):
-            anti = a @ ops[j] + ops[j] @ a
+            anti = square + square if i == j else a @ ops[j] + ops[j] @ a
             target = eye2 if i == j else 0.0
             resid = norm_max(anti - target)
             if resid > worst:

@@ -16,8 +16,11 @@ measurement byproduct is the Majorana word
 Like every Majorana word, K_z is a signed permutation: it sends basis
 state i to i ^ f_z with a phase in {+-1, +-i}. The table of all 4^n
 (flip, phase) pairs is built once per n from the Majorana word table, and
-a branch's correction is a column gather of U times the conjugate phases,
-then one product with U^dag; no K_z is ever multiplied out densely.
+the corrections go through the word-conjugation kernel that also
+conjugates by single Majoranas (``majorana._word_conjugates``): U K_z^dag
+is a column gather of U times the conjugate phases, written for a run of
+branches into one contiguous block, and one tall GEMM with U^dag turns the
+run into corrections. No K_z is ever multiplied out densely.
 
 The correction R_z = U K_z^dag U^dag therefore lands every branch exactly
 on U|psi>, phase included. When U sits at level k of the hierarchy, each
@@ -46,7 +49,15 @@ from .circuits import build_bn, circuit_to_operator
 from .hierarchy import is_gaussian_state_lambda, min_level
 from .linalg import DEFAULT_TOL, Tolerances, assert_unitary, n_qubits_of
 from .io import complex_to_json, state_to_json
-from .majorana import Parity, _word, _word_matrix, parity_sign, state_parity
+from .majorana import (
+    CHUNK_ENTRIES,
+    Parity,
+    _word,
+    _word_conjugates,
+    _word_matrix,
+    parity_sign,
+    state_parity,
+)
 from .sampling import random_state
 
 
@@ -147,12 +158,21 @@ def _byproducts(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _corrections(u: np.ndarray, flips: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """U K^dag U^dag for every word K = (flips[b], phases[b]), as a (B, 2^n, 2^n) stack."""
+    """U K^dag U^dag for every word K = (flips[b], phases[b]), as a (B, 2^n, 2^n) stack.
+
+    The word-conjugation kernel of ``majorana`` on the words K^dag, in runs
+    of at most CHUNK_ENTRIES gathered entries (or one word) written straight
+    into the result.
+    """
     # (U K^dag)[:, j] = U[:, j ^ flip] conj(phase[j])
-    cols = np.arange(u.shape[0]) ^ flips[:, None]
-    uk = u[:, cols]
-    uk *= phases.conj()
-    return uk.transpose(1, 0, 2) @ u.conj().T
+    dim = u.shape[0]
+    cols = np.arange(dim) ^ flips[:, None]
+    out = np.empty((len(flips), dim, dim), dtype=complex)
+    step = max(CHUNK_ENTRIES // dim**2, 1)
+    for w in range(0, len(flips), step):
+        run = slice(w, w + step)
+        _word_conjugates(u[None], cols[run], phases[run].conj(), out=out[run].reshape(1, -1, dim))
+    return out
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,44 @@ def test_teleport_with_state_file(runner, tmp_path):
     assert d["passed"] and len(d["branches"]) == 16
 
 
+@pytest.fixture()
+def state_path(tmp_path):
+    path = tmp_path / "state.json"
+    save_json(path, state_to_json(np.array([1, 0, 0, 0], dtype=complex)))
+    return str(path)
+
+
+def test_teleport_refuses_include_states_without_state(runner):
+    result = runner.invoke(main, ["teleport", "--gate", "CZ", "--trials", "1", "--include-states"])
+    assert result.exit_code == 1
+    assert _err(result) == "error: --include-states needs --state\n"
+
+
+@pytest.mark.parametrize(
+    ("extra", "named"),
+    [
+        (["--trials", "5"], "--trials"),
+        (["--seed", "0"], "--seed"),
+        (["--k-max-corrections", "6"], "--k-max-corrections"),
+        (["--seed", "1", "--trials", "2"], "--trials, --seed"),
+    ],
+)
+def test_teleport_refuses_random_mode_options_with_state(runner, state_path, extra, named):
+    # set explicitly, even to the default value
+    result = runner.invoke(main, ["teleport", "--gate", "CZ", "--state", state_path, *extra])
+    assert result.exit_code == 1
+    assert _err(result) == f"error: {named} cannot be used with --state\n"
+
+
+def test_teleport_defaults_never_refuse(runner, state_path):
+    result = runner.invoke(main, ["teleport", "--gate", "CZ", "--state", state_path, "--include-states"])
+    assert result.exit_code == 0
+    assert "input_state" in json.loads(result.output)
+    result = runner.invoke(main, ["teleport", "--gate", "CZ", "--trials", "1", "--seed", "3", "--k-max-corrections", "4"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["seed"] == 3
+
+
 def test_teleport_mixed_parity_errors(runner):
     result = runner.invoke(main, ["teleport", "--gate", "H"])
     assert result.exit_code == 1

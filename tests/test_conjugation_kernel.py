@@ -1,0 +1,121 @@
+"""The word-conjugation kernel against in-test copies of the two kernels it
+replaced: Majorana conjugation (one small GEMM per (parent, mu) pair over a
+transposed gather) and the teleportation corrections (one small GEMM per
+byproduct word). Every entry is the same dot product, so the results must
+be equal to the bit, for any BLAS thread count.
+"""
+
+import gc
+import types
+
+import numpy as np
+import pytest
+
+from matchgates import extract_rotation, random_fermionic, svn_reconstruct
+from matchgates import hierarchy, majorana, svn, teleport
+from matchgates.majorana import _conjugates, jw_set, majorana_words
+
+
+def reference_conjugates(parents, n, mus):
+    """V c_mu V^dag for every V of the stack and every mu in mus, as the kernel did before."""
+    words = majorana_words(n)
+    cols = np.arange(2**n) ^ words.flip[:, None]
+    col_phase = np.take_along_axis(words.phase, cols, axis=1)
+    vc = (parents[:, :, cols[mus]] * col_phase[mus]).transpose(0, 2, 1, 3)
+    kids = vc @ parents.conj().transpose(0, 2, 1)[:, None]
+    return kids.reshape(-1, 2**n, 2**n)
+
+
+def reference_corrections(u, flips, phases):
+    """U K^dag U^dag for every byproduct word K, as the kernel did before."""
+    cols = np.arange(u.shape[0]) ^ flips[:, None]
+    uk = u[:, cols]
+    uk *= phases.conj()
+    return uk.transpose(1, 0, 2) @ u.conj().T
+
+
+def _matrices(n, count, rng):
+    dim = 2**n
+    return rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+
+
+def _slices(n):
+    """Full, single-mu and partial mu ranges."""
+    return [slice(None), slice(0, 1), slice(2 * n - 1, None), slice(1, min(4, 2 * n)), slice(n, None)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_conjugates_equal_the_reference(n):
+    rng = np.random.default_rng(n)
+    stack = _matrices(n, 3 if n <= 6 else 2, rng)
+    for parents in (stack[:1], stack):
+        for mus in _slices(n) if n <= 6 or len(parents) == 1 else [slice(0, 1), slice(3, 5)]:
+            assert np.array_equal(_conjugates(parents, n, mus), reference_conjugates(parents, n, mus))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_conjugates_of_non_contiguous_parents(n):
+    rng = np.random.default_rng(10 + n)
+    stack = _matrices(n, 3, rng)
+    mus = slice(None) if n <= 5 else slice(1, 3)
+    for parents in (stack[[2, 0]], stack[::2], stack.transpose(0, 2, 1), stack[:, ::-1]):
+        assert np.array_equal(_conjugates(parents, n, mus), reference_conjugates(parents, n, mus))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_corrections_equal_the_reference(n):
+    rng = np.random.default_rng(20 + n)
+    flips, phases = teleport._byproducts(n)
+    for parity in ("even", "odd"):
+        u = random_fermionic(n, rng, parity)
+        assert np.array_equal(teleport._corrections(u, flips, phases), reference_corrections(u, flips, phases))
+    # a subset of words, and one word
+    pick = rng.permutation(len(flips))[: max(1, len(flips) // 3)]
+    assert np.array_equal(
+        teleport._corrections(u, flips[pick], phases[pick]), reference_corrections(u, flips[pick], phases[pick])
+    )
+    assert np.array_equal(
+        teleport._corrections(u, flips[-1:], phases[-1:]), reference_corrections(u, flips[-1:], phases[-1:])
+    )
+
+
+def _cached_items(fn):
+    """The (key, value) pairs an lru_cache wrapper holds, read through the garbage collector."""
+    caches = [r for r in gc.get_referents(fn) if isinstance(r, dict) and "__module__" not in r]
+    return [item for cache in caches for item in cache.items()]
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in _arrays(v)]
+    if hasattr(value, "__dataclass_fields__"):
+        return [a for v in vars(value).values() for a in _arrays(v)]
+    return []
+
+
+def test_kernel_caches_no_full_gather_index():
+    rng = np.random.default_rng(8)
+    extract_rotation(random_fermionic(8, rng, "even"))
+    v = random_fermionic(7, rng, "odd")
+    svn_reconstruct([v.conj().T @ c @ v for c in jw_set(7)])
+    # The gather tables of the kernel: phase, cols and col_phase, (2n, 2^n) each.
+    for n in (7, 8):
+        assert sum(a.size for a in majorana._word_gathers(n)) == 3 * 2 * n * 2**n
+    # No per-n cache of the modules that run the kernel holds an integer
+    # table of more than 4^n entries (the parity order); a flat gather
+    # index of the 2n 4^n conjugate entries would be 2n times that.
+    checked = set()
+    for module in (majorana, hierarchy, svn, teleport):
+        for fn in vars(module).values():
+            if isinstance(fn, types.FunctionType) or not hasattr(fn, "cache_info"):
+                continue
+            for n, value in _cached_items(fn):
+                if not isinstance(n, int):
+                    continue
+                for a in _arrays(value):
+                    if a.dtype.kind in "iu":
+                        assert a.size <= 4**n, (fn.__name__, n, a.shape)
+                        checked.add((fn.__name__, n))
+    assert {("_word_gathers", 7), ("_word_gathers", 8)} <= checked

@@ -115,7 +115,16 @@ def test_generic_fermionic_gates(seed, n, parity, eps):
 
 @pytest.mark.parametrize(("n", "most"), [(4, 1122), (5, 2635)])
 def test_cnz_work_stays_deduplicated(monkeypatch, n, most):
-    # Without the memo min_level computes 5090 (n = 4) and 111755 (n = 5) conjugates.
+    # Without the memo min_level computes 4802 (n = 4) and 111495 (n = 5) conjugates.
+    kids = count_kids(monkeypatch)
+    assert min_level(build_CnZ(n), n + 1) == n + 1
+    assert kids[0] <= most
+
+
+@pytest.mark.parametrize(("n", "most"), [(4, 834), (5, 2385)])
+def test_failing_levels_stop_within_a_small_batch(monkeypatch, n, most):
+    # Batches of at most CHUNK_ENTRIES / 8 entries, or one parent's children,
+    # stop a failing level soon after its first failing node.
     kids = count_kids(monkeypatch)
     assert min_level(build_CnZ(n), n + 1) == n + 1
     assert kids[0] <= most
@@ -130,7 +139,7 @@ def test_full_memo_stops_adding_but_keeps_answers(monkeypatch):
         assert min_level(u, 5) == 5
         counts[nodes] = kids[0]
         monkeypatch.undo()
-    assert counts[0] == 5090
+    assert counts[0] == 4802
     assert counts[10**6] < counts[30] < counts[0]
 
 

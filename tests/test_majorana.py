@@ -12,9 +12,11 @@ from matchgates import (
     jw_set,
     named_gate,
     parity_of,
+    random_fermionic,
 )
-from matchgates.linalg import PAULI_Y, PAULI_Z, kron
+from matchgates.linalg import PAULI_Y, PAULI_Z, kron, norm_max
 from matchgates.majorana import (
+    CarReport,
     MajoranaPoly,
     majorana_monomial,
     majorana_words,
@@ -182,3 +184,39 @@ def test_word_table_reproduces_jordan_wigner(n):
         assert np.array_equal(dense, c)
     assert np.array_equal(np.diag(words.sign), total_parity(n))
     assert np.array_equal(words.same_parity, np.outer(words.sign, words.sign) > 0)
+
+
+def _reference_car(ops, tol):
+    """check_car as it was before it computed each square once."""
+    n = len(ops) // 2
+    eye2 = 2 * np.eye(2**n)
+    worst, worst_pair, herm = 0.0, (1, 1), 0.0
+    for i, a in enumerate(ops):
+        herm = max(herm, norm_max(a - a.conj().T))
+        for j in range(i, len(ops)):
+            anti = a @ ops[j] + ops[j] @ a
+            resid = norm_max(anti - (eye2 if i == j else 0.0))
+            if resid > worst:
+                worst, worst_pair = resid, (i + 1, j + 1)
+    return CarReport(n, worst, worst_pair, herm, worst < tol)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_car_report_equals_the_pairwise_reference(n):
+    rng = np.random.default_rng(n)
+    v = random_fermionic(n, rng, "odd")
+    conjugated = [v.conj().T @ c @ v for c in jw_set(n)]
+    noise = 1e-9 * (rng.normal(size=conjugated[0].shape) + 1j * rng.normal(size=conjugated[0].shape))
+    scaled = list(conjugated)
+    scaled[-1] = 1.001 * scaled[-1]  # the worst pair is a square
+    mixed = list(conjugated)
+    mixed[n - 1] = mixed[n - 1] + noise  # the worst pair may be off the diagonal
+    swapped = list(conjugated)
+    swapped[0] = conjugated[-1]  # a repeated Majorana
+    reports = {}
+    for name, ops in (("exact", conjugated), ("scaled", scaled), ("mixed", mixed), ("swapped", swapped)):
+        reports[name] = check_car(ops, 1e-10)
+        assert reports[name] == _reference_car(ops, 1e-10)
+    assert reports["exact"].passed
+    assert not reports["scaled"].passed and reports["scaled"].worst_pair == (2 * n, 2 * n)
+    assert not reports["mixed"].passed and not reports["swapped"].passed

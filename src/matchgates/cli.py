@@ -5,12 +5,12 @@ protocol, reconstruct a unitary from a conjugated Majorana tuple, parse
 and re-emit circuit files, and run the built-in verification corpus.
 
 Exit codes: 0 success, 1 bad input (parse errors, non-unitary matrices,
-tuples failing the anticommutation relations, a teleport option of the
-mode not run), 2 classification ran but was inconclusive (fermionic gate
-with no level up to k_max), 3 a verification check failed (teleportation
-residual, reconstruction contract, self-test criterion), 4 a level search
-was refused before it started because it would exceed the work guard
-(lower --k-max).
+tuples failing the anticommutation relations or not Hermitian, a level
+cap below 1, a teleport option of the mode not run), 2 classification
+ran but was inconclusive (fermionic gate with no level up to k_max), 3 a
+verification check failed (teleportation residual, reconstruction
+contract, self-test criterion), 4 a level search was refused before it
+started because it would exceed the work guard (lower --k-max).
 
 The environment variable MGH_TOL overrides the residual tolerance.
 """
@@ -192,7 +192,10 @@ def classify(gate, circuit, matrix, n_qubits, k_max, fmt) -> None:
 
     Exits 2 when the gate is fermionic but no level up to k-max contains
     it (raise --k-max or accept that the gate sits above the cap), and 4
-    when the search up to k-max would exceed the work guard.
+    when the search up to k-max would exceed the work guard. An exactly
+    diagonal gate whose phase ratios are exact 2^M-th roots of unity (M =
+    19 at the default tolerance) is classified on its phase vector and is
+    never refused.
     """
     tol = _tolerances()
     u = _load_unitary(gate, circuit, matrix, n_qubits, tol)
@@ -307,9 +310,9 @@ def svn(tuple_path, expect, fmt) -> None:
     """Reconstruct the unitary that conjugates the standard Majoranas
     into the given tuple.
 
-    The tuple must satisfy the anticommutation relations (exit 1
-    otherwise). Exits 3 when the reconstruction misses the contract or
-    the --expect comparison fails.
+    The tuple must be Hermitian and satisfy the anticommutation
+    relations (exit 1 otherwise). Exits 3 when the reconstruction misses
+    the contract or the --expect comparison fails.
     """
     tol = _tolerances()
     try:

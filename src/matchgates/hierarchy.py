@@ -35,8 +35,24 @@ flat however large the tree is, and a failing level wastes at most the
 rest of one small batch. The batch size changes neither the order in
 which nodes are visited nor any answer.
 
-Trees of diagonal gates such as CnZ(n) and the pattern gates F are mostly
-exact repeats, so each membership call expands every distinct node once.
+Diagonal gates have a shorter route. For D = diag(e^{i theta}),
+D c_mu D^dag = c_mu diag(e^{i g_j}) with g_j(x) = theta(x ^ e_j) - theta(x)
+and mu in {2j-1, 2j}, so the tree of D can be decided on phase vectors of
+length 2^n with n children per node, instead of 4^n matrices with 2n.
+classify_gate first calls diagonal_level, which takes a gate only when
+every off-diagonal entry is exactly zero and every phase ratio d_x / d_0
+lies within PHASE_SNAP (1e-14) of a 2^M-th root of unity, M bounded by the
+root-spacing rule of the closed form (M = 19 at the default tolerances).
+The phases then become integers mod 2^M and the level is exact, with no
+tolerance. Every other input, a diagonal gate perturbed beyond PHASE_SNAP
+or with phases on a finer grid included, gets NotImplemented and falls
+back to min_level. min_level and level_membership remain the matrix route
+alone: the self-test and the protocol verifier call them directly, and the
+tests hold diagonal_level to their answers.
+
+On the matrix route, trees of gates such as CnZ(n) and the pattern gates F
+are mostly exact repeats, so each membership call expands every distinct
+node once.
 A node that will be expanded is keyed by its remaining depth and its raw
 bytes; a node whose key this call has already queued is dropped, because
 bit-identical nodes have bit-identical subtrees under the same kernels.
@@ -54,6 +70,7 @@ exactly when the ratio is a 2^(k-2)-th root of unity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import NotImplementedType
 
 import numpy as np
 
@@ -92,6 +109,11 @@ MEMO_ENTRIES = 2**22
 # least this many angular tolerances apart; on a denser grid any angle would
 # snap to some root.
 ROOT_SPACING_FACTOR = 1000
+
+# diagonal_level reads a phase ratio as an exact root of unity only within
+# this distance of it: a few ulps of a complex division, far below any
+# tolerance of the matrix route.
+PHASE_SNAP = 1e-14
 
 
 class SearchBudgetError(ValueError):
@@ -270,15 +292,106 @@ def _subtree_ok(parents: np.ndarray, depth: int, n: int, tol: Tolerances, seen: 
     return True
 
 
+def _check_cap(k_max: int) -> None:
+    if k_max < 1:
+        raise ValueError(f"level cap must be >= 1, got {k_max}")
+
+
 def min_level(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) -> int | None:
     """Smallest hierarchy level containing u, or None if above k_max.
 
     Levels are nested, so ascending search returns the minimum.
     """
+    _check_cap(k_max)
     for k in range(1, k_max + 1):
         if level_membership(u, k, tol):
             return k
     return None
+
+
+def diagonal_level(
+    u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL
+) -> int | None | NotImplementedType:
+    """Exact minimum level of an exactly diagonal gate with dyadic phases,
+    or None if above k_max; NotImplemented for any other input.
+
+    The gate qualifies when every off-diagonal entry is exactly zero, |d_0|
+    is within PHASE_SNAP of 1 and every ratio d_x / d_0 is within PHASE_SNAP
+    of a 2^M-th root of unity exp(2 pi i f(x) / 2^M). M is the largest
+    exponent whose neighbouring roots lie at least ROOT_SPACING_FACTOR *
+    max(tol.angle, tol.residual) apart (M = 19 at the default tolerances),
+    so no input the matrix route would judge by tolerance is read as exact.
+    The level is then found on the integer phases f mod 2^M (_PhaseTree).
+    """
+    _check_cap(k_max)
+    if np.count_nonzero(u) != len(u):
+        return NotImplemented
+    d = np.diagonal(u)
+    if np.count_nonzero(d) != len(d):
+        return NotImplemented
+    bits = _phase_bits(tol)
+    ratio = d / d[0]
+    f = np.rint(np.angle(ratio) * (2**bits / (2 * np.pi))).astype(np.int64)
+    miss = np.abs(ratio - np.exp(2j * np.pi / 2**bits * f)).max()
+    if miss > PHASE_SNAP or abs(abs(d[0]) - 1) > PHASE_SNAP:
+        return NotImplemented
+    level = _PhaseTree(n_qubits_of(u), bits).level(f & (2**bits - 1), k_max)
+    return level if level <= k_max else None
+
+
+def _phase_bits(tol: Tolerances) -> int:
+    """The largest M whose 2^M-th roots of unity diagonal_level snaps to.
+
+    PHASE_SNAP joins the tolerances in the spacing rule, so a tiny
+    tolerance cannot make the roots so dense that rounding to the nearest
+    one is ambiguous or the numerators overflow int64.
+    """
+    spacing = ROOT_SPACING_FACTOR * max(tol.angle, tol.residual, PHASE_SNAP)
+    bits = 0
+    while 2 * np.pi / 2 ** (bits + 1) >= spacing:
+        bits += 1
+    return bits
+
+
+class _PhaseTree:
+    """The conjugation tree of a diagonal gate on its integer phases f mod 2^M.
+
+    Both Majoranas of qubit j give the child c_mu diag(e^{i g_j}) up to a
+    Majorana factor, which leaves levels >= 2 unchanged. The child is first
+    level exactly when g_j is constant on x_j = 0 (as g_j(x ^ e_j) = -g_j(x),
+    it is then cos a c_mu + sin a c_mu'); otherwise it has the level of
+    diag(e^{i g_j}). So level(f) = 1 + max_j (child level), with no
+    tolerance. Results are keyed by the cap and the exact bytes of f, for
+    one call, up to MEMO_ENTRIES phases.
+    """
+
+    def __init__(self, n: int, bits: int):
+        x = np.arange(2**n)
+        bit = 1 << np.arange(n)[:, None]
+        self.flips = x ^ bit
+        self.upper = (x & bit) != 0
+        self.mask = 2**bits - 1
+        self.known: dict[tuple[int, bytes], int] = {}
+        self.room = MEMO_ENTRIES // 2**n
+
+    def level(self, f: np.ndarray, cap: int) -> int:
+        """min(level of diag(exp(2 pi i f / 2^M)), cap + 1)."""
+        if cap < 2:
+            return cap + 1  # a diagonal gate is never first level
+        key = (cap, f.tobytes())
+        if key in self.known:
+            return self.known[key]
+        g = (f[self.flips] - f) & self.mask
+        flat = ((g == g[:, :1]) | self.upper).all(axis=1)
+        worst = 1
+        for j in np.flatnonzero(~flat):
+            worst = max(worst, self.level(g[j], cap - 1))
+            if worst >= cap:
+                break
+        if self.room > 0:
+            self.known[key] = worst + 1
+            self.room -= 1
+        return worst + 1
 
 
 @dataclass(frozen=True)
@@ -417,12 +530,17 @@ def classify_gate(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) 
 
     The gate is Gaussian exactly when the rotation kernel finds its rotation.
     """
+    _check_cap(k_max)
     assert_unitary(u, tol.unitary, "gate")
     n = n_qubits_of(u)
     par = parity_of(u, tol.residual)
     rotation = extract_rotation(u, tol)
     rotation_det = None if rotation is None else float(np.linalg.det(rotation))
-    level = min_level(u, k_max, tol) if par != "none" else None
+    level = None
+    if par != "none":
+        level = diagonal_level(u, k_max, tol)
+        if level is NotImplemented:
+            level = min_level(u, k_max, tol)
     two_qubit = None
     if n == 2 and par != "none":
         blocks = _blocks(u, par)

@@ -53,12 +53,20 @@ class SvnResult:
 
 
 def svn_reconstruct(ops: list[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> SvnResult:
-    """Reconstruct the unitary U with U^dag c_mu U = d_mu from a CAR tuple."""
+    """Reconstruct the unitary U with U^dag c_mu U = d_mu from a CAR tuple.
+
+    A tuple failing the anticommutation relations, or one whose operators
+    are not Hermitian within tol.residual, is refused with ValueError.
+    """
     report = check_car(ops, tol.residual)
     if not report.passed:
         raise ValueError(
             f"tuple fails the anticommutation relations at pair {report.worst_pair} "
             f"(residual {report.max_pair_residual:.3e})"
+        )
+    if report.max_hermiticity >= tol.residual:
+        raise ValueError(
+            f"tuple is not Hermitian (max ||d_mu - d_mu^dag|| {report.max_hermiticity:.3e})"
         )
     n = report.n_modes
     dim = 2**n

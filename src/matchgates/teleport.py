@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import build_bn, circuit_to_operator
-from .hierarchy import is_gaussian_state_lambda, min_level
+from .hierarchy import _check_cap, is_gaussian_state_lambda, min_level
 from .linalg import DEFAULT_TOL, Tolerances, assert_unitary, n_qubits_of
 from .io import complex_to_json, state_to_json
 from .majorana import (
@@ -314,6 +314,7 @@ def verify_protocol(
     """Teleport `trials` seeded random states through U and aggregate the
     worst residual and probability deviation; also classify the
     corrections R_z into hierarchy levels (they sit one level below U)."""
+    _check_cap(k_max_corrections)
     n = n_qubits_of(u)
     rng = np.random.default_rng(seed)
     max_resid = 0.0

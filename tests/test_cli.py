@@ -186,6 +186,16 @@ def test_svn_car_failure_exits_one(runner, tmp_path):
     assert "anticommutation" in _err(result)
 
 
+def test_svn_non_hermitian_tuple_exits_one(runner, tmp_path):
+    rng = np.random.default_rng(12)
+    s = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    path = tmp_path / "similar.json"
+    save_json(path, tuple_to_json([s @ c @ np.linalg.inv(s) for c in jw_set(2)]))
+    result = runner.invoke(main, ["svn", "--tuple", str(path)])
+    assert result.exit_code == 1
+    assert _err(result).startswith("error: tuple is not Hermitian")
+
+
 def test_svn_expect_mismatch_exits_three(runner, tmp_path):
     v = named_gate("CZ")
     tup = [v.conj().T @ c @ v for c in jw_set(2)]
@@ -305,3 +315,17 @@ def test_classify_past_the_work_guard_exits_four(runner):
     assert _err(result).strip() == (
         "error: level-13 membership at n=2 needs about 1.68e+07 dense conjugations (guard 1e+07)"
     )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "--gate", "CZ", "--k-max", "0"],
+        ["classify", "--gate", "CZ", "--k-max", "-3"],
+        ["teleport", "--gate", "CZ", "--trials", "1", "--k-max-corrections", "0"],
+    ],
+)
+def test_level_cap_below_one_exits_one(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert _err(result).splitlines() == [f"error: level cap must be >= 1, got {args[-1]}"]

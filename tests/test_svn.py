@@ -4,6 +4,7 @@ import pytest
 from matchgates import equal_up_to_phase, jw_set, named_gate, random_fermionic, svn_reconstruct
 from matchgates.io import tuple_from_json, tuple_to_json
 from matchgates.linalg import canonical_phase
+from matchgates.majorana import check_car
 from matchgates.svn import verify_uniqueness
 
 
@@ -95,3 +96,14 @@ def test_reconstruct_identity_tuple():
     rec = svn_reconstruct(list(cs))
     assert rec.max_residual < 1e-12
     assert equal_up_to_phase(rec.u, np.eye(4, dtype=complex)).equal
+
+
+def test_non_hermitian_car_tuple_is_refused():
+    # S c_mu S^-1 keeps every anticommutator but not Hermiticity.
+    rng = np.random.default_rng(12)
+    s = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    tup = [s @ c @ np.linalg.inv(s) for c in jw_set(2)]
+    report = check_car(tup)
+    assert report.passed and report.max_hermiticity > 0.1
+    with pytest.raises(ValueError, match="not Hermitian"):
+        svn_reconstruct(tup)

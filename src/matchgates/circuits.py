@@ -186,11 +186,6 @@ def named_gate(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
     return build_G(*fn(*params)) if params else _block_gate(*fn(), odd=False)
 
 
-def pattern_weight(pattern: Pattern) -> int:
-    """Number of constrained (non-wildcard) entries."""
-    return sum(1 for p in pattern if p is not None)
-
-
 def build_F(pattern: Pattern) -> np.ndarray:
     """Diagonal pattern gate: flips the sign of every basis state matching
     the pattern (wildcards match both bit values).
@@ -270,13 +265,23 @@ _PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$", re.IGNO
 
 
 def parse_angle(token: str) -> float:
-    """Angle literal: decimal radians, or pi forms like pi, -pi/4, 3pi/2."""
+    """Angle literal: decimal radians, or pi forms like pi, -pi/4, 3pi/2.
+
+    An integer form Kpi/M with a finite value is reduced to (K mod 4M) pi/M,
+    keeping its sign, before pi enters: 4 pi is a period of every named
+    gate, and a large K would otherwise carry its rounding error into the
+    gate's phases. A value that overflows is refused, reduced or not.
+    """
     m = _PI_RE.match(token.strip())
     if m:
         sign = -1.0 if m.group(1) == "-" else 1.0
-        num = float(m.group(2)) if m.group(2) else 1.0
-        den = float(m.group(3)) if m.group(3) else 1.0
-        angle = sign * num * np.pi / den
+        num, den = m.group(2) or "1", m.group(3) or "1"
+        if float(den) == 0:
+            raise ValueError(f"angle has a zero denominator: {token!r}")
+        angle = sign * float(num) * np.pi / float(den)
+        # a nonzero finite angle has K and M below 1e309, short enough for int()
+        if angle and math.isfinite(angle) and num.isdigit() and den.isdigit():
+            angle = sign * float(int(num) % (4 * int(den))) * np.pi / float(den)
     else:
         try:
             angle = float(token)

@@ -35,20 +35,32 @@ flat however large the tree is, and a failing level wastes at most the
 rest of one small batch. The batch size changes neither the order in
 which nodes are visited nor any answer.
 
-Diagonal gates have a shorter route. For D = diag(e^{i theta}),
-D c_mu D^dag = c_mu diag(e^{i g_j}) with g_j(x) = theta(x ^ e_j) - theta(x)
-and mu in {2j-1, 2j}, so the tree of D can be decided on phase vectors of
-length 2^n with n children per node, instead of 4^n matrices with 2n.
+Diagonal gates have a closed form, the matchgate analogue of the level of
+a diagonal gate of the Clifford hierarchy (Cui, Gottesman and Krishna,
+arXiv:1608.06596). Write D = diag(exp(2 pi i f(x) / 2^M)) with integer
+phases f mod 2^M and their Moebius coefficients,
+f(x) = sum_S a_S prod_{j in S} x_j. Then D c_mu D^dag = c_mu diag(e^{i g_j})
+for mu in {2j-1, 2j}, with g_j(x) = f(x ^ e_j) - f(x) = (1 - 2 x_j) h_j(x)
+and h_j = sum_{S containing j} a_S x^(S - j). The child is first level
+exactly when h_j is constant, that is when a_S = 0 for every S containing j
+with |S| >= 2; otherwise it has the level of diag(e^{i g_j}), since a
+Majorana factor leaves levels >= 2 unchanged. The coefficients of g_j are
+those of f with each term through j lowered by one degree or doubled. By induction on level(f) = 1 + max_j (child level),
+
+    level(D) = max(2, max over |S| >= 2 with a_S != 0 of |S| + M - v2(a_S)),
+
+v2 being the 2-adic valuation: a degree-d monomial with coefficient
+pi / 2^m sits at level d + 1 + m, a linear phase is Gaussian.
 classify_gate first calls diagonal_level, which takes a gate only when
 every off-diagonal entry is exactly zero and every phase ratio d_x / d_0
 lies within PHASE_SNAP (1e-14) of a 2^M-th root of unity, M bounded by the
-root-spacing rule of the closed form (M = 19 at the default tolerances).
-The phases then become integers mod 2^M and the level is exact, with no
-tolerance. Every other input, a diagonal gate perturbed beyond PHASE_SNAP
-or with phases on a finer grid included, gets NotImplemented and falls
-back to min_level. min_level and level_membership remain the matrix route
-alone: the self-test and the protocol verifier call them directly, and the
-tests hold diagonal_level to their answers.
+root-spacing rule of the two-qubit closed form (M = 19 at the default
+tolerances). The level is then read off the integer coefficients, with no
+tolerance, in O(n 2^n). Every other input, a diagonal gate perturbed beyond
+PHASE_SNAP or with phases on a finer grid included, gets NotImplemented and
+falls back to min_level. min_level and level_membership remain the matrix
+route alone: the self-test and the protocol verifier call them directly,
+and the tests hold diagonal_level to their answers.
 
 On the matrix route, trees of gates such as CnZ(n) and the pattern gates F
 are mostly exact repeats, so each membership call expands every distinct
@@ -109,6 +121,9 @@ MEMO_ENTRIES = 2**22
 # least this many angular tolerances apart; on a denser grid any angle would
 # snap to some root.
 ROOT_SPACING_FACTOR = 1000
+
+# The two-qubit closed form tries no level above this one, whatever the tolerances.
+CLOSED_FORM_LEVELS = 30
 
 # diagonal_level reads a phase ratio as an exact root of unity only within
 # this distance of it: a few ulps of a complex division, far below any
@@ -321,7 +336,9 @@ def diagonal_level(
     exponent whose neighbouring roots lie at least ROOT_SPACING_FACTOR *
     max(tol.angle, tol.residual) apart (M = 19 at the default tolerances),
     so no input the matrix route would judge by tolerance is read as exact.
-    The level is then found on the integer phases f mod 2^M (_PhaseTree).
+    The Moebius coefficients a_S of f mod 2^M come from n butterflies
+    a[x | e_j] -= a[x], and the level is max(2, |S| + M - v2(a_S)) over the
+    a_S != 0 with |S| >= 2 (see the module docstring for the derivation).
     """
     _check_cap(k_max)
     if np.count_nonzero(u) != len(u):
@@ -335,7 +352,19 @@ def diagonal_level(
     miss = np.abs(ratio - np.exp(2j * np.pi / 2**bits * f)).max()
     if miss > PHASE_SNAP or abs(abs(d[0]) - 1) > PHASE_SNAP:
         return NotImplemented
-    level = _PhaseTree(n_qubits_of(u), bits).level(f & (2**bits - 1), k_max)
+    a, degree = f, np.zeros_like(f)
+    for j in range(n_qubits_of(u)):
+        # pair[:, 0] and pair[:, 1] are the x without and with bit j
+        pair = a.reshape(-1, 2, 2**j)
+        pair[:, 1] -= pair[:, 0]
+        degree.reshape(-1, 2, 2**j)[:, 1] += 1
+    # |a_S| < 2^(M + n) throughout, far inside int64; the mask reduces mod 2^M
+    a &= 2**bits - 1
+    keep = (a != 0) & (degree >= 2)
+    a, degree = a[keep], degree[keep]
+    # a & -a is 2^v2(a), whose frexp exponent is v2(a) + 1
+    v2 = np.frexp(a & -a)[1] - 1
+    level = max(2, int((degree + bits - v2).max(initial=0)))
     return level if level <= k_max else None
 
 
@@ -351,47 +380,6 @@ def _phase_bits(tol: Tolerances) -> int:
     while 2 * np.pi / 2 ** (bits + 1) >= spacing:
         bits += 1
     return bits
-
-
-class _PhaseTree:
-    """The conjugation tree of a diagonal gate on its integer phases f mod 2^M.
-
-    Both Majoranas of qubit j give the child c_mu diag(e^{i g_j}) up to a
-    Majorana factor, which leaves levels >= 2 unchanged. The child is first
-    level exactly when g_j is constant on x_j = 0 (as g_j(x ^ e_j) = -g_j(x),
-    it is then cos a c_mu + sin a c_mu'); otherwise it has the level of
-    diag(e^{i g_j}). So level(f) = 1 + max_j (child level), with no
-    tolerance. Results are keyed by the cap and the exact bytes of f, for
-    one call, up to MEMO_ENTRIES phases.
-    """
-
-    def __init__(self, n: int, bits: int):
-        x = np.arange(2**n)
-        bit = 1 << np.arange(n)[:, None]
-        self.flips = x ^ bit
-        self.upper = (x & bit) != 0
-        self.mask = 2**bits - 1
-        self.known: dict[tuple[int, bytes], int] = {}
-        self.room = MEMO_ENTRIES // 2**n
-
-    def level(self, f: np.ndarray, cap: int) -> int:
-        """min(level of diag(exp(2 pi i f / 2^M)), cap + 1)."""
-        if cap < 2:
-            return cap + 1  # a diagonal gate is never first level
-        key = (cap, f.tobytes())
-        if key in self.known:
-            return self.known[key]
-        g = (f[self.flips] - f) & self.mask
-        flat = ((g == g[:, :1]) | self.upper).all(axis=1)
-        worst = 1
-        for j in np.flatnonzero(~flat):
-            worst = max(worst, self.level(g[j], cap - 1))
-            if worst >= cap:
-                break
-        if self.room > 0:
-            self.known[key] = worst + 1
-            self.room -= 1
-        return worst + 1
 
 
 @dataclass(frozen=True)
@@ -422,31 +410,28 @@ def _dets(blocks: TwoQubitBlocks) -> tuple[complex, complex]:
     return complex(np.linalg.det(blocks.a)), complex(np.linalg.det(blocks.b))
 
 
-def two_qubit_min_level(
-    u: np.ndarray, tol: Tolerances = DEFAULT_TOL, k_cap: int = 30
-) -> int | None:
+def two_qubit_min_level(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int | None:
     """Closed-form minimum level of a fermionic two-qubit gate.
 
     First level: odd gates J(A, A^dag) with det A = -1. Otherwise the gate
     sits at the smallest k >= 2 for which det A / det B is a 2^(k-2)-th
     root of unity (within tol.angle of the nearest root). Only k whose root
     spacing 2 pi / 2^(k-2) is at least ROOT_SPACING_FACTOR * tol.angle are
-    tried (k <= 21 at the default tolerances). Returns None for a generic
-    phase with no dyadic root up to that bound or k_cap.
+    tried (k <= 21 at the default tolerances), and none above
+    CLOSED_FORM_LEVELS. Returns None for a generic phase with no dyadic
+    root up to those bounds.
     """
     blocks = two_qubit_decompose(u, tol)
-    return _closed_form_level(blocks, *_dets(blocks), tol, k_cap)
+    return _closed_form_level(blocks, *_dets(blocks), tol)
 
 
-def _closed_form_level(
-    blocks: TwoQubitBlocks, det_a: complex, det_b: complex, tol: Tolerances, k_cap: int = 30
-) -> int | None:
+def _closed_form_level(blocks: TwoQubitBlocks, det_a: complex, det_b: complex, tol: Tolerances) -> int | None:
     """two_qubit_min_level from the blocks and their determinants."""
     if blocks.parity == "odd":
         if norm_max(blocks.b - blocks.a.conj().T) < tol.residual and abs(det_a + 1) < tol.residual:
             return 1
     theta = float(np.angle(det_a / det_b))
-    for k in range(2, k_cap + 1):
+    for k in range(2, CLOSED_FORM_LEVELS + 1):
         step = 2 * np.pi / 2 ** (k - 2)
         if step < ROOT_SPACING_FACTOR * tol.angle:
             break

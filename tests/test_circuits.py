@@ -25,7 +25,6 @@ from matchgates.circuits import (
     circuit_to_text,
     gate_rotation,
     parse_angle,
-    pattern_weight,
 )
 from matchgates.linalg import PAULI_Y, PAULI_Z, basis_state, embed_one_qubit, embed_two_qubit, kron
 
@@ -88,7 +87,6 @@ def test_named_gate_arity_errors():
 def test_pattern_gates():
     f = build_F((1, None, 1))
     assert np.allclose(f, np.diag([1, 1, 1, 1, 1, -1, 1, -1]))
-    assert pattern_weight((1, None, 1)) == 2
     assert np.allclose(build_CnZ(2), named_gate("CZ"))
     # all-wildcard pattern flips everything
     assert np.allclose(build_F((None, None)), -np.eye(4))
@@ -115,6 +113,37 @@ def test_parse_angle_forms():
     assert parse_angle("2.5pi") == 2.5 * np.pi
     with pytest.raises(ValueError):
         parse_angle("two")
+
+
+@pytest.mark.parametrize("token", ["pi/0", "0pi/0", "-3pi/00", "pi/0.0"])
+def test_parse_angle_refuses_a_zero_denominator(token):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_angle(token)
+
+
+def test_zero_denominators_in_circuit_files_carry_line_and_col():
+    with pytest.raises(CircuitError, match="zero denominator") as err:
+        parse_circuit("qubits 3\nX @ 1\nG I P(pi/0) @ 2\n")
+    assert (err.value.line, err.value.col) == (3, 5)
+    with pytest.raises(CircuitError, match="zero denominator") as err:
+        parse_circuit("qubits 2\n  CPHASE(0pi/0) @ 1\n")
+    assert (err.value.line, err.value.col) == (2, 3)
+
+
+def test_integer_pi_forms_are_reduced_mod_4pi_before_pi_enters():
+    # K pi / M and (K mod 4M) pi / M keep the sign and give the same float;
+    # below 4M nothing changes, and decimal forms are never reduced.
+    for k, m in [(2001, 4), (17, 1), (4 * 2**20 + 1, 2**20), (255, 8), (16, 4)]:
+        for sign in ("", "-"):
+            assert parse_angle(f"{sign}{k}pi/{m}") == parse_angle(f"{sign}{k % (4 * m)}pi/{m}")
+    assert parse_angle("2001pi/4") == np.pi / 4
+    assert parse_angle("-15pi/4") == -15 * np.pi / 4
+    assert parse_angle("4.5pi") == 4.5 * np.pi
+    assert parse_angle("9pi/0.5") == 9 * np.pi / 0.5
+    assert np.array_equal(named_gate("CPHASE", (parse_angle("2001pi/4"),)), named_gate("CPHASE", (np.pi / 4,)))
+    # 4 pi is a period of every named gate with an angle
+    for name in ("P", "RX", "RY", "RZ", "CPHASE"):
+        assert np.allclose(named_gate(name, (0.3 + 4 * np.pi,)), named_gate(name, (0.3,)), atol=1e-14)
 
 
 def test_parse_round_trip():

@@ -71,6 +71,30 @@ def test_classify_bad_token(runner):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("token", ["CPHASE(pi/0)", "CPHASE(0pi/0)", "G(P(pi/0),I)"])
+def test_classify_zero_denominator_exits_one(runner, token):
+    result = runner.invoke(main, ["classify", "--gate", token])
+    assert result.exit_code == 1
+    assert "error: angle has a zero denominator" in _err(result)
+    assert "Traceback" not in result.output
+
+
+def test_parse_zero_denominator_reports_position(runner, tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("qubits 2\nCPHASE(pi/0) @ 1\n")
+    result = runner.invoke(main, ["parse", str(path)])
+    assert result.exit_code == 1
+    assert "line 2, col 1: angle has a zero denominator" in _err(result)
+
+
+def test_classify_unreduced_cphase_takes_its_reduced_level(runner):
+    reduced = runner.invoke(main, ["classify", "--gate", "CPHASE(pi/4)"])
+    result = runner.invoke(main, ["classify", "--gate", "CPHASE(2001pi/4)"])
+    assert result.exit_code == reduced.exit_code == 0
+    assert result.output == reduced.output
+    assert json.loads(result.output)["min_level"] == 5
+
+
 def test_classify_matrix_file(runner, tmp_path):
     path = tmp_path / "cz.json"
     save_json(path, matrix_to_json(named_gate("CZ")))

@@ -16,7 +16,7 @@ from matchgates import build_F, classify_gate, min_level, named_gate
 from matchgates import hierarchy
 from matchgates.circuits import build_CnZ
 from matchgates.cli import main
-from matchgates.hierarchy import diagonal_level
+from matchgates.hierarchy import diagonal_level, two_qubit_min_level
 from matchgates.linalg import DEFAULT_TOL, Tolerances
 
 from test_level_search import EPSILONS, perturbed
@@ -60,6 +60,7 @@ def test_cnz_gates_match_the_matrix_route(n):
     assert diagonal_level(u, k) == min_level(u, k)
     assert diagonal_level(u, n + 1) == n + 1
     assert diagonal_level(u, n) is None
+    assert diagonal_level(u, 3) == (None if n > 2 else 3)
 
 
 @pytest.mark.parametrize("m", range(5))
@@ -99,34 +100,89 @@ def test_monomial_levels_follow_the_closed_form(n):
             assert diagonal_level(u, 12) == (d + 1 + m if d >= 2 else 2)
 
 
-@pytest.fixture()
-def level_caps(monkeypatch):
-    """The cap of every _PhaseTree.level call, memo hits included."""
-    caps = []
-    level = hierarchy._PhaseTree.level
-
-    def counting(self, f, cap):
-        caps.append(cap)
-        return level(self, f, cap)
-
-    monkeypatch.setattr(hierarchy._PhaseTree, "level", counting)
-    return caps
+BITS = hierarchy._phase_bits(DEFAULT_TOL)
 
 
-def test_a_search_over_the_cap_stops_at_the_first_failing_child(level_caps):
-    assert diagonal_level(build_CnZ(6), 3) is None
-    assert level_caps == [3, 2, 1]
+def integer_phase_gate(f):
+    """diag(exp(2 pi i f / 2^BITS)) of an integer phase vector f, reduced
+    mod 2^BITS before pi enters."""
+    return np.diag(np.exp(2j * np.pi / 2**BITS * (f % 2**BITS)))
 
 
-def test_each_distinct_phase_vector_is_expanded_once(level_caps, monkeypatch):
-    # CnZ(6) has 57 distinct nodes that expand; without the memo the walk
-    # makes 1237 calls instead of 187.
-    assert diagonal_level(build_CnZ(6), 7) == 7
-    assert len(level_caps) <= 187
-    monkeypatch.setattr(hierarchy, "MEMO_ENTRIES", 0)
-    level_caps.clear()
-    assert diagonal_level(build_CnZ(6), 7) == 7
-    assert len(level_caps) > 1000
+def recursion_level(f, cap, known):
+    """min(level, cap + 1) of integer_phase_gate(f), by the plain recursion.
+
+    level(f) = 1 + max_j (child level), where child j has the phases
+    g_j(x) = f(x ^ e_j) - f(x) mod 2^BITS and is first level when g_j is
+    constant on x_j = 0. The search stops once a child reaches the cap;
+    known holds the answers of this search by (cap, bytes of f)."""
+    if cap < 2:
+        return cap + 1
+    key = (cap, f.tobytes())
+    if key not in known:
+        x = np.arange(len(f))
+        worst = 1
+        for j in range(len(f).bit_length() - 1):
+            g = (f[x ^ (1 << j)] - f) % 2**BITS
+            if (g[(x >> j) & 1 == 0] != g[0]).any():
+                worst = max(worst, recursion_level(g, cap - 1, known))
+                if worst >= cap:
+                    break
+        known[key] = worst + 1
+    return known[key]
+
+
+def assert_matches_the_recursion(f, cap):
+    level = recursion_level(np.asarray(f, dtype=np.int64), cap, {})
+    assert diagonal_level(integer_phase_gate(f), cap) == (level if level <= cap else None)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_closed_form_matches_the_recursion_on_random_phases(n):
+    # Entries take valuations from BITS - 4 up to BITS, so levels spread
+    # from 2 to about n + 4, on both sides of each cap.
+    rng = np.random.default_rng(100 + n)
+    for _ in range(12):
+        shift = BITS - rng.integers(0, 5, size=2**n)
+        f = rng.integers(0, 2**4, size=2**n) << shift
+        for cap in (1, 2, 3, 4, n + 2, n + 5):
+            assert_matches_the_recursion(f, cap)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_closed_form_matches_the_recursion_on_sparse_phase_polynomials(n):
+    # A few monomials of degree 2 to 4 with odd multiples of pi, pi/2 or
+    # pi/4 as coefficients, plus an arbitrary linear part and constant.
+    rng = np.random.default_rng(200 + n)
+    x = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    for _ in range(25):
+        f = rng.integers(0, 2**BITS) + x @ rng.integers(0, 2**BITS, size=n)
+        for _ in range(rng.integers(1, 4)):
+            qubits = rng.choice(n, size=rng.integers(2, min(n, 4) + 1), replace=False)
+            coeff = (2 * rng.integers(0, 4) + 1) << (BITS - rng.integers(1, 4))
+            f += coeff * x[:, qubits].prod(axis=1)
+        for cap in (3, 6, 9):
+            assert_matches_the_recursion(f, cap)
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+def test_closed_form_matches_the_recursion_on_wide_cnz(n):
+    # Past the matrix route's reach: the recursion still confirms n + 1.
+    f = np.where(np.diagonal(build_CnZ(n)) == -1, 2 ** (BITS - 1), 0)
+    for cap in (3, n, n + 1):
+        assert_matches_the_recursion(f, cap)
+    assert diagonal_level(build_CnZ(n), n + 1) == n + 1
+
+
+def test_two_qubit_diagonal_gates_match_the_closed_form_of_the_blocks():
+    # det A / det B of diag(d00, d01, d10, d11) is exp(2 pi i a_12 / 2^BITS),
+    # a_12 being the coefficient of x_1 x_2. The phases of one gate share a
+    # random 2-adic valuation, so the levels spread over 2 .. BITS + 2.
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        f = rng.integers(0, 2**BITS, size=4) << rng.integers(0, BITS)
+        u = integer_phase_gate(f)
+        assert diagonal_level(u, 30) == two_qubit_min_level(u)
 
 
 def _diagonal_gates(rng):

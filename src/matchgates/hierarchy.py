@@ -82,6 +82,7 @@ exactly when the ratio is a 2^(k-2)-th root of unity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from types import NotImplementedType
 
 import numpy as np
@@ -368,8 +369,10 @@ def diagonal_level(
     return level if level <= k_max else None
 
 
+@lru_cache(maxsize=None)
 def _phase_bits(tol: Tolerances) -> int:
-    """The largest M whose 2^M-th roots of unity diagonal_level snaps to.
+    """The largest M whose 2^M-th roots of unity diagonal_level snaps to
+    (cached per set of tolerances, which are frozen).
 
     PHASE_SNAP joins the tolerances in the spacing rule, so a tiny
     tolerance cannot make the roots so dense that rounding to the nearest

@@ -2,7 +2,9 @@
 replaced: Majorana conjugation (one small GEMM per (parent, mu) pair over a
 transposed gather) and the teleportation corrections (one small GEMM per
 byproduct word). Every entry is the same dot product, so the results must
-be equal to the bit, for any BLAS thread count.
+be equal to the bit, for any BLAS thread count. The same holds for the
+rotation residual read on the Majoranas' support against the product with
+the dense Jordan-Wigner stack.
 """
 
 import gc
@@ -13,7 +15,10 @@ import pytest
 
 from matchgates import extract_rotation, random_fermionic, svn_reconstruct
 from matchgates import hierarchy, majorana, svn, teleport
-from matchgates.majorana import _conjugates, jw_set, majorana_words
+from matchgates.circuits import circuit_to_operator
+from matchgates.linalg import DEFAULT_TOL
+from matchgates.majorana import _conjugates, _traces, jw_set, majorana_words
+from matchgates.sampling import random_matchgate_circuit
 
 
 def reference_conjugates(parents, n, mus):
@@ -77,6 +82,66 @@ def test_corrections_equal_the_reference(n):
     assert np.array_equal(
         teleport._corrections(u, flips[-1:], phases[-1:]), reference_corrections(u, flips[-1:], phases[-1:])
     )
+
+
+def reference_rotations(ops, n, tol):
+    """R, ok and the residual of every conjugate of a stack, the residual read
+    off the dense Jordan-Wigner stack, as _rotations did at every n."""
+    basis = np.stack([majorana._word_matrix(*majorana._word(n, (mu,))) for mu in range(1, 2 * n + 1)])
+    basis = basis.reshape(2 * n, -1)
+    r = np.zeros((len(ops), 2 * n, 2 * n))
+    ok = np.ones(len(ops), dtype=bool)
+    resids = []
+    for block, mus in majorana._chunks(len(ops), n, majorana.CHUNK_ENTRIES):
+        kids = _conjugates(ops[block], n, mus)
+        rows = _traces(kids, n).real
+        resid = np.abs(kids.reshape(len(kids), -1) - rows @ basis).max(axis=1)
+        per_op = (len(ops[block]), -1)
+        r[block, mus] = rows.reshape(*per_op, 2 * n)
+        ok[block] &= (resid <= tol.residual).reshape(per_op).all(axis=1)
+        resids.append(resid)
+    ok &= np.abs(r @ r.transpose(0, 2, 1) - np.eye(2 * n)).max(axis=(1, 2)) <= tol.residual
+    return r, ok, np.concatenate(resids)
+
+
+def _rotation_inputs(n, rng):
+    """Fermionic and Gaussian operators of both parities, the Gaussians also
+    perturbed and phased, the identity and c_1."""
+    c1 = majorana._word_matrix(*majorana._word(n, (1,)))
+    if n == 1:
+        even = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2)))
+    else:
+        even = circuit_to_operator(random_matchgate_circuit(n, 3 * n, rng))
+    gaussians = [even, c1 @ even]
+    ops = [random_fermionic(n, rng, "even"), random_fermionic(n, rng, "odd"), *gaussians]
+    ops += [g + 1e-10 * rng.standard_normal(g.shape) for g in gaussians]
+    ops += [np.exp(0.3j) * g for g in gaussians]
+    return np.stack(ops + [np.eye(2**n, dtype=complex), c1])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_support_residual_equals_the_dense_stack_residual(monkeypatch, n):
+    rng = np.random.default_rng(30 + n)
+    ops = _rotation_inputs(n, rng)
+    r, ok, resid = reference_rotations(ops, n, DEFAULT_TOL)
+    support = []
+    for block, mus in majorana._chunks(len(ops), n, majorana.CHUNK_ENTRIES):
+        kids = _conjugates(ops[block], n, mus)
+        support.append(majorana._support_residuals(kids, _traces(kids, n).real, n))
+    assert np.concatenate(support).tobytes() == resid.tobytes()
+    # only the generic fermionic gates fail, and they pass on one qubit
+    assert ok.tolist() == [n == 1] * 2 + [True] * 8
+    monkeypatch.setattr(majorana, "SUPPORT_RESIDUAL_QUBITS", 1)
+    got = majorana._rotations(ops, n, DEFAULT_TOL)
+    assert [a.tobytes() for a in got] == [r.tobytes(), ok.tobytes()]
+
+
+def test_rotations_on_eight_qubits_build_no_dense_stack():
+    majorana._jw_stack.cache_clear()
+    rng = np.random.default_rng(38)
+    gate = circuit_to_operator(random_matchgate_circuit(8, 24, rng))
+    assert extract_rotation(gate) is not None
+    assert 8 not in [key for key, _ in _cached_items(majorana._jw_stack)]
 
 
 def _cached_items(fn):

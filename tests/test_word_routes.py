@@ -272,7 +272,15 @@ def test_state_parity_matches_the_dense_parity_operator():
 
 
 @pytest.mark.parametrize(
-    "token", ["inf", "-inf", "nan", "1e400", pytest.param("9" * 400 + "pi", id="huge-pi-form")]
+    "token",
+    [
+        "inf",
+        "-inf",
+        "nan",
+        "1e400",
+        pytest.param("9" * 400 + "pi", id="huge-pi-form"),
+        pytest.param("3pi/" + "9" * 400, id="huge-denominator"),
+    ],
 )
 def test_parse_angle_refuses_non_finite_values(token):
     with pytest.raises(ValueError, match=f"angle must be finite, got '{token}'"):
@@ -300,6 +308,7 @@ def test_circuit_files_refuse_non_finite_angles_with_their_position(text, col):
         (["parse", "{path}", "--emit", "matrix"], "qubits 1\nP(inf) @ 1\n"),
         (["parse", "{path}", "--emit", "matrix"], "qubits 2\nRZ(nan) @ 2\n"),
         (["classify", "--gate", "RZ(inf)"], None),
+        (["classify", "--gate", "CPHASE(3pi/" + "9" * 400 + ")"], None),
     ],
 )
 def test_cli_refuses_non_finite_angles(tmp_path, args, text):

@@ -271,7 +271,8 @@ def parse_angle(token: str) -> float:
     keeping its sign, before pi enters: 4 pi is a period of every named
     gate, and a large K would otherwise carry its rounding error into the
     gate's phases. A value that overflows is refused, reduced or not, and
-    so is a denominator that overflows, which would read as the angle 0.
+    so is a nonzero form whose denominator overflows, which would read as
+    the angle 0.
     """
     m = _PI_RE.match(token.strip())
     if m:
@@ -279,7 +280,7 @@ def parse_angle(token: str) -> float:
         num, den = m.group(2) or "1", m.group(3) or "1"
         if float(den) == 0:
             raise ValueError(f"angle has a zero denominator: {token!r}")
-        if math.isinf(float(den)):
+        if math.isinf(float(den)) and float(num):
             raise ValueError(f"angle must be finite, got {token!r}")
         angle = sign * float(num) * np.pi / float(den)
         # a nonzero finite angle has K and M below 1e309, short enough for int()

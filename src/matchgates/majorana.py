@@ -42,11 +42,12 @@ entries is built or cached.
 The rotation kernel ``_rotations`` checks that each conjugate V equals
 sum_nu R[mu, nu] c_nu. From SUPPORT_RESIDUAL_QUBITS qubits on it subtracts
 the sum only on the n flip diagonals (i, i ^ f_k) that the Majoranas occupy,
-through a cached (n 2^n,) entry list and (2n, n 2^n) value table, and never
-builds the dense (2n, 4^n) stack (16 MB at n = 8). Below that size one
-product with the dense stack is faster, by a few microseconds a call. Each
-reconstructed entry has at most one nonzero real and one nonzero imaginary
-term, so both routes give the same residual to the bit.
+two gathered phase rows per diagonal, and never builds the dense (2n, 4^n)
+stack (16 MB at n = 8). Below that size one product with the dense stack is
+faster, by a few microseconds a call, which the level search and the
+compact circuit route feel end to end. Each reconstructed entry has at most
+one nonzero real and one nonzero imaginary term, so both routes give the
+same residual to the bit.
 """
 
 from __future__ import annotations
@@ -76,9 +77,12 @@ Parity = Literal["even", "odd", "none"]
 CHUNK_ENTRIES = 2**16
 
 # _rotations reads its linearity residual on the Majoranas' support from this
-# many qubits on. Measured per call on one gate, one BLAS thread, 2-vCPU
-# x86 host: the product with the dense stack is 4-6 us faster for n <= 4,
-# the support route 0.15 ms faster at n = 5 and 23 ms (73 -> 50 ms) at n = 8.
+# many qubits on. Per call on one gate, one BLAS thread, 2-vCPU x86 host, the
+# product with the dense stack is 5-7 us faster for n <= 4, the support
+# route 0.16 ms faster at n = 5 and about 14 ms (61 -> 47 ms) at n = 8.
+# With the support route at every n, perfbench read classify_s +3.6% on
+# hierarchy_mix and compile_compact_s +4.2% on compile_mix, slower in 10 of
+# 10 pairs each.
 SUPPORT_RESIDUAL_QUBITS = 5
 
 
@@ -278,36 +282,30 @@ def _parities(ops: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, np.ndarr
 
 
 @lru_cache(maxsize=None)
-def _support(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The flat entries on which a Majorana can be nonzero, and their values.
-
-    Returns (entries, values): entries (n 2^n,) lists the n flip diagonals
-    (i, i ^ f_k) of a 2^n x 2^n operator as flat indices, qubit k by qubit
-    k, and values (2n, n 2^n) holds c_mu at those entries, so that
-    sum_nu a_nu c_nu, read at entries, is a @ values. Both are read-only.
-    """
-    phase, cols, _ = _word_gathers(n)
+def _support_entries(n: int) -> np.ndarray:
+    """The flat entries on which a Majorana can be nonzero: the n flip
+    diagonals (i, i ^ f_k) of a 2^n x 2^n operator, qubit k by qubit k, as
+    one read-only (n 2^n,) array. c_{2k+1} and c_{2k+2} both live on
+    diagonal k."""
+    _, cols, _ = _word_gathers(n)
     entries = (np.arange(2**n) * 2**n + cols[::2]).ravel()
-    values = np.zeros((2 * n, n, 2**n), dtype=complex)
-    mus = np.arange(2 * n)
-    values[mus, mus // 2] = phase
-    values = values.reshape(2 * n, -1)
-    for a in (entries, values):
-        a.setflags(write=False)
-    return entries, values
+    entries.setflags(write=False)
+    return entries
 
 
 def _support_residuals(kids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """max |V_b - sum_nu rows[b, nu] c_nu| for each V_b of the stack kids
     (B, 2^n, 2^n), subtracting on the Majoranas' support. Overwrites kids.
 
-    Every reconstructed entry has at most one nonzero real and one nonzero
-    imaginary term, so it is the same value as the product with the dense
-    stack in any summation order, and so is the residual.
+    On diagonal k the sum is rows[b, 2k] phase[2k] + rows[b, 2k+1] phase[2k+1]
+    (0-based mu): one real term (phases +-1) and one imaginary term (phases
+    +-i), so it is the same value as the product with the dense stack in any
+    summation order, and so is the residual.
     """
-    entries, values = _support(n)
+    phase, _, _ = _word_gathers(n)
+    recon = rows[:, 0::2, None] * phase[0::2] + rows[:, 1::2, None] * phase[1::2]
     flat = kids.reshape(len(kids), -1)
-    flat[:, entries] -= rows @ values
+    flat[:, _support_entries(n)] -= recon.reshape(len(rows), -1)
     return np.abs(flat).max(axis=1)
 
 

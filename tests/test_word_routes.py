@@ -288,6 +288,19 @@ def test_parse_angle_refuses_non_finite_values(token):
 
 
 @pytest.mark.parametrize(
+    "token",
+    [
+        pytest.param("0pi/" + "9" * 400, id="zero"),
+        pytest.param("-0pi/" + "9" * 400, id="minus-zero"),
+        pytest.param("0.0pi/" + "9" * 400, id="decimal-zero"),
+    ],
+)
+def test_parse_angle_reads_zero_over_an_overflowing_denominator_as_zero(token):
+    # every K pi/M with K = 0 is the angle 0, however large M is
+    assert parse_angle(token) == 0.0
+
+
+@pytest.mark.parametrize(
     "text, col",
     [
         ("qubits 1\nP(inf) @ 1\n", 1),

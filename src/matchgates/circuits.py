@@ -505,17 +505,6 @@ def circuit_to_operator(circuit: CircuitIR) -> np.ndarray:
     return u
 
 
-def gate_rotation(g: GateApp, n_qubits: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """The full 2n x 2n rotation of one gate: circuit_to_rotation of the
-    circuit holding only g.
-
-    Majoranas on wires left of the gate are untouched; the gate's own block
-    rotates; Majoranas to the right pick up the gate's parity sign, because
-    their Pauli-Z strings cross the gate's wires.
-    """
-    return circuit_to_rotation(CircuitIR(n_qubits, (g,)), tol)
-
-
 def circuit_to_rotation(circuit: CircuitIR, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Compact 2n x 2n rotation of a (generalised) matchgate circuit.
 

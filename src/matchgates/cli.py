@@ -12,11 +12,13 @@ verification check failed (teleportation residual, reconstruction
 contract, self-test criterion), 4 a level search was refused before it
 started because it would exceed the work guard (lower --k-max).
 
-The environment variable MGH_TOL overrides the residual tolerance.
+The environment variable MGH_TOL, a finite positive number, overrides the
+residual tolerance.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from pathlib import Path
@@ -74,6 +76,8 @@ def _tolerances() -> Tolerances:
         value = float(raw)
     except ValueError:
         _fail(f"MGH_TOL must be a number, got {raw!r}")
+    if not math.isfinite(value):
+        _fail(f"MGH_TOL must be finite, got {raw!r}")
     if value <= 0:
         _fail("MGH_TOL must be positive")
     return Tolerances(residual=value)
@@ -403,6 +407,8 @@ def selftest(seed, only, fmt) -> None:
             indices = sorted({int(p) for p in only.split(",") if p.strip()})
         except ValueError:
             _fail(f"bad --only list {only!r}")
+        if not indices:
+            _fail(f"--only list {only!r} names no criterion")
     try:
         results = run_selected(indices, base)
     except ValueError as exc:

@@ -21,9 +21,13 @@ first level. The tree has about (2n)^(k-1) nodes; a guard refuses
 unreasonable searches. Nodes are handled in batches through the Majorana
 word table: the children of a parent come from one contiguous gather and
 one GEMM of the word-conjugation kernel, the parity test is a sign mask and
-the first-level coefficients tr(c_mu V) / 2^n are gathers. Before the first
-batch the walk follows the single c_1 ... c_1 path, on which a generic gate
-already fails, so failing searches cost one descent.
+the first-level coefficients tr(c_mu V) / 2^n are gathers. A leaf is first
+level when V - sum_mu a_mu c_mu vanishes, read by the same linearity
+residual that decides Gaussianity in the rotation kernel
+(majorana._linear_residuals), so both levels share its dense and support
+routes. Before the first batch the walk follows the single c_1 ... c_1
+path, on which a generic gate already fails, so failing searches cost one
+descent.
 
 The walk is depth first and stops at the first failing batch, so a batch
 is kept small: whole parents up to CHUNK_ENTRIES / 8 complex entries of
@@ -103,7 +107,7 @@ from .majorana import (
     Parity,
     _chunks,
     _conjugates,
-    _jw_stack,
+    _linear_residuals,
     _parities,
     _rotations,
     _traces,
@@ -152,8 +156,7 @@ def _first_level(nodes: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray
     coeffs = _traces(nodes, n)
     ok = np.abs(coeffs.imag).max(axis=1) <= tol.residual
     a = coeffs.real.copy()
-    recon = a @ _jw_stack(n).reshape(2 * n, -1)
-    ok &= np.abs(nodes.reshape(len(nodes), -1) - recon).max(axis=1) <= tol.residual
+    ok &= _linear_residuals(nodes, a, n) <= tol.residual
     # row times column is the dot product np.linalg.norm takes, to the bit
     norm = np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
     ok &= np.abs(norm - 1.0) <= tol.norm

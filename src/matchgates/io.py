@@ -28,9 +28,19 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _re_im(data, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The float arrays under "re" and "im" of a decoded JSON object; refuses
+    a non-object or a missing key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object with 're' and 'im', got {type(data).__name__}")
+    for key in ("re", "im"):
+        if key not in data:
+            raise ValueError(f"{what} JSON has no {key!r} key")
+    return np.array(data["re"], dtype=float), np.array(data["im"], dtype=float)
+
+
 def matrix_from_json(data: dict) -> np.ndarray:
-    re = np.array(data["re"], dtype=float)
-    im = np.array(data["im"], dtype=float)
+    re, im = _re_im(data, "matrix")
     if re.shape != im.shape or re.ndim != 2 or re.shape[0] != re.shape[1]:
         raise ValueError(f"matrix JSON has mismatched shapes {re.shape} vs {im.shape}")
     m = re + 1j * im
@@ -46,7 +56,8 @@ def state_to_json(psi: np.ndarray) -> dict:
 
 
 def state_from_json(data: dict) -> np.ndarray:
-    psi = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
+    re, im = _re_im(data, "state")
+    psi = re + 1j * im
     n_qubits_of(psi)
     return psi
 

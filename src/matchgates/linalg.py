@@ -12,6 +12,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,9 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name in ("unitary", "residual", "norm", "angle"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"tolerance {name!r} must be strictly positive")
+            # also false for NaN
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"tolerance {name!r} must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerances()
@@ -54,11 +56,11 @@ DEFAULT_TOL = Tolerances()
 
 def n_qubits_of(a: np.ndarray) -> int:
     """Number of qubits of an operator or state vector; errors on non powers of two."""
+    if a.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or a matrix, got ndim={a.ndim}")
     dim = a.shape[0]
     if a.ndim == 2 and a.shape[0] != a.shape[1]:
         raise ValueError(f"operator must be square, got shape {a.shape}")
-    if a.ndim not in (1, 2):
-        raise ValueError(f"expected a vector or a matrix, got ndim={a.ndim}")
     n = int(dim).bit_length() - 1
     if dim <= 0 or 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
@@ -68,22 +70,6 @@ def n_qubits_of(a: np.ndarray) -> int:
 def identity(n: int) -> np.ndarray:
     """Identity operator on n qubits."""
     return np.eye(2**n, dtype=complex)
-
-
-def basis_state(n: int, bits) -> np.ndarray:
-    """Computational basis vector |z1 ... zn> from a bit sequence or an index."""
-    if isinstance(bits, (int, np.integer)):
-        index = int(bits)
-        if not 0 <= index < 2**n:
-            raise ValueError(f"index {index} out of range for {n} qubits")
-    else:
-        bits = tuple(int(b) for b in bits)
-        if len(bits) != n or any(b not in (0, 1) for b in bits):
-            raise ValueError(f"need {n} bits, got {bits}")
-        index = int("".join(map(str, bits)), 2) if bits else 0
-    psi = np.zeros(2**n, dtype=complex)
-    psi[index] = 1.0
-    return psi
 
 
 def _guard_qubits(total: int, what: str) -> None:
@@ -125,14 +111,6 @@ def embed_one_qubit(g: np.ndarray, k: int, n: int) -> np.ndarray:
         raise ValueError(f"expected a 2x2 gate, got shape {g.shape}")
     _guard_wires(k, 1, n)
     return kron_all(identity(k - 1), g, identity(n - k))
-
-
-def embed_two_qubit(g: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Embed a two-qubit gate on wires (k, k+1), 1-based, into an n-qubit operator."""
-    if g.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 gate, got shape {g.shape}")
-    _guard_wires(k, 2, n)
-    return kron_all(identity(k - 1), g, identity(n - k - 1))
 
 
 def norm_max(a: np.ndarray) -> float:

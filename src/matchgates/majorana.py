@@ -39,15 +39,18 @@ of the result is the same dot product, to the bit. The gather indices are
 the (m, 2^n) word table itself; no flat index of the m 4^n gathered
 entries is built or cached.
 
-The rotation kernel ``_rotations`` checks that each conjugate V equals
-sum_nu R[mu, nu] c_nu. From SUPPORT_RESIDUAL_QUBITS qubits on it subtracts
-the sum only on the n flip diagonals (i, i ^ f_k) that the Majoranas occupy,
-two gathered phase rows per diagonal, and never builds the dense (2n, 4^n)
-stack (16 MB at n = 8). Below that size one product with the dense stack is
-faster, by a few microseconds a call, which the level search and the
-compact circuit route feel end to end. Each reconstructed entry has at most
-one nonzero real and one nonzero imaginary term, so both routes give the
-same residual to the bit.
+Both the first level and Gaussianity ask whether an operator V is a real
+combination sum_nu a_nu c_nu: the level search asks it of a node, the
+rotation kernel ``_rotations`` of each conjugate u c_mu u^dag. One helper,
+``_linear_residuals``, answers both with max |V - sum_nu a_nu c_nu|. From
+SUPPORT_RESIDUAL_QUBITS qubits on it subtracts the sum only on the n flip
+diagonals (i, i ^ f_k) that the Majoranas occupy, two gathered phase rows
+per diagonal, and never builds the dense (2n, 4^n) stack (16 MB at n = 8).
+Below that size one product with the dense stack is faster, by a few
+microseconds a call, which the level search and the compact circuit route
+feel end to end. Each reconstructed entry has at most one nonzero real and
+one nonzero imaginary term, so both routes give the same residual to the
+bit.
 """
 
 from __future__ import annotations
@@ -76,8 +79,9 @@ Parity = Literal["even", "odd", "none"]
 # Largest batch of operators the batched kernels stack, in complex entries (1 MiB).
 CHUNK_ENTRIES = 2**16
 
-# _rotations reads its linearity residual on the Majoranas' support from this
-# many qubits on. Per call on one gate, one BLAS thread, 2-vCPU x86 host, the
+# _linear_residuals, behind both the first level and the rotation kernel,
+# reads the residual on the Majoranas' support from this many qubits on.
+# Per call of _rotations on one gate, one BLAS thread, 2-vCPU x86 host, the
 # product with the dense stack is 5-7 us faster for n <= 4, the support
 # route 0.16 ms faster at n = 5 and about 14 ms (61 -> 47 ms) at n = 8.
 # With the support route at every n, perfbench read classify_s +3.6% on
@@ -293,9 +297,9 @@ def _support_entries(n: int) -> np.ndarray:
     return entries
 
 
-def _support_residuals(kids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """max |V_b - sum_nu rows[b, nu] c_nu| for each V_b of the stack kids
-    (B, 2^n, 2^n), subtracting on the Majoranas' support. Overwrites kids.
+def _support_residuals(nodes: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """max |V_b - sum_nu rows[b, nu] c_nu| for each V_b of the stack nodes
+    (B, 2^n, 2^n), subtracting on the Majoranas' support. nodes is only read.
 
     On diagonal k the sum is rows[b, 2k] phase[2k] + rows[b, 2k+1] phase[2k+1]
     (0-based mu): one real term (phases +-1) and one imaginary term (phases
@@ -304,9 +308,21 @@ def _support_residuals(kids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray
     """
     phase, _, _ = _word_gathers(n)
     recon = rows[:, 0::2, None] * phase[0::2] + rows[:, 1::2, None] * phase[1::2]
-    flat = kids.reshape(len(kids), -1)
-    flat[:, _support_entries(n)] -= recon.reshape(len(rows), -1)
-    return np.abs(flat).max(axis=1)
+    entries = _support_entries(n)
+    flat = nodes.reshape(len(nodes), -1)
+    mags = np.abs(flat)
+    mags[:, entries] = np.abs(flat[:, entries] - recon.reshape(len(rows), -1))
+    return mags.max(axis=1)
+
+
+def _linear_residuals(nodes: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """max |V_b - sum_nu rows[b, nu] c_nu| for each V_b of the stack nodes
+    (B, 2^n, 2^n): on the Majoranas' support from SUPPORT_RESIDUAL_QUBITS
+    qubits on, against the dense (2n, 4^n) stack below. nodes is only read."""
+    if n >= SUPPORT_RESIDUAL_QUBITS:
+        return _support_residuals(nodes, rows, n)
+    basis = _jw_stack(n).reshape(2 * n, -1)
+    return np.abs(nodes.reshape(len(nodes), -1) - rows @ basis).max(axis=1)
 
 
 def _rotations(ops: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
@@ -314,23 +330,15 @@ def _rotations(ops: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray, np
 
     R[mu, nu] = Re tr(c_nu V) / 2^n with V = u c_mu u^dag. An operator passes
     when every V equals sum_nu R[mu, nu] c_nu and R R^T equals the identity,
-    both within tol.residual. The work stops once every operator has failed.
-
-    From SUPPORT_RESIDUAL_QUBITS qubits on, the residual is read on the n
-    flip diagonals that the Majoranas occupy and the dense (2n, 4^n) stack
-    is never built; below, the product with that stack is a few
-    microseconds faster. Both give the same residual to the bit.
+    both within tol.residual, the first by _linear_residuals. The work stops
+    once every operator has failed.
     """
     r = np.zeros((len(ops), 2 * n, 2 * n))
     ok = np.ones(len(ops), dtype=bool)
-    basis = _jw_stack(n).reshape(2 * n, -1) if n < SUPPORT_RESIDUAL_QUBITS else None
     for block, mus in _chunks(len(ops), n, CHUNK_ENTRIES):
         kids = _conjugates(ops[block], n, mus)
         rows = _traces(kids, n).real
-        if basis is None:
-            resid = _support_residuals(kids, rows, n)
-        else:
-            resid = np.abs(kids.reshape(len(kids), -1) - rows @ basis).max(axis=1)
+        resid = _linear_residuals(kids, rows, n)
         per_op = (len(ops[block]), -1)
         r[block, mus] = rows.reshape(*per_op, 2 * n)
         ok[block] &= (resid <= tol.residual).reshape(per_op).all(axis=1)
@@ -426,33 +434,12 @@ def expand(op: np.ndarray, tol: float = DEFAULT_TOL.norm) -> MajoranaPoly:
     return MajoranaPoly(n, terms)
 
 
-def poly_to_operator(poly: MajoranaPoly) -> np.ndarray:
-    """Dense operator of a Majorana polynomial."""
-    n = poly.n_modes
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    for mask, coef in poly.terms.items():
-        out += coef * majorana_monomial(n, mask)
-    return out
-
-
 @lru_cache(maxsize=None)
 def total_parity(n: int) -> np.ndarray:
     """The total parity operator Z^{(x)n}."""
     op = kron_all(*([PAULI_Z] * n))
     op.setflags(write=False)
     return op
-
-
-def parity_decompose(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split an operator into its parity-even and parity-odd parts.
-
-    The even part commutes with Z^{(x)n}, the odd part anticommutes;
-    their sum is the input. The even part keeps the entries between basis
-    states of equal parity and the odd part the rest, which is exactly
-    (op +- Z op Z) / 2.
-    """
-    same = majorana_words(n_qubits_of(op)).same_parity
-    return np.where(same, op, 0j), np.where(same, 0j, op)
 
 
 def parity_of(op: np.ndarray, tol: float = DEFAULT_TOL.residual) -> Parity:

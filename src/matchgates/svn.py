@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances, canonical_phase, equal_up_to_phase
+from .linalg import DEFAULT_TOL, Tolerances, canonical_phase
 from .majorana import CHUNK_ENTRIES, _chunks, _conjugates, check_car
 
 PROBE_THRESHOLD = 1e-6
@@ -107,23 +107,3 @@ def _contract_residuals(u: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
         conj = _conjugates(u_dag, n, mus)
         residuals[mus] = np.abs(conj - np.stack(ops[mus])).max(axis=(1, 2))
     return residuals
-
-
-def verify_uniqueness(
-    ops: list[np.ndarray],
-    u1: np.ndarray,
-    u2: np.ndarray,
-    tol: Tolerances = DEFAULT_TOL,
-) -> bool:
-    """True iff u1 and u2 agree up to phase; both must implement the tuple.
-
-    A contract violation (some u^dag c_mu u != d_mu) raises, reporting the
-    offending indices for each candidate.
-    """
-    for label, u in (("u1", u1), ("u2", u2)):
-        residuals = _contract_residuals(u, ops)
-        bad = [(mu + 1, res) for mu, res in enumerate(residuals) if res > tol.residual]
-        if bad:
-            detail = ", ".join(f"mu={mu}: {res:.3e}" for mu, res in bad)
-            raise ValueError(f"{label} violates the conjugation contract ({detail})")
-    return equal_up_to_phase(u1, u2, tol.residual).equal

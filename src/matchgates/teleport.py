@@ -54,7 +54,6 @@ from .majorana import (
     Parity,
     _word,
     _word_conjugates,
-    _word_matrix,
     parity_sign,
     state_parity,
 )
@@ -110,22 +109,8 @@ def _network(n: int) -> tuple[np.ndarray, np.ndarray]:
     return bn, b0
 
 
-def correction_K(z, n: int) -> np.ndarray:
-    """The measurement byproduct word K_z for outcome bits z in {0,1}^{2n}."""
-    return _word_matrix(*_byproduct(z, n))
-
-
-def correction_R(z, u: np.ndarray) -> np.ndarray:
-    """The branch correction R_z = U K_z^dag U^dag; exact, phase included."""
-    flip, phase = _byproduct(z, n_qubits_of(u))
-    return _corrections(u, np.array([flip]), phase[None])[0]
-
-
 def _byproduct(z, n: int) -> tuple[int, np.ndarray]:
     """K_z as a signed permutation (flip, phase): K_z[i, i ^ flip] = phase[i]."""
-    z = tuple(int(b) for b in z)
-    if len(z) != 2 * n or any(b not in (0, 1) for b in z):
-        raise ValueError(f"need {2 * n} outcome bits, got {z}")
     s = sum(z[0::2])
     t = 0
     for j in range(1, n):
@@ -313,7 +298,10 @@ def verify_protocol(
 ) -> ProtocolReport:
     """Teleport `trials` seeded random states through U and aggregate the
     worst residual and probability deviation; also classify the
-    corrections R_z into hierarchy levels (they sit one level below U)."""
+    corrections R_z into hierarchy levels (they sit one level below U).
+    Refuses fewer than one trial, which would check nothing."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     _check_cap(k_max_corrections)
     n = n_qubits_of(u)
     rng = np.random.default_rng(seed)

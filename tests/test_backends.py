@@ -26,7 +26,7 @@ from matchgates import (
     simulate_protocol,
 )
 from matchgates import majorana, teleport
-from matchgates.circuits import CircuitIR, GateApp, NotGaussianError, build_CnZ, gate_rotation
+from matchgates.circuits import CircuitIR, GateApp, NotGaussianError, build_CnZ
 from matchgates.linalg import DEFAULT_TOL, kron_all, n_qubits_of, norm_max
 from matchgates.sampling import haar_unitary, random_matchgate_blocks, random_matchgate_circuit
 
@@ -128,7 +128,7 @@ def test_compact_route_odd_gates_flip_the_tail():
     assert np.linalg.det(r) == pytest.approx(-1.0)
     for g in circ.gates:
         one = CircuitIR(4, (g,))
-        assert np.abs(gate_rotation(g, 4) - reference_compact(one)).max() <= 1e-12
+        assert np.abs(circuit_to_rotation(one) - reference_compact(one)).max() <= 1e-12
 
 
 def test_compact_route_across_chunks(monkeypatch):
@@ -238,7 +238,7 @@ def test_both_routes_refuse_out_of_range_wires(gate, message):
     with pytest.raises(ValueError, match=message):
         circuit_to_operator(circ)
     with pytest.raises(ValueError, match=message):
-        gate_rotation(gate, 3)
+        circuit_to_rotation(CircuitIR(3, (gate,)))
 
 
 def test_dense_route_refuses_past_qubit_limit():

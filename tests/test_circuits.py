@@ -18,15 +18,16 @@ from matchgates import (
 )
 from matchgates.circuits import (
     CircuitError,
+    CircuitIR,
     GateApp,
     NotGaussianError,
     build_CnZ,
     build_bn,
     circuit_to_text,
-    gate_rotation,
     parse_angle,
 )
-from matchgates.linalg import PAULI_Y, PAULI_Z, basis_state, embed_one_qubit, embed_two_qubit, kron
+from matchgates.linalg import PAULI_Y, PAULI_Z, embed_one_qubit, kron
+from reference import basis_state, embed_two_qubit
 
 
 def test_build_g_block_layout():
@@ -219,9 +220,9 @@ def test_operator_time_order():
 
 def test_gate_rotation_single_qubit_parity_tail():
     # conjugation by X on wire 1 fixes c1 and flips every later Majorana
-    r = gate_rotation(GateApp(kind="NAMED", pos=1, name="X"), 2)
+    r = circuit_to_rotation(CircuitIR(2, (GateApp(kind="NAMED", pos=1, name="X"),)))
     assert np.allclose(r, np.diag([1.0, -1.0, -1.0, -1.0]))
-    r = gate_rotation(GateApp(kind="NAMED", pos=1, name="Z"), 2)
+    r = circuit_to_rotation(CircuitIR(2, (GateApp(kind="NAMED", pos=1, name="Z"),)))
     assert np.allclose(r, np.diag([-1.0, -1.0, 1.0, 1.0]))
 
 

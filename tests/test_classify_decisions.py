@@ -25,7 +25,7 @@ from matchgates import circuits, hierarchy, selftest
 from matchgates.circuits import CircuitIR, GateApp, NotGaussianError, build_CnZ
 from matchgates.hierarchy import two_qubit_decompose
 from matchgates.linalg import DEFAULT_TOL, Tolerances, norm_max
-from matchgates.majorana import parity_decompose
+from reference import parity_decompose
 from test_level_search import EPSILONS, perturbed
 
 TOL = DEFAULT_TOL.residual

@@ -181,9 +181,39 @@ def test_teleport_defaults_never_refuse(runner, state_path):
     assert json.loads(result.output)["seed"] == 3
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_teleport_refuses_fewer_than_one_trial(runner, trials):
+    # no state would be teleported, yet the report would pass
+    result = runner.invoke(main, ["teleport", "--gate", "CZ", "--trials", trials])
+    assert result.exit_code == 1
+    assert _err(result) == f"error: trials must be >= 1, got {trials}\n"
+
+
 def test_teleport_mixed_parity_errors(runner):
     result = runner.invoke(main, ["teleport", "--gate", "H"])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("content", ['{"n": 1}', '{"n": 1, "re": [[1.0]]}', "[1, 2]", '[{"n": 1}]', '{"re": 1, "im": 0}'])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["classify", "--matrix"],
+        ["svn", "--tuple"],
+        ["svn", "--tuple", "{tuple}", "--expect"],
+        ["teleport", "--gate", "X", "--state"],
+    ],
+    ids=["classify-matrix", "svn-tuple", "svn-expect", "teleport-state"],
+)
+def test_malformed_json_exits_one(runner, tmp_path, command, content):
+    good = tmp_path / "tuple.json"
+    save_json(good, tuple_to_json(jw_set(1)))
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    result = runner.invoke(main, [arg.format(tuple=good) for arg in command] + [str(bad)])
+    assert result.exit_code == 1
+    lines = _err(result).splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_svn_round_trip_with_expect(runner, tmp_path):
@@ -307,6 +337,11 @@ def test_selftest_bad_only(runner):
     assert result.exit_code == 1
     result = runner.invoke(main, ["selftest", "--only", "a,b"])
     assert result.exit_code == 1
+    # a list naming no criterion would run nothing and pass
+    for only in (",", ""):
+        result = runner.invoke(main, ["selftest", "--only", only])
+        assert result.exit_code == 1
+        assert _err(result) == f"error: --only list {only!r} names no criterion\n"
 
 
 def test_mgh_tol_env_validation(runner):
@@ -316,6 +351,10 @@ def test_mgh_tol_env_validation(runner):
     assert result.exit_code == 1
     result = runner.invoke(main, ["classify", "--gate", "CZ"], env={"MGH_TOL": "1e-9"})
     assert result.exit_code == 0
+    for value in ("nan", "inf", "-inf"):
+        result = runner.invoke(main, ["classify", "--gate", "SWAP"], env={"MGH_TOL": value})
+        assert result.exit_code == 1
+        assert _err(result) == f"error: MGH_TOL must be finite, got {value!r}\n"
 
 
 def test_mgh_tol_env_loosens_admission(runner, tmp_path):

@@ -3,21 +3,23 @@ replaced: Majorana conjugation (one small GEMM per (parent, mu) pair over a
 transposed gather) and the teleportation corrections (one small GEMM per
 byproduct word). Every entry is the same dot product, so the results must
 be equal to the bit, for any BLAS thread count. The same holds for the
-rotation residual read on the Majoranas' support against the product with
-the dense Jordan-Wigner stack.
+linearity residual read on the Majoranas' support against the product with
+the dense Jordan-Wigner stack, in both the rotation kernel and the first
+level.
 """
 
 import gc
 import types
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from matchgates import extract_rotation, random_fermionic, svn_reconstruct
+from matchgates import classify_gate, extract_rotation, random_fermionic, svn_reconstruct
 from matchgates import hierarchy, majorana, svn, teleport
 from matchgates.circuits import circuit_to_operator
 from matchgates.linalg import DEFAULT_TOL
-from matchgates.majorana import _conjugates, _traces, jw_set, majorana_words
+from matchgates.majorana import SUPPORT_RESIDUAL_QUBITS, _conjugates, _traces, jw_set, majorana_words
 from matchgates.sampling import random_matchgate_circuit
 
 
@@ -84,11 +86,29 @@ def test_corrections_equal_the_reference(n):
     )
 
 
+@lru_cache(maxsize=None)
+def dense_basis(n):
+    """The 2n dense Majoranas as the rows of a (2n, 4^n) array."""
+    basis = np.stack([majorana._word_matrix(*majorana._word(n, (mu,))) for mu in range(1, 2 * n + 1)])
+    return basis.reshape(2 * n, -1)
+
+
+def reference_first_level(nodes, n, tol):
+    """Coefficients and first-level flags of a stack, the residual read off
+    the dense Jordan-Wigner stack, as _first_level did at every n."""
+    coeffs = _traces(nodes, n)
+    ok = np.abs(coeffs.imag).max(axis=1) <= tol.residual
+    a = coeffs.real.copy()
+    ok &= np.abs(nodes.reshape(len(nodes), -1) - a @ dense_basis(n)).max(axis=1) <= tol.residual
+    norm = np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
+    ok &= np.abs(norm - 1.0) <= tol.norm
+    return a, ok
+
+
 def reference_rotations(ops, n, tol):
     """R, ok and the residual of every conjugate of a stack, the residual read
     off the dense Jordan-Wigner stack, as _rotations did at every n."""
-    basis = np.stack([majorana._word_matrix(*majorana._word(n, (mu,))) for mu in range(1, 2 * n + 1)])
-    basis = basis.reshape(2 * n, -1)
+    basis = dense_basis(n)
     r = np.zeros((len(ops), 2 * n, 2 * n))
     ok = np.ones(len(ops), dtype=bool)
     resids = []
@@ -119,18 +139,41 @@ def _rotation_inputs(n, rng):
     return np.stack(ops + [np.eye(2**n, dtype=complex), c1])
 
 
+def first_level_on_both_routes(nodes, n, monkeypatch):
+    """The first-level flags of a stack, after checking that _first_level
+    gives the dense copy's coefficients and flags to the bit, at the
+    module's cutoff and with the support route at every n, and leaves the
+    stack as it was."""
+    a, flags = reference_first_level(nodes, n, DEFAULT_TOL)
+    before = nodes.copy()
+    for cutoff in (SUPPORT_RESIDUAL_QUBITS, 1):
+        monkeypatch.setattr(majorana, "SUPPORT_RESIDUAL_QUBITS", cutoff)
+        got = hierarchy._first_level(nodes, n, DEFAULT_TOL)
+        assert [x.tobytes() for x in got] == [a.tobytes(), flags.tobytes()]
+        assert nodes.tobytes() == before.tobytes()
+    return flags
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_support_residual_equals_the_dense_stack_residual(monkeypatch, n):
     rng = np.random.default_rng(30 + n)
     ops = _rotation_inputs(n, rng)
     r, ok, resid = reference_rotations(ops, n, DEFAULT_TOL)
-    support = []
+    support, kid_flags = [], []
     for block, mus in majorana._chunks(len(ops), n, majorana.CHUNK_ENTRIES):
         kids = _conjugates(ops[block], n, mus)
+        before = kids.copy()
         support.append(majorana._support_residuals(kids, _traces(kids, n).real, n))
+        assert kids.tobytes() == before.tobytes()
+        kid_flags.append(first_level_on_both_routes(kids, n, monkeypatch))
     assert np.concatenate(support).tobytes() == resid.tobytes()
     # only the generic fermionic gates fail, and they pass on one qubit
     assert ok.tolist() == [n == 1] * 2 + [True] * 8
+    # of the gates only c_1 is first level; of the conjugates, those of the
+    # Gaussians are, and the 1e-10 perturbation pushes some out by the norm
+    assert first_level_on_both_routes(ops, n, monkeypatch).tolist() == [False] * 9 + [True]
+    kid_flags = np.concatenate(kid_flags)
+    assert kid_flags.any() and not kid_flags.all()
     monkeypatch.setattr(majorana, "SUPPORT_RESIDUAL_QUBITS", 1)
     got = majorana._rotations(ops, n, DEFAULT_TOL)
     assert [a.tobytes() for a in got] == [r.tobytes(), ok.tobytes()]
@@ -141,6 +184,7 @@ def test_rotations_on_eight_qubits_build_no_dense_stack():
     rng = np.random.default_rng(38)
     gate = circuit_to_operator(random_matchgate_circuit(8, 24, rng))
     assert extract_rotation(gate) is not None
+    assert classify_gate(gate).min_level == 2
     assert 8 not in [key for key, _ in _cached_items(majorana._jw_stack)]
 
 

@@ -24,7 +24,7 @@ from matchgates import (
     two_qubit_min_level,
 )
 from matchgates.hierarchy import first_level_coeffs, level_membership, two_qubit_decompose
-from matchgates.linalg import basis_state
+from reference import basis_state
 
 
 def lambda_operator(n):

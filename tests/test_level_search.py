@@ -30,8 +30,9 @@ from matchgates import hierarchy
 from matchgates.circuits import build_CnZ
 from matchgates.hierarchy import level_membership
 from matchgates.linalg import DEFAULT_TOL, n_qubits_of, norm_max
-from matchgates.majorana import parity_decompose, total_parity
+from matchgates.majorana import total_parity
 from matchgates.sampling import random_matchgate_circuit
+from reference import parity_decompose
 
 
 def lambda_operator(n):

@@ -31,10 +31,9 @@ from matchgates import hierarchy, majorana, teleport
 from matchgates.circuits import CircuitError, build_CnZ, parse_angle
 from matchgates.cli import main
 from matchgates.hierarchy import min_level
-from matchgates.linalg import DEFAULT_TOL, Tolerances, canonical_phase, equal_up_to_phase, norm_max
+from matchgates.linalg import DEFAULT_TOL, canonical_phase, equal_up_to_phase, norm_max
 from matchgates.majorana import majorana_monomial, majorana_words, state_parity, total_parity
-from matchgates.svn import PROBE_THRESHOLD, verify_uniqueness
-from matchgates.teleport import correction_K, correction_R
+from matchgates.svn import PROBE_THRESHOLD, _contract_residuals
 
 
 def _dense_svn(ops, tol=DEFAULT_TOL):
@@ -59,23 +58,14 @@ def _dense_svn(ops, tol=DEFAULT_TOL):
     return u, residuals
 
 
-def _dense_verify(ops, u1, u2, tol=DEFAULT_TOL):
-    """verify_uniqueness before the word table."""
+def _dense_contract_residuals(u, ops):
+    """||u^dag c_mu u - d_mu||_max for every mu, from the dense Majoranas."""
     cs = jw_set(len(ops) // 2)
-    for label, u in (("u1", u1), ("u2", u2)):
-        bad = [
-            (mu + 1, norm_max(u.conj().T @ cs[mu] @ u - ops[mu]))
-            for mu in range(len(ops))
-            if norm_max(u.conj().T @ cs[mu] @ u - ops[mu]) > tol.residual
-        ]
-        if bad:
-            detail = ", ".join(f"mu={mu}: {res:.3e}" for mu, res in bad)
-            raise ValueError(f"{label} violates the conjugation contract ({detail})")
-    return equal_up_to_phase(u1, u2, tol.residual).equal
+    return np.array([norm_max(u.conj().T @ cs[mu] @ u - ops[mu]) for mu in range(len(ops))])
 
 
 def _dense_K(z, n):
-    """correction_K as the dense ordered product."""
+    """The byproduct word K_z as the dense ordered product."""
     s = sum(z[0::2])
     t = sum((z[2 * j - 2] + z[2 * j - 1]) * sum(z[2 * j :]) for j in range(1, n))
     word = np.eye(2**n, dtype=complex)
@@ -136,37 +126,26 @@ def test_svn_exact_tuples_match_the_dense_loop_to_the_bit(name, ops):
     assert rec.max_residual == 0.0
 
 
-def test_verify_uniqueness_matches_the_dense_route():
+def test_contract_residuals_match_the_dense_route():
     rng = np.random.default_rng(5)
     v = random_fermionic(4, rng, parity="odd")
     ops = _conjugated(v)
     other = random_fermionic(4, rng, parity="even")
     drift = np.diag(np.exp(0.2j * rng.choice([-1.0, 1.0], size=16)))
-    cases = [
-        (v, np.exp(0.7j) * v, DEFAULT_TOL),  # True
-        (v, v @ drift, Tolerances(residual=0.5)),  # contract within tol, not equal: False
-        (other, v, DEFAULT_TOL),  # u1 violates
-        (v, other, DEFAULT_TOL),  # u2 violates
-    ]
-    verdicts = []
-    for u1, u2, tol in cases:
-        try:
-            expected = _dense_verify(ops, u1, u2, tol)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                verify_uniqueness(ops, u1, u2, tol)
-            assert str(got.value) == str(exc)
-            verdicts.append("error")
-        else:
-            assert verify_uniqueness(ops, u1, u2, tol) is expected
-            verdicts.append(expected)
-    assert verdicts == [True, False, "error", "error"]
+    residuals = []
+    for u in (v, np.exp(0.7j) * v, v @ drift, other):
+        got = _contract_residuals(u, ops)
+        assert np.abs(got - _dense_contract_residuals(u, ops)).max() <= 1e-14
+        residuals.append(got.max())
+    # v and its phase meet the contract; the drifted v only within 0.5; other not at all
+    assert residuals[0] <= 1e-14 and residuals[1] <= 1e-14
+    assert 1e-9 < residuals[2] <= 0.5 < residuals[3]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_correction_K_matches_the_dense_product(n):
     for z in _outcomes(n):
-        assert np.array_equal(correction_K(z, n), _dense_K(z, n))
+        assert np.array_equal(majorana._word_matrix(*teleport._byproduct(z, n)), _dense_K(z, n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -174,9 +153,10 @@ def test_corrections_match_the_dense_route(n):
     rng = np.random.default_rng(200 + n)
     u = random_fermionic(n, rng, parity="odd" if n % 2 else "even")
     dense = np.stack([_dense_R(z, u) for z in _outcomes(n)])
-    # the batched kernel both protocol routes use, and the public batch of one
+    # the batched kernel both protocol routes use, and a batch of one
     assert np.array_equal(teleport._corrections(u, *teleport._byproducts(n)), dense)
-    assert np.array_equal(correction_R(_outcomes(n)[-1], u), dense[-1])
+    flip, phase = teleport._byproduct(_outcomes(n)[-1], n)
+    assert np.array_equal(teleport._corrections(u, np.array([flip]), phase[None])[0], dense[-1])
     transcript = simulate_protocol(u, random_state(n, rng))
     assert [b.z for b in transcript.branches] == _outcomes(n)
     assert all(np.array_equal(b.correction, r) for b, r in zip(transcript.branches, dense))
@@ -242,7 +222,6 @@ def test_kernels_on_the_scattered_stack_match_the_kron_stack(monkeypatch, n):
     got = [*majorana._rotations(ops, n, DEFAULT_TOL), *hierarchy._first_level(ops, n, DEFAULT_TOL)]
     kron_stack = np.stack(jw_set(n))
     monkeypatch.setattr(majorana, "_jw_stack", lambda _: kron_stack)
-    monkeypatch.setattr(hierarchy, "_jw_stack", lambda _: kron_stack)
     want = [*majorana._rotations(ops, n, DEFAULT_TOL), *hierarchy._first_level(ops, n, DEFAULT_TOL)]
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 

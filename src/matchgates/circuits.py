@@ -58,6 +58,7 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    UNITARY_TOL,
     Tolerances,
     _guard_qubits,
     _guard_wires,
@@ -82,26 +83,26 @@ class NotGaussianError(ValueError):
     """Raised when the compact rotation backend meets a non-Gaussian gate."""
 
 
-def _is_unitary_2x2(m: np.ndarray, tol: float) -> bool:
-    """linalg.is_unitary's test, ||U*U - 1||_max < tol, in scalar arithmetic,
+def _is_unitary_2x2(m: np.ndarray) -> bool:
+    """linalg.is_unitary's test, ||U*U - 1||_max < UNITARY_TOL, in scalar arithmetic,
     free of numpy's per-call overhead: every GateApp runs it on its blocks
     when built. NaN entries fail it."""
     (p, q), (r, s) = m.tolist()
     return (
-        abs(abs(p) ** 2 + abs(r) ** 2 - 1) < tol
-        and abs(abs(q) ** 2 + abs(s) ** 2 - 1) < tol
-        and abs(p.conjugate() * q + r.conjugate() * s) < tol
+        abs(abs(p) ** 2 + abs(r) ** 2 - 1) < UNITARY_TOL
+        and abs(abs(q) ** 2 + abs(s) ** 2 - 1) < UNITARY_TOL
+        and abs(p.conjugate() * q + r.conjugate() * s) < UNITARY_TOL
     )
 
 
-def _check_blocks(a, b, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _check_blocks(a, b) -> tuple[np.ndarray, np.ndarray]:
     """G/J blocks as complex arrays, refused unless each is a 2x2 unitary;
     linalg.assert_unitary words the refusal."""
     checked = []
     for block, what in ((a, "block A"), (b, "block B")):
         block = np.asarray(block, dtype=complex)
-        if block.shape != (2, 2) or not _is_unitary_2x2(block, tol):
-            assert_unitary(block, tol, what)
+        if block.shape != (2, 2) or not _is_unitary_2x2(block):
+            assert_unitary(block, what)
             if block.shape != (2, 2):
                 raise ValueError(f"{what} must be a 2x2 one-qubit gate, got shape {block.shape}")
         checked.append(block)
@@ -123,14 +124,14 @@ def _block_gate(a: np.ndarray, b: np.ndarray, odd: bool) -> np.ndarray:
     return g
 
 
-def build_G(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL.unitary) -> np.ndarray:
+def build_G(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Parity-even two-qubit gate from blocks A (even subspace) and B (odd)."""
-    return _block_gate(*_check_blocks(a, b, tol), odd=False)
+    return _block_gate(*_check_blocks(a, b), odd=False)
 
 
-def build_J(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL.unitary) -> np.ndarray:
+def build_J(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Parity-odd two-qubit gate from blocks A and B."""
-    return _block_gate(*_check_blocks(a, b, tol), odd=True)
+    return _block_gate(*_check_blocks(a, b), odd=True)
 
 
 def phase_gate(phi: float) -> np.ndarray:
@@ -235,7 +236,7 @@ class GateApp:
     def __post_init__(self) -> None:
         if self.kind in ("G", "J"):
             # frozen: object.__setattr__ keeps the checked arrays
-            object.__setattr__(self, "blocks", _check_blocks(*self.blocks, DEFAULT_TOL.unitary))
+            object.__setattr__(self, "blocks", _check_blocks(*self.blocks))
 
     @property
     def n_wires(self) -> int:

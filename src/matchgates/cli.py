@@ -12,8 +12,8 @@ verification check failed (teleportation residual, reconstruction
 contract, self-test criterion), 4 a level search was refused before it
 started because it would exceed the work guard (lower --k-max).
 
-The environment variable MGH_TOL, a finite positive number, overrides the
-residual tolerance.
+The environment variable MGH_TOL, a finite positive number, sets epsilon,
+the residual tolerance; the unitary, norm and angle thresholds are fixed.
 """
 
 from __future__ import annotations

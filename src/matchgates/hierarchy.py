@@ -59,7 +59,7 @@ classify_gate first calls diagonal_level, which takes a gate only when
 every off-diagonal entry is exactly zero and every phase ratio d_x / d_0
 lies within PHASE_SNAP (1e-14) of a 2^M-th root of unity, M bounded by the
 root-spacing rule of the two-qubit closed form (M = 19 at the default
-tolerances). The level is then read off the integer coefficients, with no
+epsilon). The level is then read off the integer coefficients, with no
 tolerance, in O(n 2^n). Every other input, a diagonal gate perturbed beyond
 PHASE_SNAP or with phases on a finer grid included, gets NotImplemented and
 falls back to min_level. min_level and level_membership remain the matrix
@@ -87,6 +87,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from types import NotImplementedType
 
 import numpy as np
@@ -94,7 +95,9 @@ import numpy as np
 from .circuits import _BLOCK_SLOTS, build_G, phase_gate
 from .io import complex_to_json
 from .linalg import (
+    ANGLE_TOL,
     DEFAULT_TOL,
+    NORM_TOL,
     PAULI_I,
     Tolerances,
     _guard_qubits,
@@ -127,9 +130,6 @@ MEMO_ENTRIES = 2**22
 # snap to some root.
 ROOT_SPACING_FACTOR = 1000
 
-# The two-qubit closed form tries no level above this one, whatever the tolerances.
-CLOSED_FORM_LEVELS = 30
-
 # diagonal_level reads a phase ratio as an exact root of unity only within
 # this distance of it: a few ulps of a complex division, far below any
 # tolerance of the matrix route.
@@ -144,7 +144,7 @@ def first_level_coeffs(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
     """Real coefficient vector a with u = sum_mu a_mu c_mu, or None.
 
     Requires the coefficients to be real, the reconstruction to match
-    within tol.residual, and ||a|| = 1 within tol.norm; phases other than
+    within tol.residual, and ||a|| = 1 within NORM_TOL; phases other than
     -1 push a gate out of the first level.
     """
     a, ok = _first_level(u[None], n_qubits_of(u), tol)
@@ -159,7 +159,7 @@ def _first_level(nodes: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray
     ok &= _linear_residuals(nodes, a, n) <= tol.residual
     # row times column is the dot product np.linalg.norm takes, to the bit
     norm = np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
-    ok &= np.abs(norm - 1.0) <= tol.norm
+    ok &= np.abs(norm - 1.0) <= NORM_TOL
     return a, ok
 
 
@@ -338,7 +338,7 @@ def diagonal_level(
     is within PHASE_SNAP of 1 and every ratio d_x / d_0 is within PHASE_SNAP
     of a 2^M-th root of unity exp(2 pi i f(x) / 2^M). M is the largest
     exponent whose neighbouring roots lie at least ROOT_SPACING_FACTOR *
-    max(tol.angle, tol.residual) apart (M = 19 at the default tolerances),
+    max(ANGLE_TOL, tol.residual) apart (M = 19 at the default epsilon),
     so no input the matrix route would judge by tolerance is read as exact.
     The Moebius coefficients a_S of f mod 2^M come from n butterflies
     a[x | e_j] -= a[x], and the level is max(2, |S| + M - v2(a_S)) over the
@@ -375,13 +375,13 @@ def diagonal_level(
 @lru_cache(maxsize=None)
 def _phase_bits(tol: Tolerances) -> int:
     """The largest M whose 2^M-th roots of unity diagonal_level snaps to
-    (cached per set of tolerances, which are frozen).
+    (cached per Tolerances, which are frozen).
 
-    PHASE_SNAP joins the tolerances in the spacing rule, so a tiny
+    PHASE_SNAP joins ANGLE_TOL and epsilon in the spacing rule, so a tiny
     tolerance cannot make the roots so dense that rounding to the nearest
     one is ambiguous or the numerators overflow int64.
     """
-    spacing = ROOT_SPACING_FACTOR * max(tol.angle, tol.residual, PHASE_SNAP)
+    spacing = ROOT_SPACING_FACTOR * max(ANGLE_TOL, tol.residual, PHASE_SNAP)
     bits = 0
     while 2 * np.pi / 2 ** (bits + 1) >= spacing:
         bits += 1
@@ -421,11 +421,10 @@ def two_qubit_min_level(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int | N
 
     First level: odd gates J(A, A^dag) with det A = -1. Otherwise the gate
     sits at the smallest k >= 2 for which det A / det B is a 2^(k-2)-th
-    root of unity (within tol.angle of the nearest root). Only k whose root
-    spacing 2 pi / 2^(k-2) is at least ROOT_SPACING_FACTOR * tol.angle are
-    tried (k <= 21 at the default tolerances), and none above
-    CLOSED_FORM_LEVELS. Returns None for a generic phase with no dyadic
-    root up to those bounds.
+    root of unity (within ANGLE_TOL of the nearest root). Only k whose root
+    spacing 2 pi / 2^(k-2) is at least ROOT_SPACING_FACTOR * ANGLE_TOL are
+    tried, so k <= 21. Returns None for a generic phase with no dyadic
+    root up to that bound.
     """
     blocks = two_qubit_decompose(u, tol)
     return _closed_form_level(blocks, *_dets(blocks), tol)
@@ -437,11 +436,11 @@ def _closed_form_level(blocks: TwoQubitBlocks, det_a: complex, det_b: complex, t
         if norm_max(blocks.b - blocks.a.conj().T) < tol.residual and abs(det_a + 1) < tol.residual:
             return 1
     theta = float(np.angle(det_a / det_b))
-    for k in range(2, CLOSED_FORM_LEVELS + 1):
+    for k in count(2):
         step = 2 * np.pi / 2 ** (k - 2)
-        if step < ROOT_SPACING_FACTOR * tol.angle:
+        if step < ROOT_SPACING_FACTOR * ANGLE_TOL:
             break
-        if abs(theta - round(theta / step) * step) < tol.angle:
+        if abs(theta - round(theta / step) * step) < ANGLE_TOL:
             return k
     return None
 
@@ -522,7 +521,7 @@ def classify_gate(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) 
     The gate is Gaussian exactly when the rotation kernel finds its rotation.
     """
     _check_cap(k_max)
-    assert_unitary(u, tol.unitary, "gate")
+    assert_unitary(u, "gate")
     n = n_qubits_of(u)
     par = parity_of(u, tol.residual)
     rotation = extract_rotation(u, tol)

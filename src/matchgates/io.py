@@ -45,8 +45,11 @@ def matrix_from_json(data: dict) -> np.ndarray:
         raise ValueError(f"matrix JSON has mismatched shapes {re.shape} vs {im.shape}")
     m = re + 1j * im
     n = n_qubits_of(m)
-    if "n" in data and int(data["n"]) != n:
-        raise ValueError(f"matrix JSON says n={data['n']} but dimension gives n={n}")
+    if "n" in data:
+        if type(data["n"]) is not int:  # a bool is an int subclass
+            raise ValueError(f"matrix JSON 'n' must be an integer, got {data['n']!r}")
+        if data["n"] != n:
+            raise ValueError(f"matrix JSON says n={data['n']} but dimension gives n={n}")
     return m
 
 
@@ -57,6 +60,8 @@ def state_to_json(psi: np.ndarray) -> dict:
 
 def state_from_json(data: dict) -> np.ndarray:
     re, im = _re_im(data, "state")
+    if re.shape != im.shape or re.ndim != 1:
+        raise ValueError(f"state JSON needs 1-D 're' and 'im' of one length, got shapes {re.shape} vs {im.shape}")
     psi = re + 1j * im
     n_qubits_of(psi)
     return psi
@@ -73,6 +78,8 @@ def tuple_from_json(data) -> list[np.ndarray]:
         entries = data["operators"]
     else:
         raise ValueError("expected a list of matrices or an object with 'operators'")
+    if not isinstance(entries, list):
+        raise ValueError(f"tuple JSON 'operators' must be a list, got {type(entries).__name__}")
     ops = [matrix_from_json(entry) for entry in entries]
     if not ops:
         raise ValueError("empty operator tuple")

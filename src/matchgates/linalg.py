@@ -29,26 +29,25 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 MAX_QUBITS = 15
 
 
+# Fixed thresholds. MGH_TOL sets only Tolerances.residual (epsilon).
+UNITARY_TOL = 1e-9  # max-norm threshold for ||U*U - 1||
+NORM_TOL = 1e-12  # threshold for norm and probability checks
+ANGLE_TOL = 1e-8  # angular threshold when snapping phases to roots of unity
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds used by the classification routines.
+    """The one settable threshold, epsilon, used by the classification routines.
 
-    unitary:  max-norm threshold for ||U*U - 1||
     residual: reconstruction / residual threshold for algebraic identities
-    norm:     threshold for norm and probability checks
-    angle:    angular threshold when snapping phases to roots of unity
     """
 
-    unitary: float = 1e-9
     residual: float = 1e-9
-    norm: float = 1e-12
-    angle: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("unitary", "residual", "norm", "angle"):
-            # also false for NaN
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"tolerance {name!r} must be finite and strictly positive")
+        # also false for NaN
+        if not 0 < self.residual < math.inf:
+            raise ValueError("tolerance 'residual' must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerances()
@@ -118,16 +117,16 @@ def norm_max(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL.unitary) -> bool:
-    """True iff ||U*U - 1||_max < tol."""
+def is_unitary(u: np.ndarray) -> bool:
+    """True iff ||U*U - 1||_max < UNITARY_TOL."""
     n_qubits_of(u)
-    return norm_max(u.conj().T @ u - np.eye(u.shape[0])) < tol
+    return norm_max(u.conj().T @ u - np.eye(u.shape[0])) < UNITARY_TOL
 
 
-def assert_unitary(u: np.ndarray, tol: float = DEFAULT_TOL.unitary, what: str = "operator") -> None:
-    if not is_unitary(u, tol):
+def assert_unitary(u: np.ndarray, what: str = "operator") -> None:
+    if not is_unitary(u):
         resid = norm_max(u.conj().T @ u - np.eye(u.shape[0]))
-        raise ValueError(f"{what} is not unitary (||U*U - 1|| = {resid:.3e}, tol {tol:.1e})")
+        raise ValueError(f"{what} is not unitary (||U*U - 1|| = {resid:.3e}, tol {UNITARY_TOL:.1e})")
 
 
 @dataclass(frozen=True)
@@ -161,10 +160,10 @@ def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL.res
     return PhaseMatch(residual < tol, phase, residual)
 
 
-def canonical_phase(a: np.ndarray, tol_norm: float = DEFAULT_TOL.norm) -> np.ndarray:
+def canonical_phase(a: np.ndarray) -> np.ndarray:
     """Rescale by a global phase so the largest-magnitude entry is real positive.
 
-    Ties within tol_norm of the maximum magnitude are broken by the lowest
+    Ties within NORM_TOL of the maximum magnitude are broken by the lowest
     row-major index, which makes the choice stable under small perturbations
     of equal-magnitude entries.
     """
@@ -173,5 +172,5 @@ def canonical_phase(a: np.ndarray, tol_norm: float = DEFAULT_TOL.norm) -> np.nda
     m = mags.max()
     if m < 1e-14:
         raise ValueError("cannot fix the phase of a numerically zero object")
-    pivot = flat[np.flatnonzero(mags >= m - tol_norm)[0]]
+    pivot = flat[np.flatnonzero(mags >= m - NORM_TOL)[0]]
     return a / (pivot / abs(pivot))

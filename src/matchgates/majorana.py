@@ -63,6 +63,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    NORM_TOL,
     PAULI_I,
     PAULI_X,
     PAULI_Y,
@@ -348,17 +349,6 @@ def _rotations(ops: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray, np
     return r, ok
 
 
-def mask_from_indices(indices) -> int:
-    """Bit mask from 1-based Majorana indices; duplicates are rejected."""
-    mask = 0
-    for mu in indices:
-        bit = 1 << (int(mu) - 1)
-        if mask & bit:
-            raise ValueError(f"duplicate Majorana index {mu}")
-        mask |= bit
-    return mask
-
-
 def indices_from_mask(mask: int) -> tuple[int, ...]:
     """Ascending 1-based Majorana indices of a bit mask."""
     return tuple(mu + 1 for mu in range(int(mask).bit_length()) if (mask >> mu) & 1)
@@ -382,45 +372,17 @@ class MajoranaPoly:
     n_modes: int
     terms: dict[int, complex] = field(default_factory=dict)
 
-    @property
-    def n_qubits(self) -> int:
-        return self.n_modes
-
-    def prune(self, tol: float = DEFAULT_TOL.norm) -> "MajoranaPoly":
-        """Drop coefficients below tol in magnitude."""
-        kept = {m: c for m, c in self.terms.items() if abs(c) >= tol}
+    def prune(self) -> "MajoranaPoly":
+        """Drop coefficients below NORM_TOL in magnitude."""
+        kept = {m: c for m, c in self.terms.items() if abs(c) >= NORM_TOL}
         return MajoranaPoly(self.n_modes, kept)
 
-    def support(self) -> set[tuple[int, ...]]:
-        """Monomial supports as tuples of 1-based indices."""
-        return {indices_from_mask(m) for m in self.terms}
 
-    def to_json(self) -> dict:
-        """Stable JSON form: masks as ascending index lists, terms sorted by mask."""
-        items = sorted(self.terms.items())
-        return {
-            "n": self.n_modes,
-            "terms": [
-                {"mask": list(indices_from_mask(m)), "re": float(c.real), "im": float(c.imag)}
-                for m, c in items
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MajoranaPoly":
-        n = int(data["n"])
-        terms: dict[int, complex] = {}
-        for entry in data["terms"]:
-            mask = mask_from_indices(entry["mask"])
-            terms[mask] = complex(float(entry["re"]), float(entry["im"]))
-        return cls(n, terms)
-
-
-def expand(op: np.ndarray, tol: float = DEFAULT_TOL.norm) -> MajoranaPoly:
+def expand(op: np.ndarray) -> MajoranaPoly:
     """Expand an operator over the Majorana monomial basis.
 
     Coefficients come from the trace inner product,
-    alpha_m = tr(monomial(m)^dagger op) / 2^n; terms below tol are dropped.
+    alpha_m = tr(monomial(m)^dagger op) / 2^n; terms below NORM_TOL are dropped.
     Cost grows as 4^n, intended for small n.
     """
     n = n_qubits_of(op)
@@ -429,7 +391,7 @@ def expand(op: np.ndarray, tol: float = DEFAULT_TOL.norm) -> MajoranaPoly:
     for mask in range(4**n):
         mono = majorana_monomial(n, mask)
         coef = complex(np.trace(mono.conj().T @ op)) / dim
-        if abs(coef) >= tol:
+        if abs(coef) >= NORM_TOL:
             terms[mask] = coef
     return MajoranaPoly(n, terms)
 

@@ -94,7 +94,7 @@ def svn_reconstruct(ops: list[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> Svn
     for k in range(n, 0, -1):
         h = 1 << (n - k)
         columns[h : 2 * h] = columns[:h] @ ops[2 * k - 2].T
-    u = canonical_phase(columns.conj(), tol.norm)
+    u = canonical_phase(columns.conj())
     return SvnResult(u, _contract_residuals(u, ops))
 
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .circuits import build_bn, circuit_to_operator
 from .hierarchy import _check_cap, is_gaussian_state_lambda, min_level
-from .linalg import DEFAULT_TOL, Tolerances, assert_unitary, n_qubits_of
+from .linalg import DEFAULT_TOL, NORM_TOL, Tolerances, assert_unitary, n_qubits_of
 from .io import complex_to_json, state_to_json
 from .majorana import (
     CHUNK_ENTRIES,
@@ -78,7 +78,7 @@ def magic_state(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> MagicState:
     """Build |M_U| = (1 (x) U) B |0^{2n}> and record its parity and
     Gaussianity. The state parity always matches the parity of U; the
     state is Gaussian exactly when U is."""
-    assert_unitary(u, tol.unitary, "teleported gate")
+    assert_unitary(u, "teleported gate")
     psi, par = _magic_psi(u, tol)
     return MagicState(n_qubits_of(u), psi, par, is_gaussian_state_lambda(psi, tol))
 
@@ -225,9 +225,9 @@ def simulate_protocol(
     Branch probabilities are uniform 4^-n by construction; a branch with
     vanishing norm signals a bug and raises rather than being skipped.
     """
-    assert_unitary(u, tol.unitary, "teleported gate")
+    assert_unitary(u, "teleported gate")
     n = n_qubits_of(u)
-    if abs(np.linalg.norm(psi_in) - 1.0) > tol.norm:
+    if abs(np.linalg.norm(psi_in) - 1.0) > NORM_TOL:
         raise ValueError("input state must be normalized")
     bn = _network(n)[0]
     psi, _ = _magic_psi(u, tol)
@@ -238,7 +238,7 @@ def simulate_protocol(
     # not always x * x, and an array ** 2 squares.
     probs = [float(norm) ** 2 for norm in _row_norms(rows)]
     for zi, prob in enumerate(probs):
-        if prob < tol.norm:
+        if prob < NORM_TOL:
             raise ValueError(f"branch {zi:0{2 * n}b} has vanishing probability; protocol broken")
     raws = rows / np.sqrt(probs)[:, None]
     corrs = _corrections(u, *_byproducts(n))

@@ -20,6 +20,7 @@ from matchgates import (
     parity_of,
     random_fermionic,
     random_two_qubit_at_root,
+    two_qubit_min_level,
 )
 from matchgates import circuits, hierarchy, selftest
 from matchgates.circuits import CircuitIR, GateApp, NotGaussianError, build_CnZ
@@ -197,3 +198,23 @@ def test_two_qubit_blocks_match_the_old_indexing(par):
         a, b = old_blocks(u, par)
         assert np.array_equal(blocks.a, a) and blocks.a.dtype == a.dtype
         assert np.array_equal(blocks.b, b) and blocks.b.dtype == b.dtype
+
+
+# MGH_TOL sets epsilon (Tolerances.residual) alone; the unitarity and angle
+# thresholds are fixed, so loosening epsilon moves neither decision below.
+LOOSE = Tolerances(residual=1e-4)
+
+
+def test_a_loose_epsilon_still_refuses_a_near_unitary_gate():
+    u = (1 + 5e-7) * named_gate("CZ")
+    assert 9e-7 < norm_max(u.conj().T @ u - np.eye(4)) < 1.1e-6
+    with pytest.raises(ValueError, match="gate is not unitary"):
+        classify_gate(u, tol=LOOSE)
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_a_loose_epsilon_keeps_the_closed_form_levels(odd):
+    rng = np.random.default_rng(15)
+    for k in range(2, 7):
+        u = random_two_qubit_at_root(rng, k, j=1, odd=odd)
+        assert two_qubit_min_level(u, LOOSE) == two_qubit_min_level(u) == k

@@ -194,7 +194,18 @@ def test_teleport_mixed_parity_errors(runner):
     assert result.exit_code == 1
 
 
-@pytest.mark.parametrize("content", ['{"n": 1}', '{"n": 1, "re": [[1.0]]}', "[1, 2]", '[{"n": 1}]', '{"re": 1, "im": 0}'])
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"n": 1}',
+        '{"n": 1, "re": [[1.0]]}',
+        "[1, 2]",
+        '[{"n": 1}]',
+        '{"re": 1, "im": 0}',
+        '{"n": null, "re": [[1]], "im": [[0]]}',
+        '{"operators": 5}',
+    ],
+)
 @pytest.mark.parametrize(
     "command",
     [
@@ -214,6 +225,16 @@ def test_malformed_json_exits_one(runner, tmp_path, command, content):
     assert result.exit_code == 1
     lines = _err(result).splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("content", ['{"re": [1, 0], "im": [0]}', '{"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}'])
+def test_teleport_refuses_a_state_that_is_not_one_vector(runner, tmp_path, content):
+    # a short "im" used to broadcast, and the run passed on the state |0>
+    path = tmp_path / "state.json"
+    path.write_text(content)
+    result = runner.invoke(main, ["teleport", "--gate", "X", "--state", str(path)])
+    assert result.exit_code == 1
+    assert _err(result).startswith("error: state JSON needs 1-D 're' and 'im' of one length")
 
 
 def test_svn_round_trip_with_expect(runner, tmp_path):
@@ -355,6 +376,19 @@ def test_mgh_tol_env_validation(runner):
         result = runner.invoke(main, ["classify", "--gate", "SWAP"], env={"MGH_TOL": value})
         assert result.exit_code == 1
         assert _err(result) == f"error: MGH_TOL must be finite, got {value!r}\n"
+
+
+def test_mgh_tol_moves_only_epsilon(runner, tmp_path):
+    # the unitarity threshold stays 1e-9 under a loose MGH_TOL
+    path = tmp_path / "near.json"
+    save_json(path, matrix_to_json((1 + 5e-7) * named_gate("CZ")))
+    result = runner.invoke(main, ["classify", "--matrix", str(path)], env={"MGH_TOL": "1e-4"})
+    assert result.exit_code == 1
+    assert _err(result).startswith("error: gate is not unitary")
+    # and so does the angular threshold of the closed form
+    result = runner.invoke(main, ["classify", "--gate", "CPHASE(pi/8)"], env={"MGH_TOL": "1e-4"})
+    assert result.exit_code == 0
+    assert json.loads(result.output)["min_level"] == 6
 
 
 def test_mgh_tol_env_loosens_admission(runner, tmp_path):

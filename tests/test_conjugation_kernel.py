@@ -18,7 +18,7 @@ import pytest
 from matchgates import classify_gate, extract_rotation, random_fermionic, svn_reconstruct
 from matchgates import hierarchy, majorana, svn, teleport
 from matchgates.circuits import circuit_to_operator
-from matchgates.linalg import DEFAULT_TOL
+from matchgates.linalg import DEFAULT_TOL, NORM_TOL
 from matchgates.majorana import SUPPORT_RESIDUAL_QUBITS, _conjugates, _traces, jw_set, majorana_words
 from matchgates.sampling import random_matchgate_circuit
 
@@ -101,7 +101,7 @@ def reference_first_level(nodes, n, tol):
     a = coeffs.real.copy()
     ok &= np.abs(nodes.reshape(len(nodes), -1) - a @ dense_basis(n)).max(axis=1) <= tol.residual
     norm = np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
-    ok &= np.abs(norm - 1.0) <= tol.norm
+    ok &= np.abs(norm - 1.0) <= NORM_TOL
     return a, ok
 
 

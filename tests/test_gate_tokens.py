@@ -203,14 +203,13 @@ def test_gate_app_checks_blocks_once_when_built():
 def test_block_unitarity_test_matches_linalg():
     # the scalar 2x2 test behind the block check decides as linalg.is_unitary does
     rng = np.random.default_rng(7)
-    tol = 1e-9
     cases = [2 * PAULI_I, np.zeros((2, 2)), np.full((2, 2), np.nan), np.full((2, 2), np.inf)]
     for eps in (0.0, 1e-12, 1e-10, 4e-10, 8e-10, 2e-9, 1e-6, 0.1):
         for _ in range(20):
             noise = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             cases.append(haar_unitary(2, rng) + eps * noise)
-    decisions = [circuits._is_unitary_2x2(np.asarray(m, dtype=complex), tol) for m in cases]
-    assert decisions == [is_unitary(m, tol) for m in cases]
+    decisions = [circuits._is_unitary_2x2(np.asarray(m, dtype=complex)) for m in cases]
+    assert decisions == [is_unitary(m) for m in cases]
     assert any(decisions) and not all(decisions)
 
 

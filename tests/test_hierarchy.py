@@ -141,7 +141,7 @@ def test_two_qubit_generic_phase_is_none():
 @pytest.mark.parametrize("name", ["CZ", "GHH"])
 def test_closed_form_refuses_perturbed_gates(name):
     # expm(i eps H) with eps = 1e-7 moves the phase off every root whose
-    # spacing is well above tol.angle; finer grids must not claim it.
+    # spacing is well above ANGLE_TOL; finer grids must not claim it.
     h = np.array([0.3, -0.5, 0.2, 0.4])
     u = np.exp(1e-7j * h)[:, None] * named_gate(name)
     assert two_qubit_min_level(u) is None

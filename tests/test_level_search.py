@@ -29,7 +29,7 @@ from matchgates import (
 from matchgates import hierarchy
 from matchgates.circuits import build_CnZ
 from matchgates.hierarchy import level_membership
-from matchgates.linalg import DEFAULT_TOL, n_qubits_of, norm_max
+from matchgates.linalg import DEFAULT_TOL, NORM_TOL, n_qubits_of, norm_max
 from matchgates.majorana import total_parity
 from matchgates.sampling import random_matchgate_circuit
 from reference import parity_decompose
@@ -69,7 +69,7 @@ def oracle_first_level(u, tol):
     a = a.real.copy()
     if norm_max(u - np.tensordot(a, stack, axes=1)) > tol.residual:
         return False
-    return abs(float(np.linalg.norm(a)) - 1.0) <= tol.norm
+    return abs(float(np.linalg.norm(a)) - 1.0) <= NORM_TOL
 
 
 def oracle_member(u, k, tol=DEFAULT_TOL):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,11 @@ from hypothesis import strategies as st
 
 from matchgates import HADAMARD, PAULI_X, circuit_to_operator, equal_up_to_phase, named_gate, parse_circuit
 from matchgates.linalg import (
+    ANGLE_TOL,
+    DEFAULT_TOL,
+    NORM_TOL,
     PAULI_Z,
+    UNITARY_TOL,
     Tolerances,
     assert_unitary,
     canonical_phase,
@@ -106,12 +112,15 @@ def test_canonical_phase_zero_rejected():
 
 
 def test_tolerances_positive():
-    with pytest.raises(ValueError):
-        Tolerances(residual=-1e-9)
-    for value in (float("nan"), float("inf")):
-        for name in ("unitary", "residual", "norm", "angle"):
-            with pytest.raises(ValueError, match=f"tolerance '{name}' must be finite"):
-                Tolerances(**{name: value})
+    for value in (float("nan"), float("inf"), -1e-9):
+        with pytest.raises(ValueError, match="tolerance 'residual' must be finite and strictly positive"):
+            Tolerances(residual=value)
+
+
+def test_epsilon_is_the_only_settable_tolerance():
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["residual"]
+    assert DEFAULT_TOL.residual == 1e-9
+    assert (UNITARY_TOL, NORM_TOL, ANGLE_TOL) == (1e-9, 1e-12, 1e-8)
 
 
 def test_norm_max():

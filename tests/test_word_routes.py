@@ -52,7 +52,7 @@ def _dense_svn(ops, tol=DEFAULT_TOL):
             if (zi >> (n - k)) & 1:
                 word = word @ ops[2 * (k - 1)]
         columns.append(word @ vacuum)
-    u = canonical_phase(np.stack(columns, axis=1).conj().T, tol.norm)
+    u = canonical_phase(np.stack(columns, axis=1).conj().T)
     cs = jw_set(n)
     residuals = np.array([norm_max(u.conj().T @ cs[mu] @ u - ops[mu]) for mu in range(2 * n)])
     return u, residuals

@@ -32,7 +32,7 @@ print()
 
 
 def show_expansion(label, op):
-    poly = expand(op).prune()
+    poly = expand(op)
     pieces = []
     for mask in sorted(poly.terms):
         coeff = poly.terms[mask]

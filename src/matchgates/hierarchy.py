@@ -412,8 +412,11 @@ def _blocks(u: np.ndarray, par: Parity) -> TwoQubitBlocks:
 
 
 def _dets(blocks: TwoQubitBlocks) -> tuple[complex, complex]:
-    """det A and det B, the two numbers every two-qubit closed form reads."""
-    return complex(np.linalg.det(blocks.a)), complex(np.linalg.det(blocks.b))
+    """det A and det B, the two numbers every two-qubit closed form reads.
+
+    Adding +0j turns a -0.0 part into +0.0, so the printed determinants do
+    not depend on the signs of a gate's structural zeros."""
+    return complex(np.linalg.det(blocks.a)) + 0j, complex(np.linalg.det(blocks.b)) + 0j
 
 
 def two_qubit_min_level(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int | None:

@@ -77,24 +77,6 @@ def _guard_qubits(total: int, what: str) -> None:
         raise ValueError(f"{what} would act on {total} qubits (limit {MAX_QUBITS})")
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with qubit-count overflow guard (first factor is most significant)."""
-    _guard_qubits(n_qubits_of(a) + n_qubits_of(b), "kron result")
-    return np.kron(a, b)
-
-
-def kron_all(*factors) -> np.ndarray:
-    """Left-to-right tensor product; takes several arrays or one iterable."""
-    if len(factors) == 1 and not isinstance(factors[0], np.ndarray):
-        factors = tuple(factors[0])
-    if not factors:
-        raise ValueError("need at least one factor")
-    out = factors[0]
-    for f in factors[1:]:
-        out = kron(out, f)
-    return out
-
-
 def _guard_wires(k: int, width: int, n: int) -> None:
     """Refuse a gate on `width` (1 or 2) wires starting at wire k (1-based)
     that does not fit n qubits."""
@@ -102,14 +84,6 @@ def _guard_wires(k: int, width: int, n: int) -> None:
         raise ValueError(f"wire {k} out of range for {n} qubits")
     if width == 2 and not 1 <= k <= n - 1:
         raise ValueError(f"wire pair ({k},{k + 1}) out of range for {n} qubits")
-
-
-def embed_one_qubit(g: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Embed a one-qubit gate on wire k (1-based) into an n-qubit operator."""
-    if g.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 gate, got shape {g.shape}")
-    _guard_wires(k, 1, n)
-    return kron_all(identity(k - 1), g, identity(n - k))
 
 
 def norm_max(a: np.ndarray) -> float:

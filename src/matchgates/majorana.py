@@ -20,7 +20,11 @@ basis states, so products with Majoranas and parity tests become gathers
 and sign masks instead of dense matrix products. Every ordered product of
 Majoranas (a monomial, a teleportation byproduct word) is again a signed
 permutation, composed from the table by ``_word`` without a dense matrix
-product. The batched kernels built on it take stacks (B, 2^n, 2^n) of
+product. The table is also the one dense builder: jw_majorana, jw_set,
+the stack _jw_stack, the monomials and total_parity are all scattered
+from it, and no Pauli Kronecker product is formed.
+
+The batched kernels built on the table take stacks (B, 2^n, 2^n) of
 operators: conjugation of each by every c_mu, the coefficients
 tr(c_mu V) / 2^n, the parity of each operator (``_parities``, the one
 threshold rule behind parity_of) and the rotation R of each operator,
@@ -64,13 +68,8 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     NORM_TOL,
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     Tolerances,
     _guard_qubits,
-    kron_all,
     n_qubits_of,
     norm_max,
 )
@@ -91,16 +90,6 @@ CHUNK_ENTRIES = 2**16
 SUPPORT_RESIDUAL_QUBITS = 5
 
 
-@lru_cache(maxsize=None)
-def _jw_cached(n: int, mu: int) -> np.ndarray:
-    k = (mu + 1) // 2
-    letter = PAULI_X if mu % 2 == 1 else PAULI_Y
-    factors = [PAULI_Z] * (k - 1) + [letter] + [PAULI_I] * (n - k)
-    op = kron_all(*factors)
-    op.setflags(write=False)
-    return op
-
-
 def jw_majorana(n: int, mu: int) -> np.ndarray:
     """The Jordan-Wigner Majorana operator c_mu on n qubits, mu in 1..2n."""
     if n < 1:
@@ -108,7 +97,7 @@ def jw_majorana(n: int, mu: int) -> np.ndarray:
     if not 1 <= mu <= 2 * n:
         raise ValueError(f"Majorana index {mu} out of range 1..{2 * n}")
     _guard_qubits(n, "Majorana operator")
-    return _jw_cached(n, mu)
+    return _word_matrix(*_word(n, (mu,)))
 
 
 def jw_set(n: int) -> list[np.ndarray]:
@@ -122,14 +111,12 @@ class MajoranaWords:
 
     flip[mu - 1] and phase[mu - 1] give c_mu[i, i ^ flip] = phase[i], every
     other entry being zero. sign[i] = (-1)^popcount(i) is the diagonal of
-    Z^{(x)n}, and same_parity[i, j] marks the entries (sign[i] == sign[j])
-    that a parity-even operator may occupy.
+    Z^{(x)n}.
     """
 
     flip: np.ndarray
     phase: np.ndarray
     sign: np.ndarray
-    same_parity: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -148,10 +135,9 @@ def majorana_words(n: int) -> MajoranaWords:
         phase[2 * k - 2] = z_string
         phase[2 * k - 1] = z_string * np.where(bit == 1, 1j, -1j)
     sign = _popcount_sign(index)
-    same = sign[:, None] == sign[None, :]
-    for a in (flip, phase, sign, same):
+    for a in (flip, phase, sign):
         a.setflags(write=False)
-    return MajoranaWords(flip, phase, sign, same)
+    return MajoranaWords(flip, phase, sign)
 
 
 def _word(n: int, mus) -> tuple[int, np.ndarray]:
@@ -190,8 +176,9 @@ def _popcount_sign(index: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _jw_stack(n: int) -> np.ndarray:
-    """The 2n dense Majoranas as one (2n, 2^n, 2^n) stack, scattered from the word table."""
-    stack = np.stack([_word_matrix(*_word(n, (mu,))) for mu in range(1, 2 * n + 1)])
+    """jw_set as one read-only (2n, 2^n, 2^n) stack, scattered from the word
+    table like every dense Jordan-Wigner object."""
+    stack = np.stack(jw_set(n))
     stack.setflags(write=False)
     return stack
 
@@ -216,7 +203,8 @@ def _word_gathers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @lru_cache(maxsize=None)
 def _parity_order(n: int) -> np.ndarray:
     """The flat entries of a 2^n x 2^n operator, the same-parity half first (read-only)."""
-    by_parity = np.argsort(~majorana_words(n).same_parity.ravel(), kind="stable")
+    sign = majorana_words(n).sign
+    by_parity = np.argsort(np.not_equal.outer(sign, sign).ravel(), kind="stable")
     by_parity.setflags(write=False)
     return by_parity
 
@@ -372,11 +360,6 @@ class MajoranaPoly:
     n_modes: int
     terms: dict[int, complex] = field(default_factory=dict)
 
-    def prune(self) -> "MajoranaPoly":
-        """Drop coefficients below NORM_TOL in magnitude."""
-        kept = {m: c for m, c in self.terms.items() if abs(c) >= NORM_TOL}
-        return MajoranaPoly(self.n_modes, kept)
-
 
 def expand(op: np.ndarray) -> MajoranaPoly:
     """Expand an operator over the Majorana monomial basis.
@@ -396,12 +379,10 @@ def expand(op: np.ndarray) -> MajoranaPoly:
     return MajoranaPoly(n, terms)
 
 
-@lru_cache(maxsize=None)
 def total_parity(n: int) -> np.ndarray:
-    """The total parity operator Z^{(x)n}."""
-    op = kron_all(*([PAULI_Z] * n))
-    op.setflags(write=False)
-    return op
+    """The total parity operator Z^{(x)n}, the diagonal of the word table's signs."""
+    _guard_qubits(n, "parity operator")
+    return np.diag(majorana_words(n).sign).astype(complex)
 
 
 def parity_of(op: np.ndarray, tol: float = DEFAULT_TOL.residual) -> Parity:

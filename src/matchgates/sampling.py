@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .circuits import CircuitIR, GateApp, build_G, build_J
-from .linalg import embed_one_qubit, PAULI_X
+from .majorana import jw_majorana, majorana_words
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -79,19 +79,20 @@ def random_two_qubit_at_root(
 def random_fermionic(n: int, rng: np.random.Generator, parity: str = "even") -> np.ndarray:
     """Random fermionic unitary of the requested parity on n qubits.
 
-    Even gates are Haar unitaries on each parity sector; odd gates are an
-    even gate composed with X on the first wire. Generic samples sit at no
-    finite hierarchy level.
+    Even gates are Haar unitaries on each parity sector, the basis states
+    of sign +1 and of sign -1 in the word table; odd gates are c_1 (X on
+    the first wire) times an even gate. Generic samples sit at no finite
+    hierarchy level.
     """
-    dim = 2**n
-    even_idx = [z for z in range(dim) if bin(z).count("1") % 2 == 0]
-    odd_idx = [z for z in range(dim) if bin(z).count("1") % 2 == 1]
-    u = np.zeros((dim, dim), dtype=complex)
-    for idx in (even_idx, odd_idx):
-        block = haar_unitary(len(idx), rng)
-        u[np.ix_(idx, idx)] = block
+    sign = majorana_words(n).sign
+    u = np.zeros((2**n, 2**n), dtype=complex)
+    for idx in (np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)):
+        u[np.ix_(idx, idx)] = haar_unitary(len(idx), rng)
     if parity == "even":
         return u
     if parity == "odd":
-        return embed_one_qubit(PAULI_X, 1, n) @ u
+        # a product, not the row gather u[i ^ f_1]: at n = 1 the gather turns
+        # some of the product's -0 entries into +0, and seeded samples keep
+        # their exact bits
+        return jw_majorana(n, 1) @ u
     raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")

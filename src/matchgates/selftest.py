@@ -381,7 +381,8 @@ def criterion_10(seed: int = BASE_SEED + 10) -> CriterionResult:
         j = 1 if k > 2 else 0
         u = random_two_qubit_at_root(rng, k, j, odd=bool(rng.integers(2)))
         v = random_two_qubit_at_root(rng, k, j, odd=bool(rng.integers(2)))
-        if not level_membership(np.kron(u, v), k):
+        # the tensor product u (x) v
+        if not level_membership((u[:, None, :, None] * v[None, :, None, :]).reshape(16, 16), k):
             failures.append(f"tensor closure instance {i}")
 
     worst = 0.0

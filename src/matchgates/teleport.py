@@ -31,7 +31,7 @@ A protocol run does only the work that depends on U and the input state.
 The dense network B and B|0...0> depend on n alone and are built once per
 n, then cached read-only (B is 4^n x 4^n: 16 MB stays alive after an n = 5
 run). The magic state applies U to the low n wires of B|0...0> by one
-2^n x 2^n product; no kron(1, U) is formed. Branch probabilities and
+2^n x 2^n product; no 1 (x) U is formed. Branch probabilities and
 residuals come from one batched pass of row norms. The Lambda Gaussianity
 test of the magic state runs only in magic_state, which reports it; the
 protocol never reads it.
@@ -231,8 +231,7 @@ def simulate_protocol(
         raise ValueError("input state must be normalized")
     bn = _network(n)[0]
     psi, _ = _magic_psi(u, tol)
-    joint = np.kron(psi_in, psi)
-    rows = bn.conj().T @ joint.reshape(4**n, 2**n)
+    rows = bn.conj().T @ np.outer(psi_in, psi).reshape(4**n, 2**n)
     target = u @ psi_in
     # Squared one by one: libm's pow(x, 2), which the scalar ** calls, is
     # not always x * x, and an array ** 2 squares.

@@ -27,8 +27,9 @@ from matchgates import (
 )
 from matchgates import majorana, teleport
 from matchgates.circuits import CircuitIR, GateApp, NotGaussianError, build_CnZ
-from matchgates.linalg import DEFAULT_TOL, kron_all, n_qubits_of, norm_max
+from matchgates.linalg import DEFAULT_TOL, n_qubits_of, norm_max
 from matchgates.sampling import haar_unitary, random_matchgate_blocks, random_matchgate_circuit
+from reference import kron_all
 
 EPSILONS = (0.0, 1e-11, 1e-10, 1e-9, 1e-8)
 ONE_QUBIT = (("X", ()), ("Y", ()), ("Z", ()), ("I", ()), ("RZ", (0.7,)), ("P", (1.9,)))

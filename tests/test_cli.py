@@ -43,6 +43,22 @@ def test_classify_pattern_and_majorana_tokens(runner):
     assert json.loads(result.output)["min_level"] == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_classify_majorana_prints_no_negative_zero(runner, n):
+    # the word-built c_mu has +0 structural zeros where Pauli Kronecker
+    # products have -0; the block determinants print +0.0 for both
+    for mu in range(1, 2 * n + 1):
+        result = runner.invoke(main, ["classify", "--gate", f"MAJORANA({mu})", "-n", str(n)])
+        assert result.exit_code == 0
+        assert "-0.0" not in result.output
+        two_qubit = json.loads(result.output)["two_qubit"]
+        if n == 2:
+            for det in (two_qubit["detA"], two_qubit["detB"]):
+                assert det["im"] == 0.0 and np.copysign(1.0, det["im"]) == 1.0
+        else:
+            assert two_qubit is None
+
+
 def test_classify_mixed_parity_gate_exits_zero(runner):
     result = runner.invoke(main, ["classify", "--gate", "H"])
     assert result.exit_code == 0

@@ -5,21 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchgates import HADAMARD, PAULI_X, circuit_to_operator, equal_up_to_phase, named_gate, parse_circuit
+from matchgates import HADAMARD, circuit_to_operator, equal_up_to_phase, named_gate, parse_circuit
 from matchgates.linalg import (
     ANGLE_TOL,
     DEFAULT_TOL,
     NORM_TOL,
-    PAULI_Z,
     UNITARY_TOL,
     Tolerances,
     assert_unitary,
     canonical_phase,
-    embed_one_qubit,
     identity,
     is_unitary,
-    kron,
-    kron_all,
     n_qubits_of,
     norm_max,
 )
@@ -33,22 +29,6 @@ def test_n_qubits_of():
         n_qubits_of(np.zeros(6))
 
 
-def test_kron_ordering():
-    # X on qubit 1 of two flips the most significant bit
-    op = kron(PAULI_X, np.eye(2))
-    assert np.array_equal(op @ basis_state(2, (0, 1)), basis_state(2, (1, 1)))
-    assert np.array_equal(kron_all([PAULI_X, PAULI_Z]), np.kron(PAULI_X, PAULI_Z))
-
-
-def test_embed_one_qubit():
-    n = 3
-    for k in (1, 2, 3):
-        op = embed_one_qubit(PAULI_X, k, n)
-        bits = [0, 0, 0]
-        bits[k - 1] = 1
-        assert np.array_equal(op @ basis_state(n, (0, 0, 0)), basis_state(n, bits))
-
-
 def test_embed_two_qubit_fswap_sign():
     # fermionic SWAP of the middle pair picks up the (-1)^(xy) phase
     op = circuit_to_operator(parse_circuit("qubits 4\nFSWAP @ 2\n"))
@@ -56,11 +36,6 @@ def test_embed_two_qubit_fswap_sign():
     assert np.allclose(v, -basis_state(4, (0, 1, 1, 0)))
     w = op @ basis_state(4, (1, 0, 1, 1))
     assert np.allclose(w, basis_state(4, (1, 1, 0, 1)))
-
-
-def test_embed_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        embed_one_qubit(PAULI_X, 4, 3)
 
 
 def test_is_unitary_and_assert():

@@ -14,25 +14,24 @@ from matchgates import (
     parity_of,
     random_fermionic,
 )
-from matchgates.linalg import PAULI_Y, PAULI_Z, kron, norm_max
+from matchgates.linalg import PAULI_Y, PAULI_Z, norm_max
 from matchgates.majorana import (
     CarReport,
-    MajoranaPoly,
     majorana_monomial,
     majorana_words,
     parity_sign,
     state_parity,
     total_parity,
 )
-from reference import basis_state
+from reference import basis_state, kron_majoranas, kron_parity
 
 
 def test_jw_explicit_forms_two_modes():
     eye = np.eye(2)
-    assert np.array_equal(jw_majorana(2, 1), kron(PAULI_X, eye))
-    assert np.array_equal(jw_majorana(2, 2), kron(PAULI_Y, eye))
-    assert np.array_equal(jw_majorana(2, 3), kron(PAULI_Z, PAULI_X))
-    assert np.array_equal(jw_majorana(2, 4), kron(PAULI_Z, PAULI_Y))
+    assert np.array_equal(jw_majorana(2, 1), np.kron(PAULI_X, eye))
+    assert np.array_equal(jw_majorana(2, 2), np.kron(PAULI_Y, eye))
+    assert np.array_equal(jw_majorana(2, 3), np.kron(PAULI_Z, PAULI_X))
+    assert np.array_equal(jw_majorana(2, 4), np.kron(PAULI_Z, PAULI_Y))
 
 
 def test_jw_index_bounds():
@@ -40,6 +39,14 @@ def test_jw_index_bounds():
         jw_majorana(2, 0)
     with pytest.raises(ValueError):
         jw_majorana(2, 5)
+
+
+def test_dense_operators_refuse_more_than_max_qubits():
+    # refused before the word table of 16 qubits is built
+    with pytest.raises(ValueError, match=r"Majorana operator would act on 16 qubits \(limit 15\)"):
+        jw_majorana(16, 1)
+    with pytest.raises(ValueError, match=r"parity operator would act on 16 qubits \(limit 15\)"):
+        total_parity(16)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -106,17 +113,11 @@ def test_expand_round_trip():
     assert np.allclose(dense, op, atol=1e-10)
 
 
-def test_prune_and_support():
-    poly = MajoranaPoly(2, {0: 1.0, 3: 1e-15})
-    pruned = poly.prune()
-    assert set(pruned.terms) == {0}
-
-
 def test_total_parity_and_gate_parity():
-    assert np.array_equal(total_parity(2), kron(PAULI_Z, PAULI_Z))
+    assert np.array_equal(total_parity(2), np.kron(PAULI_Z, PAULI_Z))
     assert parity_of(named_gate("CZ")) == "even"
     assert parity_of(jw_majorana(2, 3)) == "odd"
-    assert parity_of(kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2))) == "none"
+    assert parity_of(np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2))) == "none"
     assert parity_sign("even") == 1 and parity_sign("odd") == -1
     with pytest.raises(ValueError):
         parity_sign("none")
@@ -146,21 +147,21 @@ def test_expand_preserves_products_property(seed):
     a = majorana_monomial(2, int(masks[0]))
     b = majorana_monomial(2, int(masks[1]))
     # product of monomials is a single monomial on the xor mask, up to sign
-    poly = expand(a @ b).prune()
+    poly = expand(a @ b)
     assert set(poly.terms) == {int(masks[0]) ^ int(masks[1])}
     assert abs(abs(next(iter(poly.terms.values()))) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_word_table_reproduces_jordan_wigner(n):
     words = majorana_words(n)
     rows = np.arange(2**n)
-    for mu, c in enumerate(jw_set(n)):
+    for mu, c in enumerate(kron_majoranas(n)):
         dense = np.zeros_like(c)
         dense[rows, rows ^ words.flip[mu]] = words.phase[mu]
         assert np.array_equal(dense, c)
-    assert np.array_equal(np.diag(words.sign), total_parity(n))
-    assert np.array_equal(words.same_parity, np.outer(words.sign, words.sign) > 0)
+    assert np.array_equal(np.diag(words.sign), kron_parity(n))
+    assert np.array_equal(total_parity(n), kron_parity(n))
 
 
 def _reference_car(ops, tol):

@@ -3,9 +3,7 @@ import pytest
 
 from matchgates import (
     jw_majorana,
-    jw_set,
     magic_state,
-    min_level,
     named_gate,
     random_state,
     simulate_protocol,

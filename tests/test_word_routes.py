@@ -32,8 +32,9 @@ from matchgates.circuits import CircuitError, build_CnZ, parse_angle
 from matchgates.cli import main
 from matchgates.hierarchy import min_level
 from matchgates.linalg import DEFAULT_TOL, canonical_phase, equal_up_to_phase, norm_max
-from matchgates.majorana import majorana_monomial, majorana_words, state_parity, total_parity
+from matchgates.majorana import majorana_monomial, majorana_words, state_parity
 from matchgates.svn import PROBE_THRESHOLD, _contract_residuals
+from reference import kron_majoranas, kron_parity
 
 
 def _dense_svn(ops, tol=DEFAULT_TOL):
@@ -194,13 +195,16 @@ def test_byproduct_table_is_read_only():
         phases[0, 0] = 0
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_monomials_match_the_dense_product(n):
-    for mask in range(4**n):
+    oracle = kron_majoranas(n)
+    rng = np.random.default_rng(70 + n)
+    masks = range(4**n) if n <= 3 else [0, 4**n - 1, *map(int, rng.integers(4**n, size=6))]
+    for mask in masks:
         dense = np.eye(2**n, dtype=complex)
         for mu in range(1, 2 * n + 1):
             if (mask >> (mu - 1)) & 1:
-                dense = dense @ jw_majorana(n, mu)
+                dense = dense @ oracle[mu - 1]
         assert np.array_equal(majorana_monomial(n, mask), dense)
 
 
@@ -208,11 +212,11 @@ def test_monomials_match_the_dense_product(n):
 def test_jw_stack_is_the_dense_jordan_wigner_set(n):
     # equal values; only the sign of some zeros differs from the kron products
     stack = majorana._jw_stack(n)
-    assert np.array_equal(stack, np.stack(jw_set(n)))
+    assert np.array_equal(stack, np.stack(kron_majoranas(n)))
     assert stack.dtype == np.complex128 and not stack.flags.writeable
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_kernels_on_the_scattered_stack_match_the_kron_stack(monkeypatch, n):
     rng = np.random.default_rng(60 + n)
     parity = ["even", "odd"]
@@ -220,21 +224,19 @@ def test_kernels_on_the_scattered_stack_match_the_kron_stack(monkeypatch, n):
     ops = np.stack(ops + [jw_majorana(n, 1), jw_majorana(n, 2 * n) @ jw_majorana(n, 1)]).astype(complex)
     ops[-1] = ops[-1] + 1e-10 * rng.standard_normal(ops[-1].shape)
     got = [*majorana._rotations(ops, n, DEFAULT_TOL), *hierarchy._first_level(ops, n, DEFAULT_TOL)]
-    kron_stack = np.stack(jw_set(n))
+    kron_stack = np.stack(kron_majoranas(n))
     monkeypatch.setattr(majorana, "_jw_stack", lambda _: kron_stack)
     want = [*majorana._rotations(ops, n, DEFAULT_TOL), *hierarchy._first_level(ops, n, DEFAULT_TOL)]
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_kernels_leave_the_dense_jordan_wigner_cache_empty():
-    majorana._jw_cached.cache_clear()
     majorana._jw_stack.cache_clear()
     rng = np.random.default_rng(8)
     assert extract_rotation(random_fermionic(6, rng, "even")) is None
     assert classify_gate(build_CnZ(3)).min_level == 4
     assert circuit_to_rotation(parse_circuit("qubits 3\nG H H @ 1\n")).shape == (6, 6)
     assert majorana._jw_stack.cache_info().currsize > 0
-    assert majorana._jw_cached.cache_info().currsize == 0
 
 
 def test_state_parity_matches_the_dense_parity_operator():
@@ -246,7 +248,7 @@ def test_state_parity_matches_the_dense_parity_operator():
         even = np.where(sign > 0, psi, 0) / np.linalg.norm(np.where(sign > 0, psi, 0))
         odd = np.where(sign < 0, psi, 0) / np.linalg.norm(np.where(sign < 0, psi, 0))
         for state, expected in ((even, "even"), (odd, "odd"), (psi, "none")):
-            assert np.array_equal(sign * state, total_parity(n) @ state)
+            assert np.array_equal(sign * state, kron_parity(n) @ state)
             assert state_parity(state) == expected
 
 

@@ -33,7 +33,9 @@ Circuit text format (case-insensitive, '#' starts a comment):
 Gate lists are in time order: the first gate listed acts first. Gate
 tokens here and in `mgh --gate` share lex_token, split_args and named_token.
 
-Backends. Both check every gate's wires before doing any work. The dense
+Gates and circuits are checked once, when built: a GateApp builds its
+2x2 or 4x4 matrix and keeps it read-only, and a CircuitIR refuses a gate
+whose wires do not fit its qubits. The backends only read them. The dense
 route, circuit_to_operator, applies each gate to its own wires of the
 2^n x 2^n product, O(2^w 4^n) for a w-qubit gate; it forms no Kronecker
 embedding. The compact route, circuit_to_rotation, finds the local
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,10 +111,11 @@ def _check_blocks(a, b) -> tuple[np.ndarray, np.ndarray]:
     return tuple(checked)
 
 
-# Where the blocks of G(A, B) and of J(A, B) sit in the 4x4 matrix.
+# Where the blocks of G(A, B) and of J(A, B) sit in the 4x4 matrix, as basic
+# slices of rows/columns (0, 3) and (1, 2): a block read is a view.
 _BLOCK_SLOTS = {
-    False: (np.ix_((0, 3), (0, 3)), np.ix_((1, 2), (1, 2))),
-    True: (np.ix_((0, 3), (1, 2)), np.ix_((1, 2), (0, 3))),
+    False: ((slice(0, 4, 3),) * 2, (slice(1, 3),) * 2),
+    True: ((slice(0, 4, 3), slice(1, 3)), (slice(1, 3), slice(0, 4, 3))),
 }
 
 
@@ -197,10 +200,10 @@ def build_F(pattern: Pattern) -> np.ndarray:
     n = len(pattern)
     if n < 1:
         raise ValueError("pattern must have at least one entry")
+    _guard_qubits(n, "pattern gate")
     for p in pattern:
         if p not in (0, 1, None):
             raise ValueError(f"pattern entries must be 0, 1, or None, got {p!r}")
-    _guard_qubits(n, "pattern gate")
     diag = np.ones(2**n, dtype=complex)
     for z in range(2**n):
         bits = [(z >> (n - 1 - k)) & 1 for k in range(n)]
@@ -211,6 +214,7 @@ def build_F(pattern: Pattern) -> np.ndarray:
 
 def build_CnZ(n: int) -> np.ndarray:
     """Controlled-Z on n qubits: the all-ones pattern gate."""
+    _guard_qubits(n, "pattern gate")  # before the pattern exists
     return build_F((1,) * n)
 
 
@@ -222,7 +226,8 @@ class GateApp:
     of the gate (leftmost wire for two-qubit gates). blocks holds (A, B) for
     G/J kinds, block_names their canonical text tokens when available.
     freeform marks gates admitted only under the `allow freeform` directive.
-    The blocks of a G/J gate are checked once, when it is built.
+    A gate is checked and its matrix built once, when it is built; G/J
+    blocks are then views into that read-only matrix.
     """
 
     kind: str
@@ -232,25 +237,27 @@ class GateApp:
     blocks: tuple[np.ndarray, np.ndarray] | None = None
     block_names: tuple[str, str] | None = None
     freeform: bool = False
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # frozen: object.__setattr__ keeps what is built here
         if self.kind in ("G", "J"):
-            # frozen: object.__setattr__ keeps the checked arrays
-            object.__setattr__(self, "blocks", _check_blocks(*self.blocks))
+            m = _block_gate(*_check_blocks(*self.blocks), odd=self.kind == "J")
+            m.flags.writeable = False  # first, so that the block views are read-only too
+            slot_a, slot_b = _BLOCK_SLOTS[self.kind == "J"]
+            object.__setattr__(self, "blocks", (m[slot_a], m[slot_b]))
+        else:
+            m = named_gate(self.name, self.params)
+            m.flags.writeable = False
+        object.__setattr__(self, "_matrix", m)
 
     @property
     def n_wires(self) -> int:
-        if self.kind in ("G", "J"):
-            return 2
-        return 1 if self.name.upper() in _ONE_QUBIT else 2
+        return len(self._matrix) // 2  # a 2x2 or a 4x4 matrix
 
     def local_matrix(self) -> np.ndarray:
-        if self.kind in ("G", "J"):
-            return _block_gate(*self.blocks, odd=self.kind == "J")
-        return named_gate(self.name, self.params)
-
-    def wires(self) -> tuple[int, ...]:
-        return (self.pos,) if self.n_wires == 1 else (self.pos, self.pos + 1)
+        """The gate's matrix, built once (read-only)."""
+        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -260,6 +267,10 @@ class CircuitIR:
     n_qubits: int
     gates: tuple[GateApp, ...] = ()
     allow_freeform: bool = False
+
+    def __post_init__(self) -> None:
+        for g in self.gates:
+            _guard_wires(g.pos, g.n_wires, self.n_qubits)
 
 
 _PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$", re.IGNORECASE)
@@ -321,9 +332,13 @@ def split_args(text: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
+def _angles(inner: str | None) -> tuple[float, ...]:
+    return tuple(parse_angle(p) for p in split_args(inner or ""))
+
+
 def named_token(name: str, inner: str | None) -> tuple[str, tuple[float, ...], np.ndarray]:
     """(NAME, angles, matrix) of a lexed named-gate token such as RZ(pi/4)."""
-    params = tuple(parse_angle(p) for p in split_args(inner or ""))
+    params = _angles(inner)
     return name.upper(), params, named_gate(name, params)
 
 
@@ -383,25 +398,21 @@ def parse_circuit(text: str, tol: Tolerances = DEFAULT_TOL) -> CircuitIR:
             pos = int(pos_tok)
         except ValueError:
             raise CircuitError(f"bad wire {pos_tok!r}", line_no, pos_col) from None
-        gate_tokens = tokens[:at]
-
-        gates.append(
-            _parse_gate(gate_tokens, pos, n_qubits, allow_freeform, line_no, tol)
-        )
+        gates.append(_parse_gate(tokens[:at], pos, n_qubits, allow_freeform, line_no, tol))
 
     if n_qubits is None:
         raise CircuitError("missing qubits header", 1, 1)
     return CircuitIR(n_qubits, tuple(gates), allow_freeform)
 
 
-def _circuit_token(token: str, line_no: int, col: int, known, unknown: str):
-    """named_token of a circuit-file token whose name must be in known;
-    errors point at (line_no, col)."""
+def _circuit_token(token: str, line_no: int, col: int, known, unknown: str, build=named_token):
+    """build(NAME as written, text in parentheses) of a circuit-file token
+    whose name must be in known; errors point at (line_no, col)."""
     try:
         name, inner = lex_token(token)
         if name.upper() not in known:
             raise ValueError(f"unknown {unknown} {name!r}")
-        return named_token(name, inner)
+        return build(name, inner)
     except ValueError as exc:
         raise CircuitError(str(exc), line_no, col) from None
 
@@ -417,48 +428,42 @@ def _parse_gate(gate_tokens, pos, n_qubits, allow_freeform, line_no, tol) -> Gat
             _circuit_token(tok, line_no, col, _ONE_QUBIT, "block gate") for tok, col in gate_tokens[1:]
         )
         block_names = (_format_block(name_a, params_a), _format_block(name_b, params_b))
-        fields = dict(blocks=(a, b), block_names=block_names)
-        prefix = ""
+        try:
+            gate = GateApp(kind=kind, pos=pos, blocks=(a, b), block_names=block_names)
+        except ValueError as exc:  # a block that is not unitary
+            raise CircuitError(str(exc), line_no, head_col) from None
     else:
         if len(gate_tokens) != 1:
             raise CircuitError(f"unexpected token {gate_tokens[1][0]!r}", line_no, gate_tokens[1][1])
-        known = _ONE_QUBIT.keys() | _TWO_QUBIT.keys()
-        name, params, _ = _circuit_token(head, line_no, head_col, known, "gate")
-        if name in _ONE_QUBIT:
-            if not 1 <= pos <= n_qubits:
-                raise CircuitError(f"wire {pos} out of range 1..{n_qubits}", line_no, head_col)
-            freeform = name not in _FERMIONIC_1Q
-            if freeform and not allow_freeform:
-                raise CircuitError(
-                    f"{name} mixes parities (not a matchgate-circuit gate; "
-                    "add 'allow freeform' to admit it)",
-                    line_no,
-                    head_col,
-                )
-            return GateApp(kind="NAMED", pos=pos, name=name, params=params, freeform=freeform)
-        kind = "NAMED"
-        a, b = _TWO_QUBIT[name][1](*params)
-        fields = dict(name=name, params=params)
-        prefix = f"{name}: "
+        gate = _circuit_token(
+            head, line_no, head_col, _ONE_QUBIT.keys() | _TWO_QUBIT.keys(), "gate",
+            lambda name, inner: GateApp(kind="NAMED", pos=pos, name=name.upper(), params=_angles(inner)),
+        )
 
-    if not 1 <= pos <= n_qubits - 1:
-        raise CircuitError(
-            f"two-qubit gate at wires ({pos},{pos + 1}) out of range for {n_qubits} qubits "
-            "(nearest-neighbour positions only)",
-            line_no,
-            head_col,
-        )
-    violation = _matchgate_violation(a, b, tol.residual)
-    if violation is not None and not allow_freeform:
-        raise CircuitError(
-            f"{prefix}{violation} (not a matchgate; add 'allow freeform' to admit it)",
-            line_no,
-            head_col,
-        )
-    try:
-        return GateApp(kind=kind, pos=pos, freeform=violation is not None, **fields)
-    except ValueError as exc:  # a G/J block that is not unitary, e.g. RZ(inf)
-        raise CircuitError(str(exc), line_no, head_col) from None
+    if gate.n_wires == 1:
+        if not 1 <= pos <= n_qubits:
+            raise CircuitError(f"wire {pos} out of range 1..{n_qubits}", line_no, head_col)
+        mixed = gate.name not in _FERMIONIC_1Q
+        refusal = f"{gate.name} mixes parities (not a matchgate-circuit gate" if mixed else None
+    else:
+        if not 1 <= pos <= n_qubits - 1:
+            raise CircuitError(
+                f"two-qubit gate at wires ({pos},{pos + 1}) out of range for {n_qubits} qubits "
+                "(nearest-neighbour positions only)",
+                line_no,
+                head_col,
+            )
+        # the blocks, read off the gate's own matrix; every named two-qubit gate is of G form
+        slot_a, slot_b = _BLOCK_SLOTS[gate.kind == "J"]
+        m = gate.local_matrix()
+        violation = _matchgate_violation(m[slot_a], m[slot_b], tol.residual)
+        prefix = f"{gate.name}: " if gate.name else ""
+        refusal = None if violation is None else f"{prefix}{violation} (not a matchgate"
+    if refusal is None:
+        return gate
+    if not allow_freeform:
+        raise CircuitError(f"{refusal}; add 'allow freeform' to admit it)", line_no, head_col)
+    return replace(gate, freeform=True)
 
 
 def _format_block(name: str, params: tuple[float, ...]) -> str:
@@ -484,12 +489,6 @@ def circuit_to_text(circuit: CircuitIR) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_wires(circuit: CircuitIR) -> None:
-    """Refuse a circuit with any gate whose wires do not fit its qubits."""
-    for g in circuit.gates:
-        _guard_wires(g.pos, g.n_wires, circuit.n_qubits)
-
-
 def circuit_to_operator(circuit: CircuitIR) -> np.ndarray:
     """Dense unitary of the circuit (first-listed gate applied first).
 
@@ -498,11 +497,9 @@ def circuit_to_operator(circuit: CircuitIR) -> np.ndarray:
     """
     n = circuit.n_qubits
     _guard_qubits(n, "circuit operator")
-    _check_wires(circuit)
     u = identity(n)
     for g in circuit.gates:
-        local = g.local_matrix()
-        u = (local @ u.reshape(2 ** (g.pos - 1), len(local), -1)).reshape(u.shape)
+        u = (g.local_matrix() @ u.reshape(2 ** (g.pos - 1), 2**g.n_wires, -1)).reshape(u.shape)
     return u
 
 
@@ -522,15 +519,10 @@ def circuit_to_rotation(circuit: CircuitIR, tol: Tolerances = DEFAULT_TOL) -> np
     """
     for g in circuit.gates:
         if g.freeform:
-            if g.blocks is not None:
-                a, b = g.blocks
-                detail = f" ({_matchgate_violation(a, b, tol.residual)})"
-            else:
-                detail = ""
+            detail = "" if g.blocks is None else f" ({_matchgate_violation(*g.blocks, tol.residual)})"
             raise NotGaussianError(
                 f"free-form gate {g.name or g.kind} @ {g.pos} has no rotation{detail}"
             )
-    _check_wires(circuit)
     gates = circuit.gates
     local_rotations: list[np.ndarray | None] = [None] * len(gates)
     odd = np.zeros(len(gates), dtype=bool)

@@ -406,9 +406,10 @@ def two_qubit_decompose(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> TwoQubi
 
 
 def _blocks(u: np.ndarray, par: Parity) -> TwoQubitBlocks:
-    """The G/J blocks of a two-qubit gate whose parity par is even or odd."""
+    """The G/J blocks of a two-qubit gate whose parity par is even or odd,
+    copied out of u."""
     slot_a, slot_b = _BLOCK_SLOTS[par == "odd"]
-    return TwoQubitBlocks(par, u[slot_a], u[slot_b])
+    return TwoQubitBlocks(par, u[slot_a].copy(), u[slot_b].copy())
 
 
 def _dets(blocks: TwoQubitBlocks) -> tuple[complex, complex]:

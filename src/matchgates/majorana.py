@@ -432,13 +432,14 @@ def check_car(ops: list[np.ndarray], tol: float = DEFAULT_TOL.residual) -> CarRe
     if len(ops) != 2 * n:
         raise ValueError(f"expected {2 * n} operators for {n} qubits, got {len(ops)}")
     dim = 2**n
+    for i, a in enumerate(ops):  # every shape, before any product
+        if a.shape != (dim, dim):
+            raise ValueError(f"operator {i + 1} has shape {a.shape}, expected {(dim, dim)}")
     eye2 = 2 * np.eye(dim)
     worst = 0.0
     worst_pair = (1, 1)
     herm = 0.0
     for i, a in enumerate(ops):
-        if a.shape != (dim, dim):
-            raise ValueError(f"operator {i + 1} has shape {a.shape}, expected {(dim, dim)}")
         herm = max(herm, norm_max(a - a.conj().T))
         square = a @ a
         for j in range(i, len(ops)):

@@ -167,7 +167,6 @@ class Branch:
     z: tuple[int, ...]
     probability: float
     raw_state: np.ndarray  # normalized post-measurement state, phase kept
-    correction: np.ndarray
     corrected: np.ndarray
     residual_vs_target: float
     phase: complex  # <U psi | corrected>, should be 1
@@ -227,6 +226,10 @@ def simulate_protocol(
     """
     assert_unitary(u, "teleported gate")
     n = n_qubits_of(u)
+    if psi_in.ndim != 1:
+        raise ValueError(f"input state must be a vector, got shape {psi_in.shape}")
+    if n_qubits_of(psi_in) != n:
+        raise ValueError(f"input state is on {n_qubits_of(psi_in)} qubit(s), the teleported gate on {n}")
     if abs(np.linalg.norm(psi_in) - 1.0) > NORM_TOL:
         raise ValueError("input state must be normalized")
     bn = _network(n)[0]
@@ -244,11 +247,9 @@ def simulate_protocol(
     corrected = (corrs @ raws[:, :, None])[:, :, 0]
     residuals = _row_norms(corrected - target)
     branches = []
-    for zi, (prob, raw, corr, out, residual) in enumerate(
-        zip(probs, raws, corrs, corrected, residuals)
-    ):
+    for zi, (prob, raw, out, residual) in enumerate(zip(probs, raws, corrected, residuals)):
         phase = complex(np.vdot(target, out))
-        branches.append(Branch(_outcome(zi, n), prob, raw, corr, out, float(residual), phase))
+        branches.append(Branch(_outcome(zi, n), prob, raw, out, float(residual), phase))
     return TeleportTranscript(n, psi_in, target, tuple(branches))
 
 

@@ -151,7 +151,7 @@ def test_parse_round_trip():
     text = "qubits 3\nG H H @ 1\nFSWAP @ 2\nRZ(pi/4) @ 3\nG P(pi/2) P(pi/2) @ 2\n"
     circ = parse_circuit(text)
     assert circ.n_qubits == 3
-    assert [g.wires() for g in circ.gates] == [(1, 2), (2, 3), (3,), (2, 3)]
+    assert [(g.pos, g.n_wires) for g in circ.gates] == [(1, 2), (2, 2), (3, 1), (2, 2)]
     canonical = circuit_to_text(circ)
     again = parse_circuit(canonical)
     assert circuit_to_text(again) == canonical

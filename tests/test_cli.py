@@ -277,6 +277,22 @@ def test_svn_car_failure_exits_one(runner, tmp_path):
     assert "anticommutation" in _err(result)
 
 
+def test_svn_mixed_shapes_exit_one_before_any_product(runner, tmp_path):
+    path = tmp_path / "mixed.json"
+    save_json(path, tuple_to_json([np.eye(2, dtype=complex), np.eye(4, dtype=complex)]))
+    result = runner.invoke(main, ["svn", "--tuple", str(path)])
+    assert result.exit_code == 1
+    assert _err(result) == "error: operator 2 has shape (4, 4), expected (2, 2)\n"
+
+
+def test_teleport_refuses_a_state_on_other_qubits(runner, tmp_path):
+    path = tmp_path / "one_qubit.json"
+    save_json(path, state_to_json(np.array([1, 0], dtype=complex)))
+    result = runner.invoke(main, ["teleport", "--gate", "CZ", "--state", str(path)])
+    assert result.exit_code == 1
+    assert _err(result) == "error: input state is on 1 qubit(s), the teleported gate on 2\n"
+
+
 def test_svn_non_hermitian_tuple_exits_one(runner, tmp_path):
     rng = np.random.default_rng(12)
     s = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -27,6 +27,7 @@ from matchgates.circuits import (
     split_args,
 )
 from matchgates.cli import gate_from_token, main
+from matchgates.hierarchy import two_qubit_decompose
 from matchgates.io import dumps_stable
 from matchgates.linalg import is_unitary
 from matchgates.sampling import haar_unitary
@@ -119,7 +120,9 @@ def test_cli_refuses_two_qubit_block():
     assert "error: block A must be a 2x2" in _err(result)
 
 
-@pytest.mark.parametrize("token", ["CNZ(40)", "MAJORANA(40)", "F(" + ",".join(["1"] * 40) + ")", "C(3)"])
+@pytest.mark.parametrize(
+    "token", ["CNZ(40)", "CNZ(99999999999999999999)", "MAJORANA(40)", "F(" + ",".join(["1"] * 40) + ")", "C(3)"]
+)
 def test_oversized_tokens_exit_one_without_traceback(token):
     extra = ["-n", "30"] if token == "C(3)" else []
     result = CliRunner().invoke(main, ["classify", "--gate", token, *extra])
@@ -131,6 +134,8 @@ def test_oversized_tokens_exit_one_without_traceback(token):
 def test_builders_guard_qubits_before_allocating():
     with pytest.raises(ValueError, match="limit"):
         build_CnZ(40)
+    with pytest.raises(ValueError, match=r"^pattern gate would act on 10{20} qubits \(limit 15\)$"):
+        build_CnZ(10**20)  # before the pattern tuple exists
     with pytest.raises(ValueError, match="limit"):
         build_F((None,) * 16)
     with pytest.raises(ValueError, match="limit"):
@@ -211,6 +216,48 @@ def test_block_unitarity_test_matches_linalg():
     decisions = [circuits._is_unitary_2x2(np.asarray(m, dtype=complex)) for m in cases]
     assert decisions == [is_unitary(m) for m in cases]
     assert any(decisions) and not all(decisions)
+
+
+def test_each_gate_matrix_is_built_once_at_parse(monkeypatch):
+    # 2 G/J lines, 2 named two-qubit lines, 2 named one-qubit lines
+    text = "qubits 3\nG H H @ 1\nJ X Z @ 2\nFSWAP @ 2\nGHH @ 1\nZ @ 3\nRZ(pi/4) @ 1\n"
+    want_r, want_u = circuit_to_rotation(parse_circuit(text)), circuit_to_operator(parse_circuit(text))
+    calls = {"named_gate": 0, "_block_gate": 0}
+    for fname in calls:
+
+        def counting(*args, real=getattr(circuits, fname), fname=fname, **kwargs):
+            calls[fname] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(circuits, fname, counting)
+    circ = parse_circuit(text)
+    # one per named line, two per G/J line (its block tokens); one 4x4 per two-qubit line
+    once = {"named_gate": 2 + 2 + 2 * 2, "_block_gate": 2 + 2}
+    assert calls == once
+    assert np.array_equal(circuit_to_rotation(circ), want_r)
+    assert np.array_equal(circuit_to_operator(circ), want_u)
+    assert calls == once  # neither backend builds a gate
+
+
+def test_gate_app_keeps_one_read_only_matrix():
+    for g in parse_circuit("qubits 2\nG P(0.3) P(0.3) @ 1\nJ X Z @ 1\nFSWAP @ 1\nRZ(0.7) @ 2\n").gates:
+        m = g.local_matrix()
+        assert m is g.local_matrix() and not m.flags.writeable
+        assert g.n_wires == len(m) // 2
+        if g.blocks is not None:
+            assert all(np.shares_memory(block, m) and not block.flags.writeable for block in g.blocks)
+    u = named_gate("GHH")
+    blocks = two_qubit_decompose(u)
+    assert not np.shares_memory(blocks.a, u) and not np.shares_memory(blocks.b, u)
+
+
+def test_gate_app_refuses_a_bad_name_or_arity_when_built():
+    with pytest.raises(ValueError, match=r"^RZ takes 1 parameter\(s\), got 0$"):
+        GateApp(kind="NAMED", pos=1, name="RZ")
+    with pytest.raises(ValueError, match=r"^FSWAP takes 0 parameter\(s\), got 1$"):
+        GateApp(kind="NAMED", pos=1, name="FSWAP", params=(0.3,))
+    with pytest.raises(ValueError, match="^unknown gate name 'QQ'$"):
+        GateApp(kind="NAMED", pos=1, name="QQ")
 
 
 def test_compilation_makes_no_unitarity_check_per_gate(monkeypatch):

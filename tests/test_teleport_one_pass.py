@@ -28,7 +28,7 @@ from matchgates.linalg import n_qubits_of
 from matchgates.majorana import state_parity
 from matchgates.sampling import random_matchgate_circuit
 
-FIELDS = ("z", "probability", "raw_state", "correction", "corrected", "residual_vs_target", "phase")
+FIELDS = ("z", "probability", "raw_state", "corrected", "residual_vs_target", "phase")
 
 
 def _dense_magic_psi(u):
@@ -51,10 +51,10 @@ def _dense_protocol(u, psi_in):
     corrs = teleport._corrections(u, *teleport._byproducts(n))
     corrected = (corrs @ raws[:, :, None])[:, :, 0]
     branches = []
-    for zi, (prob, raw, corr, out) in enumerate(zip(probs, raws, corrs, corrected)):
+    for zi, (prob, raw, out) in enumerate(zip(probs, raws, corrected)):
         residual = float(np.linalg.norm(out - target))
         phase = complex(np.vdot(target, out))
-        branches.append((teleport._outcome(zi, n), prob, raw, corr, out, residual, phase))
+        branches.append((teleport._outcome(zi, n), prob, raw, out, residual, phase))
     return target, branches
 
 

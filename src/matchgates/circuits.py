@@ -246,9 +246,11 @@ class GateApp:
             m.flags.writeable = False  # first, so that the block views are read-only too
             slot_a, slot_b = _BLOCK_SLOTS[self.kind == "J"]
             object.__setattr__(self, "blocks", (m[slot_a], m[slot_b]))
-        else:
+        elif self.kind == "NAMED":
             m = named_gate(self.name, self.params)
             m.flags.writeable = False
+        else:
+            raise ValueError(f"gate kind must be 'G', 'J' or 'NAMED', got {self.kind!r}")
         object.__setattr__(self, "_matrix", m)
 
     @property

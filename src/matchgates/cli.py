@@ -6,11 +6,16 @@ and re-emit circuit files, and run the built-in verification corpus.
 
 Exit codes: 0 success, 1 bad input (parse errors, non-unitary matrices,
 tuples failing the anticommutation relations or not Hermitian, a level
-cap below 1, a teleport option of the mode not run), 2 classification
-ran but was inconclusive (fermionic gate with no level up to k_max), 3 a
-verification check failed (teleportation residual, reconstruction
-contract, self-test criterion), 4 a level search was refused before it
-started because it would exceed the work guard (lower --k-max).
+cap below 1, a teleport option of the mode not run, a bad subcommand
+option, value or name), 2 classification ran but was inconclusive
+(fermionic gate with no level up to k_max), 3 a verification check
+failed (teleportation residual, reconstruction contract, self-test
+criterion), 4 a level search was refused before it started because it
+would exceed the work guard (lower --k-max, or --k-max-corrections for
+teleport). Each refusal is one `error:` line on stderr, written by the
+group's invoke, the one place that maps exceptions to exit codes. A bare
+`mgh` and a bad option of the group itself fail before that, in click's
+argument parsing, and keep click's usage block and exit 2.
 
 The environment variable MGH_TOL, a finite positive number, sets epsilon,
 the residual tolerance; the unitary, norm and angle thresholds are fixed.
@@ -28,8 +33,6 @@ import numpy as np
 from click.core import ParameterSource
 
 from .circuits import (
-    CircuitError,
-    NotGaussianError,
     build_CnZ,
     build_F,
     build_G,
@@ -142,16 +145,11 @@ def _load_unitary(
     given = sum(x is not None for x in (gate, circuit, matrix))
     if given != 1:
         _fail("provide exactly one of --gate, --circuit, --matrix")
-    try:
-        if gate is not None:
-            return gate_from_token(gate, n_qubits)
-        if circuit is not None:
-            text = Path(circuit).read_text()
-            return circuit_to_operator(parse_circuit(text, tol))
-        return matrix_from_json(load_json(matrix))
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
-    raise AssertionError("unreachable")
+    if gate is not None:
+        return gate_from_token(gate, n_qubits)
+    if circuit is not None:
+        return circuit_to_operator(parse_circuit(Path(circuit).read_text(), tol))
+    return matrix_from_json(load_json(matrix))
 
 
 def _emit(obj: dict, fmt: str, text_lines) -> None:
@@ -181,7 +179,25 @@ _FMT = click.option(
 )
 
 
-@click.group()
+class _RefusalGroup(click.Group):
+    """The one place a refusal becomes an `error:` line and its exit code:
+    a usage error or any other ValueError or OSError exits 1, a refused
+    level search exits 4."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail(exc.format_message())
+        except SearchBudgetError as exc:
+            _fail(str(exc), EXIT_BUDGET)
+        except BrokenPipeError:
+            raise  # a closed stdout is not bad input; click exits 1 quietly
+        except (ValueError, OSError) as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_RefusalGroup)
 @click.version_option(package_name="matchgates")
 def main() -> None:
     """Matchgate hierarchy toolkit."""
@@ -203,12 +219,7 @@ def classify(gate, circuit, matrix, n_qubits, k_max, fmt) -> None:
     """
     tol = _tolerances()
     u = _load_unitary(gate, circuit, matrix, n_qubits, tol)
-    try:
-        report = classify_gate(u, k_max=k_max, tol=tol)
-    except SearchBudgetError as exc:
-        _fail(str(exc), EXIT_BUDGET)
-    except ValueError as exc:
-        _fail(str(exc))
+    report = classify_gate(u, k_max=k_max, tol=tol)
 
     def lines(d):
         yield f"qubits: {d['n_qubits']}"
@@ -269,38 +280,34 @@ def teleport(gate, circuit, matrix, n_qubits, state, trials, seed, k_max_correct
             _fail(f"{', '.join(given)} cannot be used with --state")
     tol = _tolerances()
     u = _load_unitary(gate, circuit, matrix, n_qubits, tol)
-    try:
-        if state is not None:
-            psi = state_from_json(load_json(state))
-            transcript = simulate_protocol(u, psi, tol)
-            ok = transcript.max_residual < tol.residual
-            out = transcript.to_json(include_states=include_states)
-            out["passed"] = ok
+    if state is not None:
+        psi = state_from_json(load_json(state))
+        transcript = simulate_protocol(u, psi, tol)
+        ok = transcript.max_residual < tol.residual
+        out = transcript.to_json(include_states=include_states)
+        out["passed"] = ok
 
-            def lines(d):
-                yield f"qubits: {d['n']}"
-                yield f"branches: {len(d['branches'])}"
-                yield f"max residual: {d['max_residual']:.3e}"
-                yield f"max probability deviation: {d['max_probability_deviation']:.3e}"
-                yield "passed" if d["passed"] else "FAILED"
+        def lines(d):
+            yield f"qubits: {d['n']}"
+            yield f"branches: {len(d['branches'])}"
+            yield f"max residual: {d['max_residual']:.3e}"
+            yield f"max probability deviation: {d['max_probability_deviation']:.3e}"
+            yield "passed" if d["passed"] else "FAILED"
 
-        else:
-            report = verify_protocol(u, trials=trials, seed=seed, k_max_corrections=k_max_corrections, tol=tol)
-            ok = report.passed
-            out = report.to_json()
+    else:
+        report = verify_protocol(u, trials=trials, seed=seed, k_max_corrections=k_max_corrections, tol=tol)
+        ok = report.passed
+        out = report.to_json()
 
-            def lines(d):
-                yield f"qubits: {d['n']}, trials: {d['trials']}, branches: {d['branch_count']}"
-                yield f"max residual: {d['max_residual']:.3e}"
-                yield f"max probability deviation: {d['max_probability_deviation']:.3e}"
-                for entry in d["correction_levels"]:
-                    lvl = entry["min_level"]
-                    label = lvl if lvl is not None else f"above cap {k_max_corrections}"
-                    yield f"corrections at level {label}: {entry['count']}"
-                yield "passed" if d["passed"] else "FAILED"
-
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+        def lines(d):
+            yield f"qubits: {d['n']}, trials: {d['trials']}, branches: {d['branch_count']}"
+            yield f"max residual: {d['max_residual']:.3e}"
+            yield f"max probability deviation: {d['max_probability_deviation']:.3e}"
+            for entry in d["correction_levels"]:
+                lvl = entry["min_level"]
+                label = lvl if lvl is not None else f"above cap {k_max_corrections}"
+                yield f"corrections at level {label}: {entry['count']}"
+            yield "passed" if d["passed"] else "FAILED"
     _emit(out, fmt, lines)
     if not ok:
         sys.exit(EXIT_VERIFY)
@@ -319,11 +326,7 @@ def svn(tuple_path, expect, fmt) -> None:
     the contract or the --expect comparison fails.
     """
     tol = _tolerances()
-    try:
-        ops = tuple_from_json(load_json(tuple_path))
-        result = svn_reconstruct(ops, tol)
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    result = svn_reconstruct(tuple_from_json(load_json(tuple_path)), tol)
     out = {
         "n_qubits": int(np.log2(result.u.shape[0])),
         "u": matrix_to_json(result.u),
@@ -332,11 +335,7 @@ def svn(tuple_path, expect, fmt) -> None:
     }
     ok = result.max_residual < tol.residual
     if expect is not None:
-        try:
-            want = matrix_from_json(load_json(expect))
-        except (ValueError, OSError) as exc:
-            _fail(str(exc))
-        match = equal_up_to_phase(result.u, want, tol.residual)
+        match = equal_up_to_phase(result.u, matrix_from_json(load_json(expect)), tol.residual)
         out["expect"] = {
             "equal": match.equal,
             "residual": float(match.residual),
@@ -373,22 +372,15 @@ def parse(path, emit) -> None:
     --emit rotation additionally requires every gate to be fermionic.
     """
     tol = _tolerances()
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        _fail(str(exc))
-    try:
-        circ = parse_circuit(text, tol)
-        if emit == "canonical":
-            click.echo(circuit_to_text(circ), nl=False)
-        elif emit == "matrix":
-            click.echo(dumps_stable(matrix_to_json(circuit_to_operator(circ))), nl=False)
-        else:
-            rot = circuit_to_rotation(circ, tol)
-            obj = {"n_modes": rot.shape[0], "rotation": [[float(x) for x in row] for row in rot]}
-            click.echo(dumps_stable(obj), nl=False)
-    except (CircuitError, NotGaussianError, ValueError) as exc:
-        _fail(str(exc))
+    circ = parse_circuit(Path(path).read_text(), tol)
+    if emit == "canonical":
+        click.echo(circuit_to_text(circ), nl=False)
+    elif emit == "matrix":
+        click.echo(dumps_stable(matrix_to_json(circuit_to_operator(circ))), nl=False)
+    else:
+        rot = circuit_to_rotation(circ, tol)
+        obj = {"n_modes": rot.shape[0], "rotation": [[float(x) for x in row] for row in rot]}
+        click.echo(dumps_stable(obj), nl=False)
 
 
 @main.command()
@@ -409,10 +401,7 @@ def selftest(seed, only, fmt) -> None:
             _fail(f"bad --only list {only!r}")
         if not indices:
             _fail(f"--only list {only!r} names no criterion")
-    try:
-        results = run_selected(indices, base)
-    except ValueError as exc:
-        _fail(str(exc))
+    results = run_selected(indices, base)
     all_passed = all(r.passed for r in results)
     out = {
         "seed": base,

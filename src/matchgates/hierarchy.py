@@ -9,10 +9,12 @@ with R in O(2n). The levels are nested and closed under phases (k >= 2),
 under multiplication by Majoranas, and under tensor products.
 
 classify_gate decides Gaussianity once, by the rotation kernel: a gate is
-Gaussian exactly when extract_rotation finds its R. The Lambda test
-is_gaussian_lambda ([Lambda, U (x) U] = 0) is an independent route to the
-same fact; self-test criterion 2 and the tests check the two against each
-other, and the classifier never runs it.
+Gaussian exactly when extract_rotation finds its R. Level 2 is the
+Gaussian gates, so a gate with an R is at level 1 when first_level_coeffs
+passes and at level 2 otherwise, and only a gate without one is searched.
+The Lambda test is_gaussian_lambda ([Lambda, U (x) U] = 0) is an
+independent route to the same fact; self-test criterion 2 and the tests
+check the two against each other, and the classifier never runs it.
 
 Membership at level k is decided on the tree of conjugations: the
 children of a node V are the 2n operators V c_mu V^dag, every node at
@@ -55,14 +57,14 @@ those of f with each term through j lowered by one degree or doubled. By inducti
 
 v2 being the 2-adic valuation: a degree-d monomial with coefficient
 pi / 2^m sits at level d + 1 + m, a linear phase is Gaussian.
-classify_gate first calls diagonal_level, which takes a gate only when
-every off-diagonal entry is exactly zero and every phase ratio d_x / d_0
-lies within PHASE_SNAP (1e-14) of a 2^M-th root of unity, M bounded by the
-root-spacing rule of the two-qubit closed form (M = 19 at the default
-epsilon). The level is then read off the integer coefficients, with no
-tolerance, in O(n 2^n). Every other input, a diagonal gate perturbed beyond
-PHASE_SNAP or with phases on a finer grid included, gets NotImplemented and
-falls back to min_level. min_level and level_membership remain the matrix
+For a non-Gaussian gate classify_gate first calls diagonal_level, which
+takes a gate only when every off-diagonal entry is exactly zero and every
+phase ratio d_x / d_0 lies within PHASE_SNAP (1e-14) of a 2^M-th root of
+unity, M bounded by the root-spacing rule of the two-qubit closed form
+(M = 19 at the default epsilon). The level is then read off the integer
+coefficients, with no tolerance, in O(n 2^n). Every other input, a
+diagonal gate perturbed beyond PHASE_SNAP or with phases on a finer grid
+included, gets NotImplemented and falls back to min_level. min_level and level_membership remain the matrix
 route alone: the self-test and the protocol verifier call them directly,
 and the tests hold diagonal_level to their answers.
 
@@ -92,13 +94,12 @@ from types import NotImplementedType
 
 import numpy as np
 
-from .circuits import _BLOCK_SLOTS, build_G, phase_gate
+from .circuits import _BLOCK_SLOTS
 from .io import complex_to_json
 from .linalg import (
     ANGLE_TOL,
     DEFAULT_TOL,
     NORM_TOL,
-    PAULI_I,
     Tolerances,
     _guard_qubits,
     assert_unitary,
@@ -464,10 +465,6 @@ class EquivClass:
     generalised_phi: float
 
     @property
-    def representative(self) -> np.ndarray:
-        return build_G(phase_gate(self.phi), PAULI_I)
-
-    @property
     def representative_name(self) -> str:
         return f"CPHASE({self.phi!r})"
 
@@ -522,7 +519,9 @@ def classify_gate(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) 
     """Full classification of a unitary: parity, Gaussianity, rotation,
     minimum hierarchy level, and (for two qubits) the closed-form data.
 
-    The gate is Gaussian exactly when the rotation kernel finds its rotation.
+    The gate is Gaussian exactly when the rotation kernel finds its rotation,
+    and then its level is 1 or 2 by the first-level test alone, so
+    is_gaussian == (min_level <= 2) whenever k_max >= 2.
     """
     _check_cap(k_max)
     assert_unitary(u, "gate")
@@ -531,7 +530,10 @@ def classify_gate(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) 
     rotation = extract_rotation(u, tol)
     rotation_det = None if rotation is None else float(np.linalg.det(rotation))
     level = None
-    if par != "none":
+    if par != "none" and rotation is not None:
+        # Gaussian is level 2, so only the first-level test is left to run
+        level = 1 if first_level_coeffs(u, tol) is not None else 2 if k_max >= 2 else None
+    elif par != "none":
         level = diagonal_level(u, k_max, tol)
         if level is NotImplemented:
             level = min_level(u, k_max, tol)

@@ -8,6 +8,7 @@ matrix objects or {"n": ..., "operators": [...]}.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +31,30 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def _re_im(data, what: str) -> tuple[np.ndarray, np.ndarray]:
     """The float arrays under "re" and "im" of a decoded JSON object; refuses
-    a non-object or a missing key."""
+    a non-object, a missing key, and an entry that is not a finite number."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} JSON must be an object with 're' and 'im', got {type(data).__name__}")
     for key in ("re", "im"):
         if key not in data:
             raise ValueError(f"{what} JSON has no {key!r} key")
-    return np.array(data["re"], dtype=float), np.array(data["im"], dtype=float)
+    return _finite_floats(data["re"], f"{what} JSON 're'"), _finite_floats(data["im"], f"{what} JSON 'im'")
+
+
+def _finite_floats(value, field: str) -> np.ndarray:
+    """value as a float array; refuses, naming the field, a ragged array and
+    an entry that is not a JSON number (null, true and strings included) or
+    is not finite."""
+    entries = np.array(value, dtype=object)  # a ragged row stays a list entry
+    if not set(map(type, entries.flat)) <= {int, float}:
+        bad = next(x for x in entries.flat if type(x) not in (int, float))
+        raise ValueError(f"{field} must be a rectangular array of numbers, found {json.dumps(bad)}")
+    try:
+        floats = entries.astype(float)
+    except OverflowError:  # an integer beyond the float range
+        floats = np.array(math.inf)
+    if not np.isfinite(floats).all():
+        raise ValueError(f"{field} has an entry that is not finite")
+    return floats
 
 
 def matrix_from_json(data: dict) -> np.ndarray:

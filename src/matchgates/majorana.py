@@ -424,7 +424,8 @@ class CarReport:
 def check_car(ops: list[np.ndarray], tol: float = DEFAULT_TOL.residual) -> CarReport:
     """Check {c_mu, c_nu} = 2 delta_{mu nu} 1 over all pairs of a candidate tuple.
 
-    The tuple must contain exactly 2n operators of dimension 2^n.
+    The tuple must contain exactly 2n operators of dimension 2^n, with
+    finite entries.
     """
     if not ops:
         raise ValueError("empty operator tuple")
@@ -432,9 +433,11 @@ def check_car(ops: list[np.ndarray], tol: float = DEFAULT_TOL.residual) -> CarRe
     if len(ops) != 2 * n:
         raise ValueError(f"expected {2 * n} operators for {n} qubits, got {len(ops)}")
     dim = 2**n
-    for i, a in enumerate(ops):  # every shape, before any product
+    for i, a in enumerate(ops):  # every shape and entry, before any product
         if a.shape != (dim, dim):
             raise ValueError(f"operator {i + 1} has shape {a.shape}, expected {(dim, dim)}")
+        if not np.isfinite(a).all():  # a NaN residual would never count as the worst
+            raise ValueError(f"operator {i + 1} has an entry that is not finite")
     eye2 = 2 * np.eye(dim)
     worst = 0.0
     worst_pair = (1, 1)

@@ -230,7 +230,7 @@ def simulate_protocol(
         raise ValueError(f"input state must be a vector, got shape {psi_in.shape}")
     if n_qubits_of(psi_in) != n:
         raise ValueError(f"input state is on {n_qubits_of(psi_in)} qubit(s), the teleported gate on {n}")
-    if abs(np.linalg.norm(psi_in) - 1.0) > NORM_TOL:
+    if not abs(np.linalg.norm(psi_in) - 1.0) <= NORM_TOL:  # also true for NaN
         raise ValueError("input state must be normalized")
     bn = _network(n)[0]
     psi, _ = _magic_psi(u, tol)

@@ -458,3 +458,93 @@ def test_level_cap_below_one_exits_one(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert _err(result).splitlines() == [f"error: level cap must be >= 1, got {args[-1]}"]
+
+
+def test_teleport_past_the_work_guard_exits_four(runner):
+    # the correction search of verify_protocol refuses as classify does
+    result = runner.invoke(main, ["teleport", "--gate", "CPHASE(1)", "--trials", "1", "--k-max-corrections", "13"])
+    assert result.exit_code == 4
+    assert _err(result) == (
+        "error: level-13 membership at n=2 needs about 1.68e+07 dense conjugations (guard 1e+07)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["classify", "--gate", "SWAP", "--k-max", "abc"], "Invalid value for '--k-max': 'abc' is not a valid integer."),
+        (["classify", "--bogus"], "No such option '--bogus'."),
+        (["frobnicate"], "No such command 'frobnicate'."),
+        (["svn"], "Missing option '--tuple'."),
+        (
+            ["parse", "c.txt", "--emit", "tex"],
+            "Invalid value for '--emit': 'tex' is not one of 'canonical', 'matrix', 'rotation'.",
+        ),
+    ],
+)
+def test_usage_errors_exit_one_with_one_line(runner, args, message):
+    # exit 2 means an inconclusive classification, not a mistyped command
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert _err(result) == f"error: {message}\n"
+
+
+def test_a_closed_stdout_is_not_reported_as_bad_input(runner, monkeypatch):
+    # BrokenPipeError is an OSError, but click's own handling exits 1 quietly
+    def closed(*args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("matchgates.cli._emit", closed)
+    result = runner.invoke(main, ["classify", "--gate", "SWAP"])
+    assert result.exit_code == 1
+    assert "error:" not in _err(result)
+
+
+@pytest.mark.parametrize("args", [[], ["--bogus"]])
+def test_group_usage_errors_keep_clicks_exit_two(runner, args):
+    # raised while the group parses its own arguments, before any subcommand
+    assert runner.invoke(main, args).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "expect, message",
+    [
+        (np.eye(4), "shape mismatch: (2, 2) vs (4, 4)"),
+        (np.zeros((2, 2)), "second argument is numerically zero; phase comparison undefined"),
+    ],
+)
+def test_svn_expect_that_cannot_be_compared_exits_one(runner, tmp_path, expect, message):
+    tup_path, want_path = tmp_path / "tup.json", tmp_path / "want.json"
+    save_json(tup_path, tuple_to_json(jw_set(1)))
+    save_json(want_path, matrix_to_json(expect))
+    result = runner.invoke(main, ["svn", "--tuple", str(tup_path), "--expect", str(want_path)])
+    assert result.exit_code == 1
+    assert _err(result) == f"error: {message}\n"
+
+
+X_Y_TUPLE = '[{"re": [[0, %s], [1, 0]], "im": [[0, 0], [0, 0]]}, {"re": [[0, 0], [0, 0]], "im": [[0, -1], [1, 0]]}]'
+NOT_NUMBERS = "'re' must be a rectangular array of numbers, found "
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        (["classify", "--matrix"], '{"re": [[{"a": 1}]], "im": [[0]]}', NOT_NUMBERS + '{"a": 1}'),
+        (["classify", "--matrix"], '{"re": [[true]], "im": [[0]]}', NOT_NUMBERS + "true"),
+        (["classify", "--matrix"], '{"re": [["1"]], "im": [[0]]}', NOT_NUMBERS + '"1"'),
+        (["classify", "--matrix"], '{"re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}', NOT_NUMBERS + "[1, 0]"),
+        (["classify", "--matrix"], '{"re": [[1]], "im": [[NaN]]}', "'im' has an entry that is not finite"),
+        (["classify", "--matrix"], '{"re": [[1%s]], "im": [[0]]}' % ("0" * 400), "'re' has an entry that is not finite"),
+        (["teleport", "--gate", "X", "--state"], '{"re": [null, 0], "im": [0, 0]}', NOT_NUMBERS + "null"),
+        (["svn", "--tuple"], X_Y_TUPLE % "1e400", "'re' has an entry that is not finite"),
+    ],
+    ids=["object", "bool", "string", "ragged", "nan", "huge-int", "null-state", "inf-tuple"],
+)
+def test_malformed_numbers_exit_one_naming_the_field(runner, tmp_path, command, content, message):
+    # they used to raise a TypeError, or run on with NaN to a FAILED report or an SVD error
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    result = runner.invoke(main, command + [str(path)])
+    assert result.exit_code == 1
+    what = "state" if "--state" in command else "matrix"
+    assert _err(result) == f"error: {what} JSON {message}\n"

@@ -260,6 +260,13 @@ def test_gate_app_refuses_a_bad_name_or_arity_when_built():
         GateApp(kind="NAMED", pos=1, name="QQ")
 
 
+def test_gate_app_refuses_an_unknown_kind():
+    # any other kind used to be read as a named gate and fail on name None
+    for kind in ("g", "named", ""):
+        with pytest.raises(ValueError, match=f"^gate kind must be 'G', 'J' or 'NAMED', got {kind!r}$"):
+            GateApp(kind=kind, pos=1, blocks=(PAULI_I, PAULI_I))
+
+
 def test_compilation_makes_no_unitarity_check_per_gate(monkeypatch):
     text = "qubits 3\nG H H @ 1\nJ X X @ 2\nFSWAP @ 2\nGHH @ 1\nZ @ 3\nG P(pi/2) P(pi/2) @ 2\n"
     circ = parse_circuit(text)

@@ -108,3 +108,12 @@ def test_non_hermitian_car_tuple_is_refused():
     assert report.passed and report.max_hermiticity > 0.1
     with pytest.raises(ValueError, match="not Hermitian"):
         svn_reconstruct(tup)
+
+
+def test_check_car_refuses_a_nan_entry():
+    # a NaN residual never compared above the running worst, so this passed with residual 0
+    tup = jw_set(1)
+    tup[1] = tup[1].copy()
+    tup[1][0, 0] = np.nan
+    with pytest.raises(ValueError, match="^operator 2 has an entry that is not finite$"):
+        check_car(tup)

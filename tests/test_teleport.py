@@ -148,3 +148,10 @@ def test_corrections_one_level_below():
     levels = dict(rep.correction_levels)
     assert rep.passed
     assert max(lvl for lvl in levels if lvl is not None) == 3
+
+
+def test_protocol_rejects_a_nan_input_state():
+    # abs(nan - 1) > NORM_TOL is false, so the norm check let NaN through
+    psi = np.array([np.nan, 0], dtype=complex)
+    with pytest.raises(ValueError, match="input state must be normalized"):
+        simulate_protocol(np.eye(2, dtype=complex), psi)

@@ -6,7 +6,8 @@ and re-emit circuit files, and run the built-in verification corpus.
 
 Exit codes: 0 success, 1 bad input (parse errors, non-unitary matrices,
 tuples failing the anticommutation relations or not Hermitian, a level
-cap below 1, a teleport option of the mode not run, a bad subcommand
+cap below 1, a teleport option of the mode not run, -n without a
+MAJORANA or C token, an array too large to allocate, a bad subcommand
 option, value or name), 2 classification ran but was inconclusive
 (fermionic gate with no level up to k_max), 3 a verification check
 failed (teleportation residual, reconstruction contract, self-test
@@ -32,6 +33,7 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
+from . import __version__
 from .circuits import (
     build_CnZ,
     build_F,
@@ -145,6 +147,8 @@ def _load_unitary(
     given = sum(x is not None for x in (gate, circuit, matrix))
     if given != 1:
         _fail("provide exactly one of --gate, --circuit, --matrix")
+    if n_qubits is not None and (gate is None or lex_token(gate)[0].upper() not in ("MAJORANA", "C")):
+        raise ValueError("-n/--n-qubits applies only to a MAJORANA(mu) or C(mu) gate token")
     if gate is not None:
         return gate_from_token(gate, n_qubits)
     if circuit is not None:
@@ -164,7 +168,7 @@ _GATE_SOURCES = [
     click.option("--gate", default=None, metavar="TOKEN", help="Gate token, e.g. SWAP, CPHASE(pi/2), F(1,*,1), G(H,H), MAJORANA(3)."),
     click.option("--circuit", default=None, type=click.Path(), help="Circuit text file; the command acts on its dense unitary."),
     click.option("--matrix", default=None, type=click.Path(), help="Matrix JSON file {n, re, im}."),
-    click.option("-n", "--n-qubits", default=None, type=int, help="Register size for MAJORANA tokens."),
+    click.option("-n", "--n-qubits", default=None, type=int, help="Register size for MAJORANA(mu) and C(mu) tokens; refused otherwise."),
 ]
 
 
@@ -181,8 +185,8 @@ _FMT = click.option(
 
 class _RefusalGroup(click.Group):
     """The one place a refusal becomes an `error:` line and its exit code:
-    a usage error or any other ValueError or OSError exits 1, a refused
-    level search exits 4."""
+    a usage error, an allocation that cannot be made or any other
+    ValueError or OSError exits 1, a refused level search exits 4."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -193,12 +197,12 @@ class _RefusalGroup(click.Group):
             _fail(str(exc), EXIT_BUDGET)
         except BrokenPipeError:
             raise  # a closed stdout is not bad input; click exits 1 quietly
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, MemoryError) as exc:
             _fail(str(exc))
 
 
 @click.group(cls=_RefusalGroup)
-@click.version_option(package_name="matchgates")
+@click.version_option(version=__version__)
 def main() -> None:
     """Matchgate hierarchy toolkit."""
 

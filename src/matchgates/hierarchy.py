@@ -11,7 +11,8 @@ under multiplication by Majoranas, and under tensor products.
 classify_gate decides Gaussianity once, by the rotation kernel: a gate is
 Gaussian exactly when extract_rotation finds its R. Level 2 is the
 Gaussian gates, so a gate with an R is at level 1 when first_level_coeffs
-passes and at level 2 otherwise, and only a gate without one is searched.
+passes and at level 2 otherwise. A gate without one is at neither level,
+so its search starts at level 3.
 The Lambda test is_gaussian_lambda ([Lambda, U (x) U] = 0) is an
 independent route to the same fact; self-test criterion 2 and the tests
 check the two against each other, and the classifier never runs it.
@@ -27,9 +28,14 @@ the first-level coefficients tr(c_mu V) / 2^n are gathers. A leaf is first
 level when V - sum_mu a_mu c_mu vanishes, read by the same linearity
 residual that decides Gaussianity in the rotation kernel
 (majorana._linear_residuals), so both levels share its dense and support
-routes. Before the first batch the walk follows the single c_1 ... c_1
-path, on which a generic gate already fails, so failing searches cost one
-descent.
+routes. Before the first batch of a level the walk checks the single
+c_1 ... c_1 path, on which a generic gate already fails. One search takes
+its levels in ascending order and extends that path by one conjugate per
+level, testing each depth's oddness once, so a failing search costs one
+descent however many levels it spans: K - 1 path conjugates up to level
+K, where restarting at each level would cost K(K - 1) / 2. The one search
+serves level_membership (level k alone), min_level (levels 1 .. k_max)
+and classify_gate (levels 3 .. k_max).
 
 The walk is depth first and stops at the first failing batch, so a batch
 is kept small: whole parents up to CHUNK_ENTRIES / 8 complex entries of
@@ -64,19 +70,20 @@ unity, M bounded by the root-spacing rule of the two-qubit closed form
 (M = 19 at the default epsilon). The level is then read off the integer
 coefficients, with no tolerance, in O(n 2^n). Every other input, a
 diagonal gate perturbed beyond PHASE_SNAP or with phases on a finer grid
-included, gets NotImplemented and falls back to min_level. min_level and level_membership remain the matrix
-route alone: the self-test and the protocol verifier call them directly,
-and the tests hold diagonal_level to their answers.
+included, gets NotImplemented and falls back to the level search from
+level 3. min_level and level_membership remain the matrix route alone:
+the self-test and the protocol verifier call them directly, and the tests
+hold diagonal_level to their answers.
 
 On the matrix route, trees of gates such as CnZ(n) and the pattern gates F
-are mostly exact repeats, so each membership call expands every distinct
-node once.
+are mostly exact repeats, so each level of a search expands every
+distinct node once.
 A node that will be expanded is keyed by its remaining depth and its raw
-bytes; a node whose key this call has already queued is dropped, because
+bytes; a node whose key this level has already queued is dropped, because
 bit-identical nodes have bit-identical subtrees under the same kernels.
 Keys are never rounded or phase-normalised, so two nodes on opposite
 sides of a check are never merged. Leaves and the root's children are
-not keyed. The keys live for one call and stop growing once they hold
+not keyed. The keys live for one level and stop growing once they hold
 MEMO_ENTRIES complex entries; after that the walk still looks keys up but
 adds none.
 
@@ -234,27 +241,38 @@ def level_membership(u: np.ndarray, k: int, tol: Tolerances = DEFAULT_TOL) -> bo
     """True iff u belongs to hierarchy level k (membership, not minimality)."""
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
+    return _search(u, (k,), tol) == k
+
+
+def _search(u: np.ndarray, levels: range | tuple[int, ...], tol: Tolerances) -> int | None:
+    """The first of the ascending `levels` that contains u, or None.
+
+    Each level k is refused by COST_GUARD before its work starts, as a
+    search of that level alone would be. A generic gate already fails on
+    the c_1 ... c_1 path, so the path is tried first; it is extended by one
+    conjugate per level and checked for oddness once per depth, so a
+    failing search costs a single descent whatever the number of levels.
+    """
     n = n_qubits_of(u)
-    if (2 * n) ** (k - 1) > COST_GUARD:
-        raise SearchBudgetError(
-            f"level-{k} membership at n={n} needs about {(2 * n) ** (k - 1):.2e} "
-            f"dense conjugations (guard {COST_GUARD:.0e})"
-        )
-    root = u[None]
-    # A generic gate already fails on the c_1 ... c_1 path, so trying it
-    # first keeps a failing search at the cost of a single descent.
-    path = root
-    for _ in range(k - 1):
-        path = _conjugates(path, n, slice(0, 1))
-        if not _all_odd(path, n, tol):
-            return False
-    if not _first_level(path, n, tol)[1].all():
-        return False
-    return _subtree_ok(root, k - 1, n, tol, _Seen(n, k - 1))
+    root = path = u[None]
+    depth, odd = 0, True
+    for k in levels:
+        if (2 * n) ** (k - 1) > COST_GUARD:
+            raise SearchBudgetError(
+                f"level-{k} membership at n={n} needs about {(2 * n) ** (k - 1):.2e} "
+                f"dense conjugations (guard {COST_GUARD:.0e})"
+            )
+        while odd and depth < k - 1:
+            path = _conjugates(path, n, slice(0, 1))
+            depth += 1
+            odd = _all_odd(path, n, tol)
+        if odd and _first_level(path, n, tol)[1].all() and _subtree_ok(root, k - 1, n, tol, _Seen(n, k - 1)):
+            return k
+    return None
 
 
 class _Seen:
-    """Exact keys of the nodes queued for expansion in one level search.
+    """Exact keys of the nodes queued for expansion at one level of a search.
 
     A node is keyed by its remaining depth and its raw bytes, never rounded,
     so only bit-identical nodes, whose subtrees are bit-identical, share a
@@ -320,13 +338,10 @@ def _check_cap(k_max: int) -> None:
 def min_level(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) -> int | None:
     """Smallest hierarchy level containing u, or None if above k_max.
 
-    Levels are nested, so ascending search returns the minimum.
+    Levels are nested, so one ascending search returns the minimum.
     """
     _check_cap(k_max)
-    for k in range(1, k_max + 1):
-        if level_membership(u, k, tol):
-            return k
-    return None
+    return _search(u, range(1, k_max + 1), tol)
 
 
 def diagonal_level(
@@ -487,7 +502,10 @@ class HierarchyReport:
     Gaussianity is the rotation kernel's verdict: the gate is Gaussian
     exactly when it has a rotation. The Lambda test is_gaussian_lambda is
     the independent check of that verdict, run by self-test criterion 2
-    and by the tests, not by the classifier.
+    and by the tests, not by the classifier. min_level is 1 or 2 for a
+    fermionic gate with a rotation and comes from the levels 3 .. k_max
+    for one without, so is_gaussian == (min_level <= 2) holds by
+    construction whenever k_max >= 2.
     """
 
     n_qubits: int
@@ -520,8 +538,11 @@ def classify_gate(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) 
     minimum hierarchy level, and (for two qubits) the closed-form data.
 
     The gate is Gaussian exactly when the rotation kernel finds its rotation,
-    and then its level is 1 or 2 by the first-level test alone, so
-    is_gaussian == (min_level <= 2) whenever k_max >= 2.
+    and then its level is 1 or 2 by the first-level test alone. A fermionic
+    gate without a rotation is at neither level: an exactly diagonal one
+    with dyadic phases is read by diagonal_level, any other is searched
+    from level 3 up to k_max. So is_gaussian == (min_level <= 2) for every
+    fermionic gate whenever k_max >= 2.
     """
     _check_cap(k_max)
     assert_unitary(u, "gate")
@@ -536,7 +557,8 @@ def classify_gate(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) 
     elif par != "none":
         level = diagonal_level(u, k_max, tol)
         if level is NotImplemented:
-            level = min_level(u, k_max, tol)
+            # a gate without a rotation is not Gaussian, so not at level 1 or 2
+            level = _search(u, range(3, k_max + 1), tol)
     two_qubit = None
     if n == 2 and par != "none":
         blocks = _blocks(u, par)

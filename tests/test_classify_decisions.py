@@ -17,6 +17,7 @@ from matchgates import (
     classify_gate,
     is_gaussian_lambda,
     jw_majorana,
+    min_level,
     named_gate,
     parity_of,
     random_fermionic,
@@ -237,6 +238,31 @@ def test_gaussian_exactly_when_at_level_two_or_below(eps):
         report = classify_gate(u, k_max=4)
         if report.parity != "none":
             assert report.is_gaussian == (report.min_level is not None and report.min_level <= 2)
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_the_level_search_starts_at_three_without_a_rotation(monkeypatch, eps):
+    # A gate without a rotation is not Gaussian, so not at level 1 or 2; a
+    # search of those levels would decide them again, by other checks.
+    asked = []
+    search = hierarchy._search
+
+    def spy(u, levels, tol):
+        asked.append(tuple(levels))
+        return search(u, levels, tol)
+
+    monkeypatch.setattr(hierarchy, "_search", spy)
+    searched = 0
+    for u in _corpus(eps):
+        asked.clear()
+        report = classify_gate(u, k_max=4)
+        if asked:
+            assert asked == [(3, 4)]
+            assert report.rotation is None
+            searched += 1
+        if report.parity != "none":
+            assert report.min_level == min_level(u, 4)
+    assert searched >= 6
 
 
 @pytest.mark.xfail(

@@ -1,11 +1,14 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from matchgates import jw_set, named_gate
-from matchgates.cli import main
+import matchgates
+from matchgates import cli, jw_set, named_gate, selftest
+from matchgates.cli import gate_from_token, main
 from matchgates.io import matrix_to_json, save_json, state_to_json, tuple_to_json
 
 
@@ -548,3 +551,141 @@ def test_malformed_numbers_exit_one_naming_the_field(runner, tmp_path, command, 
     assert result.exit_code == 1
     what = "state" if "--state" in command else "matrix"
     assert _err(result) == f"error: {what} JSON {message}\n"
+
+
+def test_version_is_the_package_version(runner):
+    # a source checkout has no installed package metadata to read it from
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert result.output.endswith(f"version {matchgates.__version__}\n")
+
+
+def test_pyproject_reads_the_package_version():
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert 'dynamic = ["version"]' in text
+    assert 'version = {attr = "matchgates.__version__"}' in text
+    assert not any(line.startswith('version = "') for line in text.splitlines())
+
+
+def test_an_allocation_that_cannot_be_made_exits_one(runner, tmp_path):
+    # the compact route's 2n x 2n rotation at n = 10^7 needs 2.84 PiB, beyond
+    # any 64-bit address space
+    path = tmp_path / "huge.txt"
+    path.write_text("qubits 10000000\nZ @ 1\n")
+    result = runner.invoke(main, ["parse", str(path), "--emit", "rotation"])
+    assert result.exit_code == 1
+    assert _err(result).startswith("error: Unable to allocate ")
+    assert _err(result).count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "--gate", "SWAP", "-n", "3"],
+        ["classify", "--gate", "CNZ(3)", "--n-qubits", "3"],
+        ["classify", "--circuit", "CIRCUIT", "-n", "2"],
+        ["classify", "--matrix", "MATRIX", "-n", "2"],
+        ["teleport", "--gate", "CZ", "--trials", "1", "-n", "2"],
+    ],
+    ids=["token", "cnz", "circuit", "matrix", "teleport"],
+)
+def test_n_qubits_is_refused_without_a_majorana_token(runner, tmp_path, args):
+    # only a Majorana token has a register to size; elsewhere -n would be ignored
+    circuit, matrix = tmp_path / "c.txt", tmp_path / "m.json"
+    circuit.write_text("qubits 2\nFSWAP @ 1\n")
+    save_json(matrix, matrix_to_json(named_gate("SWAP")))
+    args = [{"CIRCUIT": str(circuit), "MATRIX": str(matrix)}.get(a, a) for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert _err(result) == "error: -n/--n-qubits applies only to a MAJORANA(mu) or C(mu) gate token\n"
+
+
+@pytest.mark.parametrize("token", ["MAJORANA(3)", "C(3)", "majorana(2)"])
+def test_n_qubits_sets_the_majorana_register(runner, token):
+    result = runner.invoke(main, ["classify", "--gate", token, "-n", "3"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["n_qubits"] == 3
+
+
+@pytest.mark.parametrize(
+    ("args", "code", "line"),
+    [
+        (["--gate", "G(H,H)"], 0, "rotation: 4x4 orthogonal, det +1.000000"),
+        (["--gate", "MAJORANA(3)", "-n", "2"], 0, "rotation: 4x4 orthogonal, det -1.000000"),
+        (["--gate", "CPHASE(2pi/128)"], 2, "min level: none up to k_max = 8"),
+        (["--gate", "H"], 0, "min level: undefined (gate mixes parities)"),
+    ],
+)
+def test_classify_text_lines(runner, args, code, line):
+    result = runner.invoke(main, ["classify", *args, "--format", "text"])
+    assert result.exit_code == code
+    assert line in result.output.splitlines()
+
+
+def test_teleport_text_summaries(runner, state_path):
+    result = runner.invoke(main, ["teleport", "--gate", "CPHASE(pi/4)", "--trials", "1", "--k-max-corrections", "2", "--format", "text"])
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    assert lines[0] == "qubits: 2, trials: 1, branches: 16"
+    assert lines[1].startswith("max residual: ")
+    assert lines[2].startswith("max probability deviation: ")
+    assert lines[3:] == ["corrections at level 2: 8", "corrections at level above cap 2: 8", "passed"]
+    result = runner.invoke(main, ["teleport", "--gate", "CZ", "--state", state_path, "--format", "text"])
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    assert lines[:2] == ["qubits: 2", "branches: 16"]
+    assert lines[2].startswith("max residual: ") and lines[3].startswith("max probability deviation: ")
+    assert lines[4:] == ["passed"]
+
+
+def test_teleport_failures_exit_three(runner, state_path, monkeypatch):
+    # an epsilon far below rounding fails every verification on a real input
+    monkeypatch.setenv("MGH_TOL", "1e-300")
+    result = runner.invoke(main, ["teleport", "--gate", "CZ", "--trials", "1", "--format", "text"])
+    assert result.exit_code == 3
+    assert result.output.splitlines()[-1] == "FAILED"
+    monkeypatch.delenv("MGH_TOL")
+    # this input lands exactly, so a miss is forced into one branch
+    simulate = cli.simulate_protocol
+
+    def missing(u, psi, tol):
+        t = simulate(u, psi, tol)
+        return dataclasses.replace(t, branches=(dataclasses.replace(t.branches[0], residual_vs_target=1.0), *t.branches[1:]))
+
+    monkeypatch.setattr(cli, "simulate_protocol", missing)
+    result = runner.invoke(main, ["teleport", "--gate", "CZ", "--state", state_path])
+    assert result.exit_code == 3
+    assert json.loads(result.output)["passed"] is False
+    result = runner.invoke(main, ["teleport", "--gate", "CZ", "--state", state_path, "--format", "text"])
+    assert result.exit_code == 3
+    assert result.output.splitlines()[-1] == "FAILED"
+
+
+@pytest.mark.parametrize(("gate", "verdict", "code"), [("CPHASE(pi/2)", "yes", 0), ("CZ", "no", 3)])
+def test_svn_text_summary_with_expect(runner, tmp_path, gate, verdict, code):
+    v = named_gate("CPHASE", (np.pi / 2,))
+    tup_path, expect_path = tmp_path / "tup.json", tmp_path / "expect.json"
+    save_json(tup_path, tuple_to_json([v.conj().T @ c @ v for c in jw_set(2)]))
+    save_json(expect_path, matrix_to_json(gate_from_token(gate)))
+    result = runner.invoke(main, ["svn", "--tuple", str(tup_path), "--expect", str(expect_path), "--format", "text"])
+    assert result.exit_code == code
+    lines = result.output.splitlines()
+    assert lines[0] == "qubits: 2"
+    assert lines[1].startswith("max contract residual: ")
+    assert lines[2].startswith(f"matches expected unitary up to phase: {verdict} (residual ")
+    assert lines[3] == ("passed" if code == 0 else "FAILED")
+
+
+def test_a_failed_selftest_criterion_exits_three(runner, monkeypatch):
+    # the ten criteria pass on this code, so one is replaced by a failing one
+    failed = selftest.CriterionResult(1, "forced", False, "forced failure")
+    monkeypatch.setattr(selftest, "ALL_CRITERIA", [lambda seed: failed, *selftest.ALL_CRITERIA[1:]])
+    result = runner.invoke(main, ["selftest", "--only", "1,3", "--format", "text"])
+    assert result.exit_code == 3
+    lines = result.output.splitlines()
+    assert lines[0] == "FAIL criterion 1: forced (forced failure)"
+    assert lines[1].startswith("PASS criterion 3")
+    assert lines[-1] == "1/2 criteria passed"
+    result = runner.invoke(main, ["selftest", "--only", "1"])
+    assert result.exit_code == 3
+    assert json.loads(result.output)["passed"] is False

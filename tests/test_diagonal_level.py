@@ -39,15 +39,15 @@ def cphase(phi):
 
 @pytest.fixture()
 def matrix_calls(monkeypatch):
-    """How often classify_gate falls back to the matrix route."""
+    """How often classify_gate falls back to the matrix route, by its top level."""
     calls = []
-    matrix_route = hierarchy.min_level
+    matrix_route = hierarchy._search
 
-    def spy(u, k_max=8, tol=DEFAULT_TOL):
-        calls.append(k_max)
-        return matrix_route(u, k_max, tol)
+    def spy(u, levels, tol):
+        calls.append(max(levels))
+        return matrix_route(u, levels, tol)
 
-    monkeypatch.setattr(hierarchy, "min_level", spy)
+    monkeypatch.setattr(hierarchy, "_search", spy)
     return calls
 
 

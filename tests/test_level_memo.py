@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchgates import build_F, min_level, random_fermionic, random_two_qubit_at_root
+from matchgates import build_F, classify_gate, min_level, random_fermionic, random_two_qubit_at_root
 from matchgates import hierarchy
 from matchgates.circuits import build_CnZ
 from matchgates.hierarchy import level_membership
@@ -115,7 +115,7 @@ def test_generic_fermionic_gates(seed, n, parity, eps):
 
 @pytest.mark.parametrize(("n", "most"), [(4, 1122), (5, 2635)])
 def test_cnz_work_stays_deduplicated(monkeypatch, n, most):
-    # Without the memo min_level computes 4802 (n = 4) and 111495 (n = 5) conjugates.
+    # Without the memo min_level computes 4796 (n = 4) and 111485 (n = 5) conjugates.
     kids = count_kids(monkeypatch)
     assert min_level(build_CnZ(n), n + 1) == n + 1
     assert kids[0] <= most
@@ -139,8 +139,22 @@ def test_full_memo_stops_adding_but_keeps_answers(monkeypatch):
         assert min_level(u, 5) == 5
         counts[nodes] = kids[0]
         monkeypatch.undo()
-    assert counts[0] == 4802
+    assert counts[0] == 4796
     assert counts[10**6] < counts[30] < counts[0]
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_one_search_walks_the_probe_path_once(monkeypatch, parity):
+    # A generic gate fails every level on the c_1 ... c_1 path. Restarting at
+    # each level would cost 0 + 1 + ... + 5 = 15 path conjugates up to level 6;
+    # one ascending search extends the path by one conjugate per level, 5 in all.
+    u = random_fermionic(3, np.random.default_rng(11), parity)
+    kids = count_kids(monkeypatch)
+    assert min_level(u, 6) is None
+    assert kids[0] == 5
+    kids[0] = 0
+    assert classify_gate(u, 6).min_level is None
+    assert kids[0] == 5
 
 
 def test_keys_are_exact_bytes_per_depth():

@@ -33,9 +33,20 @@ Circuit text format (case-insensitive, '#' starts a comment):
 Gate lists are in time order: the first gate listed acts first. Gate
 tokens here and in `mgh --gate` share lex_token, split_args and named_token.
 
-Gates and circuits are checked once, when built: a GateApp builds its
-2x2 or 4x4 matrix and keeps it read-only, and a CircuitIR refuses a gate
-whose wires do not fit its qubits. The backends only read them. The dense
+Each fact about a gate is decided once, by one function:
+
+    named_gate        a name, its arity and finite parameters
+    _check_blocks     G/J blocks are 2x2 unitaries
+    _guard_wires      the wires fit the register (linalg; CircuitIR and
+                      the parser call it)
+    _violation        the gate belongs in a matchgate circuit: a one-qubit
+                      gate keeps parity, a two-qubit one has det A = det B
+                      (the parser calls it on every gate, circuit_to_rotation
+                      on the gates of a circuit that allows free-form ones)
+    _dets             the block determinants (hierarchy reads them too)
+
+A GateApp builds its 2x2 or 4x4 matrix once and keeps it read-only; the
+backends only read it. The dense
 route, circuit_to_operator, applies each gate to its own wires of the
 2^n x 2^n product, O(2^w 4^n) for a w-qubit gate; it forms no Kronecker
 embedding. The compact route, circuit_to_rotation, finds the local
@@ -49,7 +60,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,8 +98,8 @@ class NotGaussianError(ValueError):
 
 def _is_unitary_2x2(m: np.ndarray) -> bool:
     """linalg.is_unitary's test, ||U*U - 1||_max < UNITARY_TOL, in scalar arithmetic,
-    free of numpy's per-call overhead: every GateApp runs it on its blocks
-    when built. NaN entries fail it."""
+    free of numpy's per-call overhead: every G/J GateApp runs it on its
+    blocks when built. NaN entries fail it."""
     (p, q), (r, s) = m.tolist()
     return (
         abs(abs(p) ** 2 + abs(r) ** 2 - 1) < UNITARY_TOL
@@ -117,6 +128,16 @@ _BLOCK_SLOTS = {
     False: ((slice(0, 4, 3),) * 2, (slice(1, 3),) * 2),
     True: ((slice(0, 4, 3), slice(1, 3)), (slice(1, 3), slice(0, 4, 3))),
 }
+
+
+def _dets(a: np.ndarray, b: np.ndarray) -> tuple[complex, complex]:
+    """det A and det B of a two-qubit gate's blocks, in one LAPACK call: the
+    numbers the admission rule and every two-qubit closed form read.
+
+    Adding +0j turns a -0.0 part into +0.0, so the printed determinants do
+    not depend on the signs of a gate's structural zeros."""
+    det_a, det_b = np.linalg.det(np.stack((a, b))).tolist()
+    return det_a + 0j, det_b + 0j
 
 
 def _block_gate(a: np.ndarray, b: np.ndarray, odd: bool) -> np.ndarray:
@@ -166,6 +187,8 @@ _TWO_QUBIT = {
     "CZ": (0, lambda: (PAULI_Z.copy(), PAULI_I.copy())),
     "CPHASE": (1, lambda phi: (phase_gate(phi), PAULI_I.copy())),
 }
+# Every named-gate name, for the parser's unknown-gate refusal.
+_NAMED = _ONE_QUBIT.keys() | _TWO_QUBIT.keys()
 
 # One-qubit gates that are themselves parity-even or parity-odd; anything
 # else (H, RX, RY) mixes parities and is only admitted as free-form.
@@ -175,8 +198,8 @@ _FERMIONIC_1Q = {"I", "X", "Y", "Z", "P", "RZ"}
 def named_gate(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
     """Dense matrix of a named gate (2x2 or 4x4), case-insensitive.
 
-    The package's one arity check. Only blocks that depend on an angle,
-    those of CPHASE(phi), are checked for unitarity.
+    The package's one arity and parameter check. A gate with finite
+    parameters is unitary, so no named gate is checked for unitarity.
     """
     key = name.upper()
     table = _ONE_QUBIT if key in _ONE_QUBIT else _TWO_QUBIT if key in _TWO_QUBIT else None
@@ -185,9 +208,10 @@ def named_gate(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
     arity, fn = table[key]
     if len(params) != arity:
         raise ValueError(f"{key} takes {arity} parameter(s), got {len(params)}")
-    if table is _ONE_QUBIT:
-        return fn(*params)
-    return build_G(*fn(*params)) if params else _block_gate(*fn(), odd=False)
+    for p in params:
+        if not math.isfinite(p):
+            raise ValueError(f"{key} angle must be finite, got {p}")
+    return fn(*params) if table is _ONE_QUBIT else _block_gate(*fn(*params), odd=False)
 
 
 def build_F(pattern: Pattern) -> np.ndarray:
@@ -225,9 +249,10 @@ class GateApp:
     kind is "G", "J" (explicit blocks), or "NAMED". pos is the 1-based wire
     of the gate (leftmost wire for two-qubit gates). blocks holds (A, B) for
     G/J kinds, block_names their canonical text tokens when available.
-    freeform marks gates admitted only under the `allow freeform` directive.
-    A gate is checked and its matrix built once, when it is built; G/J
-    blocks are then views into that read-only matrix.
+    A gate is checked and its matrix built once, when it is built: named
+    gates by named_gate, G/J blocks by _check_blocks. G/J blocks are then
+    views into that read-only matrix. Whether the gate belongs in a
+    matchgate circuit is not stored; _violation decides it from the matrix.
     """
 
     kind: str
@@ -236,7 +261,6 @@ class GateApp:
     params: tuple[float, ...] = ()
     blocks: tuple[np.ndarray, np.ndarray] | None = None
     block_names: tuple[str, str] | None = None
-    freeform: bool = False
     _matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -344,21 +368,44 @@ def named_token(name: str, inner: str | None) -> tuple[str, tuple[float, ...], n
     return name.upper(), params, named_gate(name, params)
 
 
-def _matchgate_violation(a: np.ndarray, b: np.ndarray, tol: float) -> str | None:
-    """None when det A = det B within tol, else a description of the mismatch."""
-    da, db = complex(np.linalg.det(a)), complex(np.linalg.det(b))
-    if abs(da - db) < tol:
+def _known(name: str, known, what: str) -> str:
+    """NAME, the upper case of name, refused as an unknown `what` unless it
+    is in known."""
+    if name.upper() not in known:
+        raise ValueError(f"unknown {what} {name!r}")
+    return name.upper()
+
+
+def _block_token(name: str, inner: str | None) -> tuple[str, tuple[float, ...], np.ndarray]:
+    """named_token of a lexed G/J block token, which must name a one-qubit
+    gate: the block rule of `G A B` lines and of G(A,B) tokens alike."""
+    return named_token(_known(name, _ONE_QUBIT, "block gate"), inner)
+
+
+def _violation(gate: GateApp, tol: float) -> str | None:
+    """Why gate is not a matchgate-circuit gate, or None when it is one.
+
+    The one admission rule: a one-qubit gate must not mix parities, and the
+    blocks of a two-qubit gate, read off its matrix (every named two-qubit
+    gate is of G form), must have det A = det B within tol.
+    """
+    if gate.n_wires == 1:
+        return None if gate.name.upper() in _FERMIONIC_1Q else "mixes parities"
+    slot_a, slot_b = _BLOCK_SLOTS[gate.kind == "J"]
+    m = gate.local_matrix()
+    det_a, det_b = _dets(m[slot_a], m[slot_b])
+    if abs(det_a - det_b) < tol:
         return None
-    return f"determinant mismatch: |A| = {da:.6g}, |B| = {db:.6g}"
+    return f"determinant mismatch: |A| = {det_a:.6g}, |B| = {det_b:.6g}"
 
 
 def parse_circuit(text: str, tol: Tolerances = DEFAULT_TOL) -> CircuitIR:
     """Parse the circuit text format into a CircuitIR.
 
-    Gates that are not (generalised) matchgates are rejected unless the
-    file carries an `allow freeform` directive; offending determinants are
-    reported in the error. Two-qubit gates must sit at nearest-neighbour
-    positions (pos, pos+1) with pos in 1..n-1.
+    Gates that are not matchgate-circuit gates (_violation) are rejected
+    unless the file carries an `allow freeform` directive; offending
+    determinants are reported in the error. Two-qubit gates must sit at
+    nearest-neighbour positions (pos, pos+1) with pos in 1..n-1.
     """
     n_qubits: int | None = None
     allow_freeform = False
@@ -407,14 +454,11 @@ def parse_circuit(text: str, tol: Tolerances = DEFAULT_TOL) -> CircuitIR:
     return CircuitIR(n_qubits, tuple(gates), allow_freeform)
 
 
-def _circuit_token(token: str, line_no: int, col: int, known, unknown: str, build=named_token):
-    """build(NAME as written, text in parentheses) of a circuit-file token
-    whose name must be in known; errors point at (line_no, col)."""
+def _circuit_token(token: str, line_no: int, col: int, build):
+    """build(NAME as written, text in parentheses) of a circuit-file token;
+    errors point at (line_no, col)."""
     try:
-        name, inner = lex_token(token)
-        if name.upper() not in known:
-            raise ValueError(f"unknown {unknown} {name!r}")
-        return build(name, inner)
+        return build(*lex_token(token))
     except ValueError as exc:
         raise CircuitError(str(exc), line_no, col) from None
 
@@ -427,45 +471,29 @@ def _parse_gate(gate_tokens, pos, n_qubits, allow_freeform, line_no, tol) -> Gat
         if len(gate_tokens) != 3:
             raise CircuitError(f"{kind} needs two block tokens", line_no, head_col)
         (name_a, params_a, a), (name_b, params_b, b) = (
-            _circuit_token(tok, line_no, col, _ONE_QUBIT, "block gate") for tok, col in gate_tokens[1:]
+            _circuit_token(tok, line_no, col, _block_token) for tok, col in gate_tokens[1:]
         )
         block_names = (_format_block(name_a, params_a), _format_block(name_b, params_b))
-        try:
-            gate = GateApp(kind=kind, pos=pos, blocks=(a, b), block_names=block_names)
-        except ValueError as exc:  # a block that is not unitary
-            raise CircuitError(str(exc), line_no, head_col) from None
+        fields = dict(kind=kind, blocks=(a, b), block_names=block_names)
     else:
         if len(gate_tokens) != 1:
             raise CircuitError(f"unexpected token {gate_tokens[1][0]!r}", line_no, gate_tokens[1][1])
-        gate = _circuit_token(
-            head, line_no, head_col, _ONE_QUBIT.keys() | _TWO_QUBIT.keys(), "gate",
-            lambda name, inner: GateApp(kind="NAMED", pos=pos, name=name.upper(), params=_angles(inner)),
+        fields = _circuit_token(
+            head, line_no, head_col,
+            lambda name, inner: dict(kind="NAMED", name=_known(name, _NAMED, "gate"), params=_angles(inner)),
         )
-
-    if gate.n_wires == 1:
-        if not 1 <= pos <= n_qubits:
-            raise CircuitError(f"wire {pos} out of range 1..{n_qubits}", line_no, head_col)
-        mixed = gate.name not in _FERMIONIC_1Q
-        refusal = f"{gate.name} mixes parities (not a matchgate-circuit gate" if mixed else None
-    else:
-        if not 1 <= pos <= n_qubits - 1:
-            raise CircuitError(
-                f"two-qubit gate at wires ({pos},{pos + 1}) out of range for {n_qubits} qubits "
-                "(nearest-neighbour positions only)",
-                line_no,
-                head_col,
-            )
-        # the blocks, read off the gate's own matrix; every named two-qubit gate is of G form
-        slot_a, slot_b = _BLOCK_SLOTS[gate.kind == "J"]
-        m = gate.local_matrix()
-        violation = _matchgate_violation(m[slot_a], m[slot_b], tol.residual)
+    try:
+        gate = GateApp(pos=pos, **fields)  # refuses a bad arity or a G/J block that is not unitary
+        _guard_wires(pos, gate.n_wires, n_qubits)
+    except ValueError as exc:
+        raise CircuitError(str(exc), line_no, head_col) from None
+    violation = _violation(gate, tol.residual)
+    if violation is not None and not allow_freeform:
         prefix = f"{gate.name}: " if gate.name else ""
-        refusal = None if violation is None else f"{prefix}{violation} (not a matchgate"
-    if refusal is None:
-        return gate
-    if not allow_freeform:
-        raise CircuitError(f"{refusal}; add 'allow freeform' to admit it)", line_no, head_col)
-    return replace(gate, freeform=True)
+        raise CircuitError(
+            f"{prefix}{violation} (not a matchgate; add 'allow freeform' to admit it)", line_no, head_col
+        )
+    return gate
 
 
 def _format_block(name: str, params: tuple[float, ...]) -> str:
@@ -510,8 +538,9 @@ def circuit_to_rotation(circuit: CircuitIR, tol: Tolerances = DEFAULT_TOL) -> np
 
     Never forms the 2^n-dimensional unitary. The composed R satisfies
     U c_mu U^dag = sum_nu R[mu, nu] c_nu for the dense circuit unitary U,
-    and det R = (-1)^(number of parity-odd gates). Free-form gates are
-    refused: such circuits are not Gaussian.
+    and det R = (-1)^(number of parity-odd gates). In a circuit that allows
+    free-form gates, a gate the parser's admission rule (_violation) would
+    refuse is refused here, with its reason: such circuits are not Gaussian.
 
     The local rotations and parities of all gates of one width come from
     one batched kernel call on the stack of their 2x2 or 4x4 matrices. Gate
@@ -519,12 +548,10 @@ def circuit_to_rotation(circuit: CircuitIR, tol: Tolerances = DEFAULT_TOL) -> np
     rotation, which touches only the columns of its own Majoranas and,
     for an odd gate, flips the sign of the columns to its right.
     """
-    for g in circuit.gates:
-        if g.freeform:
-            detail = "" if g.blocks is None else f" ({_matchgate_violation(*g.blocks, tol.residual)})"
-            raise NotGaussianError(
-                f"free-form gate {g.name or g.kind} @ {g.pos} has no rotation{detail}"
-            )
+    for g in circuit.gates if circuit.allow_freeform else ():
+        violation = _violation(g, tol.residual)
+        if violation is not None:
+            raise NotGaussianError(f"free-form gate {g.name or g.kind} @ {g.pos} has no rotation ({violation})")
     gates = circuit.gates
     local_rotations: list[np.ndarray | None] = [None] * len(gates)
     odd = np.zeros(len(gates), dtype=bool)

@@ -35,6 +35,7 @@ from click.core import ParameterSource
 
 from . import __version__
 from .circuits import (
+    _block_token,
     build_CnZ,
     build_F,
     build_G,
@@ -88,6 +89,17 @@ def _tolerances() -> Tolerances:
     return Tolerances(residual=value)
 
 
+def _count(head: str, inner: str | None, what: str) -> int:
+    """The integer k >= 1 of a CNZ(k) or MAJORANA(k) token."""
+    try:
+        k = int(inner)
+    except (TypeError, ValueError):
+        k = 0
+    if k < 1:
+        raise ValueError(f"{head} needs {what} >= 1, got {'nothing' if inner is None else repr(inner)}")
+    return k
+
+
 def gate_from_token(token: str, n_qubits: int | None = None) -> np.ndarray:
     """Dense unitary from a gate token.
 
@@ -108,7 +120,7 @@ def gate_from_token(token: str, n_qubits: int | None = None) -> np.ndarray:
         args = split_args(inner)
         if len(args) != 2:
             raise ValueError(f"{head} needs exactly two block gates, got {len(args)}")
-        blocks = [named_token(*lex_token(arg, "block"))[2] for arg in args]
+        blocks = [_block_token(*lex_token(arg, "block"))[2] for arg in args]
         return build_G(*blocks) if head == "G" else build_J(*blocks)
 
     if head == "F":
@@ -125,16 +137,10 @@ def gate_from_token(token: str, n_qubits: int | None = None) -> np.ndarray:
         return build_F(tuple(entries))
 
     if head == "CNZ":
-        if inner is None:
-            raise ValueError("CNZ needs a qubit count, e.g. CNZ(3)")
-        return build_CnZ(int(inner))
+        return build_CnZ(_count(head, inner, "a qubit count n"))
 
     if head in ("MAJORANA", "C"):
-        if inner is None:
-            raise ValueError("MAJORANA needs an index, e.g. MAJORANA(3)")
-        mu = int(inner)
-        if mu < 1:
-            raise ValueError("Majorana indices start at 1")
+        mu = _count(head, inner, "a Majorana index mu")
         n = n_qubits if n_qubits is not None else (mu + 1) // 2
         return jw_majorana(n, mu)
 
@@ -393,11 +399,11 @@ def parse(path, emit) -> None:
 @_FMT
 def selftest(seed, only, fmt) -> None:
     """Run the verification corpus (ten criteria); exits 3 on failure."""
-    from .selftest import BASE_SEED, run_selected
+    from .selftest import ALL_CRITERIA, BASE_SEED, run_selected
 
     base = BASE_SEED if seed is None else seed
     if only is None:
-        indices = list(range(1, 11))
+        indices = list(range(1, len(ALL_CRITERIA) + 1))
     else:
         try:
             indices = sorted({int(p) for p in only.split(",") if p.strip()})

@@ -101,7 +101,7 @@ from types import NotImplementedType
 
 import numpy as np
 
-from .circuits import _BLOCK_SLOTS
+from .circuits import _BLOCK_SLOTS, _dets
 from .io import complex_to_json
 from .linalg import (
     ANGLE_TOL,
@@ -428,14 +428,6 @@ def _blocks(u: np.ndarray, par: Parity) -> TwoQubitBlocks:
     return TwoQubitBlocks(par, u[slot_a].copy(), u[slot_b].copy())
 
 
-def _dets(blocks: TwoQubitBlocks) -> tuple[complex, complex]:
-    """det A and det B, the two numbers every two-qubit closed form reads.
-
-    Adding +0j turns a -0.0 part into +0.0, so the printed determinants do
-    not depend on the signs of a gate's structural zeros."""
-    return complex(np.linalg.det(blocks.a)) + 0j, complex(np.linalg.det(blocks.b)) + 0j
-
-
 def two_qubit_min_level(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int | None:
     """Closed-form minimum level of a fermionic two-qubit gate.
 
@@ -447,7 +439,7 @@ def two_qubit_min_level(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int | N
     root up to that bound.
     """
     blocks = two_qubit_decompose(u, tol)
-    return _closed_form_level(blocks, *_dets(blocks), tol)
+    return _closed_form_level(blocks, *_dets(blocks.a, blocks.b), tol)
 
 
 def _closed_form_level(blocks: TwoQubitBlocks, det_a: complex, det_b: complex, tol: Tolerances) -> int | None:
@@ -486,7 +478,8 @@ class EquivClass:
 
 def equiv_class(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> EquivClass:
     """Equivalence-class phase of a fermionic two-qubit gate."""
-    return _equiv_class(*_dets(two_qubit_decompose(u, tol)))
+    blocks = two_qubit_decompose(u, tol)
+    return _equiv_class(*_dets(blocks.a, blocks.b))
 
 
 def _equiv_class(det_a: complex, det_b: complex) -> EquivClass:
@@ -562,7 +555,7 @@ def classify_gate(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) 
     two_qubit = None
     if n == 2 and par != "none":
         blocks = _blocks(u, par)
-        det_a, det_b = _dets(blocks)
+        det_a, det_b = _dets(blocks.a, blocks.b)
         cls = _equiv_class(det_a, det_b)
         two_qubit = {
             "detA": complex_to_json(det_a),

@@ -83,7 +83,7 @@ def _guard_wires(k: int, width: int, n: int) -> None:
     if width == 1 and not 1 <= k <= n:
         raise ValueError(f"wire {k} out of range for {n} qubits")
     if width == 2 and not 1 <= k <= n - 1:
-        raise ValueError(f"wire pair ({k},{k + 1}) out of range for {n} qubits")
+        raise ValueError(f"wire pair ({k},{k + 1}) out of range for {n} qubits (nearest-neighbour positions only)")
 
 
 def norm_max(a: np.ndarray) -> float:

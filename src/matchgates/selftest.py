@@ -422,15 +422,17 @@ ALL_CRITERIA = [
 ]
 
 
-# Criteria 4/5 and 6/8 share a corpus, so they share a seed offset.
-_SEED_OFFSETS = {1: 0, 2: 2, 3: 3, 4: 4, 5: 4, 6: 6, 7: 7, 8: 6, 9: 9, 10: 10}
+# Each criterion's offset from BASE_SEED, read off its default seed, the one
+# place it is written. Criteria 4/5 and 6/8 share a corpus, so they share a seed.
+_SEED_OFFSETS = [criterion.__defaults__[0] - BASE_SEED for criterion in ALL_CRITERIA]
 
 
 def run_selected(indices, seed: int = BASE_SEED) -> list[CriterionResult]:
-    """Run the listed criteria (1-based); seeds derive from the base seed."""
+    """Run the listed criteria (1-based), each at its offset from seed, so
+    that run_selected([k]) is criterion_k()."""
     results = []
     for idx in indices:
         if not 1 <= idx <= len(ALL_CRITERIA):
             raise ValueError(f"no criterion {idx}; valid range is 1..{len(ALL_CRITERIA)}")
-        results.append(ALL_CRITERIA[idx - 1](seed + _SEED_OFFSETS[idx]))
+        results.append(ALL_CRITERIA[idx - 1](seed + _SEED_OFFSETS[idx - 1]))
     return results

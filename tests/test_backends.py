@@ -152,12 +152,15 @@ def test_dense_route_matches_kron_product(n):
 
 def test_dense_route_takes_freeform_gates():
     gates = (
-        GateApp(kind="NAMED", pos=2, name="H", freeform=True),
-        GateApp(kind="NAMED", pos=1, name="CZ", freeform=True),
-        GateApp(kind="NAMED", pos=2, name="SWAP", freeform=True),
+        GateApp(kind="NAMED", pos=2, name="H"),
+        GateApp(kind="NAMED", pos=1, name="CZ"),
+        GateApp(kind="NAMED", pos=2, name="SWAP"),
     )
     circ = CircuitIR(3, gates, allow_freeform=True)
     assert np.abs(circuit_to_operator(circ) - reference_operator(circ)).max() <= 1e-12
+    # the compact route puts the same circuit to the admission rule and refuses its first gate
+    with pytest.raises(NotGaussianError, match=r"^free-form gate H @ 2 has no rotation \(mixes parities\)$"):
+        circuit_to_rotation(circ)
 
 
 def rotation_cases(rng):

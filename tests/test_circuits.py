@@ -164,8 +164,10 @@ def test_parse_cphase_needs_freeform():
     with pytest.raises(CircuitError, match="determinant mismatch"):
         parse_circuit("qubits 2\nCPHASE(pi/2) @ 1\n")
     circ = parse_circuit("qubits 2\nallow freeform\nCPHASE(pi/2) @ 1\n")
-    assert circ.gates[0].freeform
+    assert circ.allow_freeform
     assert np.allclose(circuit_to_operator(circ), named_gate("CPHASE", (np.pi / 2,)))
+    with pytest.raises(NotGaussianError, match=r"CPHASE @ 1 has no rotation \(determinant mismatch"):
+        circuit_to_rotation(circ)
 
 
 def test_parse_comments_and_case():
@@ -203,10 +205,30 @@ def test_parse_errors_carry_line_and_col():
         parse_circuit("# nothing\n")
 
 
+@pytest.mark.parametrize(
+    "line, gate",
+    [
+        ("X @ 3", GateApp(kind="NAMED", pos=3, name="X")),
+        ("RZ(0.7) @ -1", GateApp(kind="NAMED", pos=-1, name="RZ", params=(0.7,))),
+        ("CZ @ 2", GateApp(kind="NAMED", pos=2, name="CZ")),
+        ("G H H @ 0", GateApp(kind="G", pos=0, blocks=(HADAMARD, HADAMARD))),
+    ],
+)
+def test_parser_and_circuit_ir_refuse_a_bad_wire_alike(line, gate):
+    with pytest.raises(ValueError) as built:
+        CircuitIR(2, (gate,))
+    with pytest.raises(CircuitError) as parsed:
+        parse_circuit(f"qubits 2\n{line}\n")
+    assert str(parsed.value) == f"line 2, col 1: {built.value}"
+
+
 def test_allow_freeform_admits_and_marks():
     circ = parse_circuit("qubits 2\nallow freeform\nH @ 1\nG I X @ 1\n")
     assert circ.allow_freeform
-    assert all(g.freeform for g in circ.gates)
+    # the circuit, not each gate, carries the mark; each gate is refused on its own
+    for line in ("H @ 1", "G I X @ 1"):
+        with pytest.raises(CircuitError, match="add 'allow freeform' to admit it"):
+            parse_circuit(f"qubits 2\n{line}\n")
     # and the operator is the expected product
     want = embed_two_qubit(build_G(PAULI_I, PAULI_X), 1, 2) @ embed_one_qubit(HADAMARD, 1, 2)
     assert np.allclose(circuit_to_operator(circ), want)

@@ -356,6 +356,16 @@ def test_parse_rotation_refuses_freeform(runner, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("gate, dets", [("SWAP", "|A| = 1+0j, |B| = -1+0j"), ("CZ", "|A| = -1+0j, |B| = 1+0j")])
+def test_parse_rotation_names_the_determinant_mismatch(runner, tmp_path, gate, dets):
+    # a free-form named gate is refused with the parser's reason, as a G/J line is
+    path = tmp_path / "c.txt"
+    path.write_text(f"qubits 2\nallow freeform\n{gate} @ 1\n")
+    result = runner.invoke(main, ["parse", str(path), "--emit", "rotation"])
+    assert result.exit_code == 1
+    assert _err(result) == f"error: free-form gate {gate} @ 1 has no rotation (determinant mismatch: {dets})\n"
+
+
 def test_parse_error_reports_position(runner, tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("qubits 2\nG I X @ 1\n")
@@ -674,6 +684,18 @@ def test_svn_text_summary_with_expect(runner, tmp_path, gate, verdict, code):
     assert lines[1].startswith("max contract residual: ")
     assert lines[2].startswith(f"matches expected unitary up to phase: {verdict} (residual ")
     assert lines[3] == ("passed" if code == 0 else "FAILED")
+
+
+@pytest.mark.parametrize("k", range(1, len(selftest.ALL_CRITERIA) + 1))
+def test_run_selected_runs_a_criterion_at_its_default_seed(k):
+    assert selftest.run_selected([k]) == [selftest.ALL_CRITERIA[k - 1]()]
+
+
+def test_selftest_runs_every_criterion_there_is(runner, monkeypatch):
+    monkeypatch.setattr(selftest, "ALL_CRITERIA", selftest.ALL_CRITERIA[:2])
+    result = runner.invoke(main, ["selftest"])
+    assert result.exit_code == 0
+    assert [r["index"] for r in json.loads(result.output)["results"]] == [1, 2]
 
 
 def test_a_failed_selftest_criterion_exits_three(runner, monkeypatch):

@@ -1,6 +1,8 @@
 """The one gate-token grammar: `mgh --gate` tokens and circuit-file tokens
 share a lexer and a named-gate path, and G/J blocks are one-qubit gates."""
 
+import re
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -21,6 +23,7 @@ from matchgates import circuits
 from matchgates.circuits import (
     CircuitError,
     GateApp,
+    NotGaussianError,
     build_CnZ,
     circuit_to_text,
     lex_token,
@@ -70,10 +73,12 @@ def test_cli_and_circuit_blocks_agree(kind, a, b):
 @pytest.mark.parametrize("kind", ["G", "J"])
 @pytest.mark.parametrize("token", TWO_QUBIT_TOKENS)
 def test_two_qubit_blocks_refused_by_both_grammars(kind, token):
+    # one block rule: the same message from a G(A,B) token and a `G A B` line
+    message = f"unknown block gate {lex_token(token)[0]!r}"
     for a, b in ((token, "I"), ("I", token)):
-        with pytest.raises(ValueError, match="2x2 one-qubit gate"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             gate_from_token(f"{kind}({a},{b})")
-        with pytest.raises(CircuitError, match="unknown block gate"):
+        with pytest.raises(CircuitError, match=f": {re.escape(message)}$"):
             parse_circuit(f"qubits 2\nallow freeform\n{kind} {a} {b} @ 1\n")
 
 
@@ -117,7 +122,7 @@ def test_build_g_and_j_refuse_blocks_that_are_not_2x2():
 def test_cli_refuses_two_qubit_block():
     result = CliRunner().invoke(main, ["classify", "--gate", "G(CZ,I)"])
     assert result.exit_code == 1
-    assert "error: block A must be a 2x2" in _err(result)
+    assert _err(result) == "error: unknown block gate 'CZ'\n"
 
 
 @pytest.mark.parametrize(
@@ -146,18 +151,27 @@ def test_builders_guard_qubits_before_allocating():
     "token, message",
     [
         ("WHAT(3)", "unknown gate name 'WHAT'"),
-        ("G(qq,I)", "unknown gate name 'qq'"),
+        ("G(qq,I)", "unknown block gate 'qq'"),
         ("G(H!,H)", "bad block token 'H!'"),
         ("G(H,H", "bad gate token 'G(H,H'"),
         ("G(H)", "G needs exactly two block gates, got 1"),
         ("J", "J needs two block gates, e.g. J(H,H)"),
         ("X(0.3)", "X takes 0 parameter(s), got 1"),
-        ("G(CPHASE,I)", "CPHASE takes 1 parameter(s), got 0"),
+        ("G(CPHASE,I)", "unknown block gate 'CPHASE'"),
+        ("G(P,I)", "P takes 1 parameter(s), got 0"),
         ("G(P(two),I)", "cannot parse angle 'two'"),
         ("P((1,2))", "cannot parse angle '(1,2)'"),
         ("CPHASE(inf)", "angle must be finite, got 'inf'"),
         ("F(2)", "pattern entries are 0, 1, or *, got '2'"),
-        ("CNZ(3,4)", "invalid literal for int() with base 10: '3,4'"),
+        ("CNZ(3,4)", "CNZ needs a qubit count n >= 1, got '3,4'"),
+        ("CNZ(1.5)", "CNZ needs a qubit count n >= 1, got '1.5'"),
+        ("CNZ()", "CNZ needs a qubit count n >= 1, got ''"),
+        ("CNZ(0)", "CNZ needs a qubit count n >= 1, got '0'"),
+        ("CNZ(-3)", "CNZ needs a qubit count n >= 1, got '-3'"),
+        ("CNZ", "CNZ needs a qubit count n >= 1, got nothing"),
+        ("MAJORANA(x)", "MAJORANA needs a Majorana index mu >= 1, got 'x'"),
+        ("MAJORANA(0)", "MAJORANA needs a Majorana index mu >= 1, got '0'"),
+        ("C()", "C needs a Majorana index mu >= 1, got ''"),
     ],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -221,8 +235,11 @@ def test_block_unitarity_test_matches_linalg():
 def test_each_gate_matrix_is_built_once_at_parse(monkeypatch):
     # 2 G/J lines, 2 named two-qubit lines, 2 named one-qubit lines
     text = "qubits 3\nG H H @ 1\nJ X Z @ 2\nFSWAP @ 2\nGHH @ 1\nZ @ 3\nRZ(pi/4) @ 1\n"
+    # free-form lines: 2 named two-qubit, 1 named one-qubit, 1 G line
+    freeform = "qubits 3\nallow freeform\nSWAP @ 1\nH @ 2\nG I X @ 1\nCPHASE(0.3) @ 1\n"
     want_r, want_u = circuit_to_rotation(parse_circuit(text)), circuit_to_operator(parse_circuit(text))
-    calls = {"named_gate": 0, "_block_gate": 0}
+    want_ff = circuit_to_operator(parse_circuit(freeform))
+    calls = {"named_gate": 0, "_block_gate": 0, "_check_blocks": 0}
     for fname in calls:
 
         def counting(*args, real=getattr(circuits, fname), fname=fname, **kwargs):
@@ -231,12 +248,22 @@ def test_each_gate_matrix_is_built_once_at_parse(monkeypatch):
 
         monkeypatch.setattr(circuits, fname, counting)
     circ = parse_circuit(text)
-    # one per named line, two per G/J line (its block tokens); one 4x4 per two-qubit line
-    once = {"named_gate": 2 + 2 + 2 * 2, "_block_gate": 2 + 2}
+    # one per named line, two per G/J line (its block tokens); one 4x4 per
+    # two-qubit line; the blocks of each G/J line checked once
+    once = {"named_gate": 2 + 2 + 2 * 2, "_block_gate": 2 + 2, "_check_blocks": 2}
     assert calls == once
     assert np.array_equal(circuit_to_rotation(circ), want_r)
     assert np.array_equal(circuit_to_operator(circ), want_u)
     assert calls == once  # neither backend builds a gate
+    for fname in calls:
+        calls[fname] = 0
+    circ = parse_circuit(freeform)
+    once = {"named_gate": 2 + 1 + 2, "_block_gate": 2 + 1, "_check_blocks": 1}
+    assert calls == once  # an admitted free-form gate is not built again
+    assert np.array_equal(circuit_to_operator(circ), want_ff)
+    with pytest.raises(NotGaussianError, match="SWAP @ 1 has no rotation"):
+        circuit_to_rotation(circ)
+    assert calls == once
 
 
 def test_gate_app_keeps_one_read_only_matrix():
@@ -258,6 +285,17 @@ def test_gate_app_refuses_a_bad_name_or_arity_when_built():
         GateApp(kind="NAMED", pos=1, name="FSWAP", params=(0.3,))
     with pytest.raises(ValueError, match="^unknown gate name 'QQ'$"):
         GateApp(kind="NAMED", pos=1, name="QQ")
+
+
+@pytest.mark.parametrize("name", ["P", "RX", "RY", "RZ", "CPHASE"])
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+def test_named_gates_refuse_a_non_finite_angle(name, angle):
+    # one parameter rule, in named_gate: every named gate with finite angles is unitary
+    message = f"^{name} angle must be finite, got {angle}$"
+    with pytest.raises(ValueError, match=message):
+        named_gate(name, (angle,))
+    with pytest.raises(ValueError, match=message):
+        GateApp(kind="NAMED", pos=1, name=name, params=(angle,))
 
 
 def test_gate_app_refuses_an_unknown_kind():

@@ -242,7 +242,7 @@ def build_CnZ(n: int) -> np.ndarray:
     return build_F((1,) * n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateApp:
     """One gate application inside a circuit.
 
@@ -253,6 +253,8 @@ class GateApp:
     gates by named_gate, G/J blocks by _check_blocks. G/J blocks are then
     views into that read-only matrix. Whether the gate belongs in a
     matchgate circuit is not stored; _violation decides it from the matrix.
+    Two gates are equal, and hash alike, when their kind, wire, name,
+    parameters, block names and matrix bytes agree.
     """
 
     kind: str
@@ -261,7 +263,7 @@ class GateApp:
     params: tuple[float, ...] = ()
     blocks: tuple[np.ndarray, np.ndarray] | None = None
     block_names: tuple[str, str] | None = None
-    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    _matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # frozen: object.__setattr__ keeps what is built here
@@ -276,6 +278,15 @@ class GateApp:
         else:
             raise ValueError(f"gate kind must be 'G', 'J' or 'NAMED', got {self.kind!r}")
         object.__setattr__(self, "_matrix", m)
+
+    def _key(self) -> tuple:
+        return self.kind, self.pos, self.name, self.params, self.block_names, self._matrix.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, GateApp) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def n_wires(self) -> int:
@@ -442,6 +453,8 @@ def parse_circuit(text: str, tol: Tolerances = DEFAULT_TOL) -> CircuitIR:
         at = next((i for i, (t, _) in enumerate(tokens) if t == "@"), None)
         if at is None or at != len(tokens) - 2:
             raise CircuitError("expected trailing '@ <wire>'", line_no, tokens[-1][1])
+        if at == 0:
+            raise CircuitError("expected a gate before '@'", line_no, head_col)
         pos_tok, pos_col = tokens[-1]
         try:
             pos = int(pos_tok)

@@ -17,25 +17,33 @@ The Lambda test is_gaussian_lambda ([Lambda, U (x) U] = 0) is an
 independent route to the same fact; self-test criterion 2 and the tests
 check the two against each other, and the classifier never runs it.
 
-Membership at level k is decided on the tree of conjugations: the
-children of a node V are the 2n operators V c_mu V^dag, every node at
-depths 1 .. k-1 must be parity odd and every node at depth k-1 must be
-first level. The tree has about (2n)^(k-1) nodes; a guard refuses
-unreasonable searches. Nodes are handled in batches through the Majorana
-word table: the children of a parent come from one contiguous gather and
-one GEMM of the word-conjugation kernel, the parity test is a sign mask and
-the first-level coefficients tr(c_mu V) / 2^n are gathers. A leaf is first
-level when V - sum_mu a_mu c_mu vanishes, read by the same linearity
-residual that decides Gaussianity in the rotation kernel
-(majorana._linear_residuals), so both levels share its dense and support
-routes. Before the first batch of a level the walk checks the single
-c_1 ... c_1 path, on which a generic gate already fails. One search takes
-its levels in ascending order and extends that path by one conjugate per
-level, testing each depth's oddness once, so a failing search costs one
-descent however many levels it spans: K - 1 path conjugates up to level
-K, where restarting at each level would cost K(K - 1) / 2. The one search
-serves level_membership (level k alone), min_level (levels 1 .. k_max)
-and classify_gate (levels 3 .. k_max).
+Membership at level k is decided on the tree of conjugations: the children
+of a node V are the 2n operators V c_mu V^dag, every node at depths 1 ..
+k-1 must be parity odd and every node at depth k-1 must be first level.
+Oddness needs no test below the root: if P U = +-U P for the parity P,
+then P (U c_mu U^dag) P = -U c_mu U^dag, so every child of a gate of
+definite parity is odd, and so are the children of an odd node.
+Conversely, if every child of U is odd, conjugation by U commutes with
+conjugation by P, so U^dag P U P commutes with every operator and U has
+definite parity; a root of no definite parity sits at no level. Each level
+question therefore tests the root's parity once, min_level and
+level_membership by parity_of and classify_gate by the parity it reports,
+and the walk tests only that the leaves are first level. The tree has
+about (2n)^(k-1) nodes; a guard refuses unreasonable searches. Nodes are
+handled in batches through the Majorana word table: the children of a
+parent come from one contiguous gather and one GEMM of the
+word-conjugation kernel, and the first-level coefficients tr(c_mu V) / 2^n
+are gathers. A leaf is first level when V - sum_mu a_mu c_mu vanishes,
+read by the same linearity residual that decides Gaussianity in the
+rotation kernel (majorana._linear_residuals), so both levels share its
+dense and support routes. Before the first batch of a level the walk
+checks the single c_1 ... c_1 path, on which a generic gate already fails.
+One search takes its levels in ascending order and extends that path by
+one conjugate per level, so a failing search costs one descent however
+many levels it spans: K - 1 path conjugates up to level K, where
+restarting at each level would cost K(K - 1) / 2. The one search serves
+level_membership (level k alone), min_level (levels 1 .. k_max) and
+classify_gate (levels 3 .. k_max).
 
 The walk is depth first and stops at the first failing batch, so a batch
 is kept small: whole parents up to CHUNK_ENTRIES / 8 complex entries of
@@ -119,7 +127,6 @@ from .majorana import (
     _chunks,
     _conjugates,
     _linear_residuals,
-    _parities,
     _rotations,
     _traces,
     _word_gathers,
@@ -169,11 +176,6 @@ def _first_level(nodes: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray
     norm = np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
     ok &= np.abs(norm - 1.0) <= NORM_TOL
     return a, ok
-
-
-def _all_odd(nodes: np.ndarray, n: int, tol: Tolerances) -> bool:
-    """True iff parity_of would call every operator of the stack odd."""
-    return bool(_parities(nodes, n, tol.residual)[1].all())
 
 
 def extract_rotation(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
@@ -241,32 +243,35 @@ def level_membership(u: np.ndarray, k: int, tol: Tolerances = DEFAULT_TOL) -> bo
     """True iff u belongs to hierarchy level k (membership, not minimality)."""
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
-    return _search(u, (k,), tol) == k
+    return parity_of(u, tol.residual) != "none" and _search(u, (k,), tol) == k
 
 
 def _search(u: np.ndarray, levels: range | tuple[int, ...], tol: Tolerances) -> int | None:
-    """The first of the ascending `levels` that contains u, or None.
+    """The first of the ascending `levels` that contains u, a gate of
+    definite parity, or None.
 
+    Every node below such a root is odd (see the module docstring), so no
+    parity is tested here: a level holds when its leaves are first level.
     Each level k is refused by COST_GUARD before its work starts, as a
     search of that level alone would be. A generic gate already fails on
     the c_1 ... c_1 path, so the path is tried first; it is extended by one
-    conjugate per level and checked for oddness once per depth, so a
-    failing search costs a single descent whatever the number of levels.
+    conjugate per level, so a failing search costs a single descent
+    whatever the number of levels.
     """
     n = n_qubits_of(u)
     root = path = u[None]
-    depth, odd = 0, True
+    depth = 0
     for k in levels:
         if (2 * n) ** (k - 1) > COST_GUARD:
             raise SearchBudgetError(
                 f"level-{k} membership at n={n} needs about {(2 * n) ** (k - 1):.2e} "
                 f"dense conjugations (guard {COST_GUARD:.0e})"
             )
-        while odd and depth < k - 1:
+        while depth < k - 1:
             path = _conjugates(path, n, slice(0, 1))
             depth += 1
-            odd = _all_odd(path, n, tol)
-        if odd and _first_level(path, n, tol)[1].all() and _subtree_ok(root, k - 1, n, tol, _Seen(n, k - 1)):
+        # the c_1 ... c_1 leaf first; at level 1 it is the root, the whole search
+        if (k == 1 or _first_level(path, n, tol)[1].all()) and _subtree_ok(root, k - 1, n, tol, _Seen(n, k - 1)):
             return k
     return None
 
@@ -303,29 +308,24 @@ class _Seen:
         return kids if len(keep) == len(kids) else kids[keep]
 
 
-def _subtree_ok(parents: np.ndarray, depth: int, n: int, tol: Tolerances, seen: _Seen) -> bool:
-    """True iff all descendants of the stacked nodes down to `depth` levels
-    below are odd and those exactly `depth` levels below are first level.
+def _subtree_ok(nodes: np.ndarray, depth: int, n: int, tol: Tolerances, seen: _Seen) -> bool:
+    """True iff all descendants of the stacked nodes exactly `depth` levels
+    below (the nodes themselves at depth 0) are first level.
 
-    Kids that will be expanded are dropped when `seen` already holds a
-    bit-identical node at the same depth: the walk is depth first and stops
-    at the first failure, so that twin's subtree is checked in this call.
+    The nodes descend from a root of definite parity, so every descendant
+    is odd and only the leaves are tested. Kids that will be expanded are
+    dropped when `seen` already holds a bit-identical node at the same
+    depth: the walk is depth first and stops at the first failure, so that
+    twin's subtree is checked in this call.
     """
     if depth == 0:
-        return True
+        return bool(_first_level(nodes, n, tol)[1].all())
     limit = min(CHUNK_ENTRIES, max(CHUNK_ENTRIES // 8, 2 * n * 4**n))
-    for block, mus in _chunks(len(parents), n, limit):
-        kids = _conjugates(parents[block], n, mus)
+    for block, mus in _chunks(len(nodes), n, limit):
+        kids = _conjugates(nodes[block], n, mus)
         if 1 < depth < seen.top:
             kids = seen.new(kids, depth - 1)
-            if not len(kids):
-                continue
-        if not _all_odd(kids, n, tol):
-            return False
-        if depth == 1:
-            if not _first_level(kids, n, tol)[1].all():
-                return False
-        elif not _subtree_ok(kids, depth - 1, n, tol, seen):
+        if not _subtree_ok(kids, depth - 1, n, tol, seen):
             return False
     return True
 
@@ -338,9 +338,12 @@ def _check_cap(k_max: int) -> None:
 def min_level(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) -> int | None:
     """Smallest hierarchy level containing u, or None if above k_max.
 
-    Levels are nested, so one ascending search returns the minimum.
+    Levels are nested, so one ascending search returns the minimum. A gate
+    of no definite parity is at no level, whatever k_max.
     """
     _check_cap(k_max)
+    if parity_of(u, tol.residual) == "none":
+        return None
     return _search(u, range(1, k_max + 1), tol)
 
 
@@ -535,7 +538,9 @@ def classify_gate(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) 
     gate without a rotation is at neither level: an exactly diagonal one
     with dyadic phases is read by diagonal_level, any other is searched
     from level 3 up to k_max. So is_gaussian == (min_level <= 2) for every
-    fermionic gate whenever k_max >= 2.
+    fermionic gate whenever k_max >= 2. The parity read here is the search's
+    root test: a gate of no definite parity is at no level and is not
+    searched.
     """
     _check_cap(k_max)
     assert_unitary(u, "gate")

@@ -158,6 +158,39 @@ def test_parse_round_trip():
     assert np.allclose(circuit_to_operator(again), circuit_to_operator(circ))
 
 
+CIRCUIT_TEXTS = (
+    "qubits 3\nG H H @ 1\nFSWAP @ 2\nRZ(pi/4) @ 3\nG P(pi/2) P(pi/2) @ 2\n",
+    "qubits 4\nJ rx(pi/3) RX(-pi/3) @ 2\nGHH @ 3\nX @ 4\nG RX(0.3) RY(1.1) @ 1\n",
+    "qubits 2\nallow freeform\nCPHASE(pi/2) @ 1\nH @ 2\ncz @ 1\nG I X @ 1\n",
+)
+
+
+@pytest.mark.parametrize("text", CIRCUIT_TEXTS)
+def test_parsed_circuits_compare_and_hash_by_value(text):
+    circ, again = parse_circuit(text), parse_circuit(text)
+    assert circ == again and hash(circ) == hash(again)
+    assert parse_circuit(circuit_to_text(circ)) == circ
+
+
+def test_gates_with_other_blocks_or_wires_differ():
+    gate = GateApp(kind="G", pos=1, blocks=(HADAMARD, HADAMARD))
+    twin = GateApp(kind="G", pos=1, blocks=(HADAMARD, HADAMARD))
+    assert gate == twin and hash(gate) == hash(twin)
+    assert len({gate, twin}) == 1
+    others = (
+        GateApp(kind="G", pos=2, blocks=(HADAMARD, HADAMARD)),
+        GateApp(kind="G", pos=1, blocks=(HADAMARD, PAULI_Z)),
+        GateApp(kind="J", pos=1, blocks=(HADAMARD, HADAMARD)),
+        GateApp(kind="G", pos=1, blocks=(HADAMARD, HADAMARD), block_names=("H", "H")),
+        GateApp(kind="NAMED", pos=1, name="GHH"),
+    )
+    for other in others:
+        assert gate != other
+    assert len({gate, *others}) == 1 + len(others)
+    assert CircuitIR(3, (gate,)) == CircuitIR(3, (twin,)) != CircuitIR(3, (others[0],))
+    assert GateApp(kind="NAMED", pos=1, name="RZ", params=(0.7,)) != GateApp(kind="NAMED", pos=1, name="RZ", params=(0.8,))
+
+
 def test_parse_cphase_needs_freeform():
     # CPHASE(phi) has det A = e^(i phi) against det B = 1; the parser only
     # admits it under the freeform directive
@@ -203,6 +236,12 @@ def test_parse_errors_carry_line_and_col():
         parse_circuit("qubits 2\nQQ @ 1\n")
     with pytest.raises(CircuitError, match="missing qubits header"):
         parse_circuit("# nothing\n")
+
+
+def test_a_line_with_no_gate_is_refused_at_the_at_sign():
+    with pytest.raises(CircuitError) as err:
+        parse_circuit("qubits 2\n  @ 1\n")
+    assert str(err.value) == "line 2, col 3: expected a gate before '@'"
 
 
 @pytest.mark.parametrize(

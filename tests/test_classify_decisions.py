@@ -24,7 +24,7 @@ from matchgates import (
     random_two_qubit_at_root,
     two_qubit_min_level,
 )
-from matchgates import circuits, hierarchy, selftest
+from matchgates import circuits, hierarchy, majorana, selftest
 from matchgates.circuits import CircuitIR, GateApp, NotGaussianError, build_CnZ
 from matchgates.hierarchy import two_qubit_decompose
 from matchgates.linalg import DEFAULT_TOL, Tolerances, norm_max
@@ -132,12 +132,12 @@ def test_parity_rule_matches_the_old_rule(n):
         want = old_parity(op, TOL)
         seen.add(want)
         assert parity_of(op, TOL) == want
-        assert hierarchy._all_odd(op[None], n, DEFAULT_TOL) == (want == "odd")
+        assert majorana._parities(op[None], n, TOL)[1].all() == (want == "odd")
     assert seen == {"even", "odd", "none"}
     stack = np.stack(cases)
-    assert hierarchy._all_odd(stack, n, DEFAULT_TOL) == all(old_parity(op, TOL) == "odd" for op in cases)
+    assert majorana._parities(stack, n, TOL)[1].all() == all(old_parity(op, TOL) == "odd" for op in cases)
     odd_only = np.stack([op for op in cases if old_parity(op, TOL) == "odd"])
-    assert hierarchy._all_odd(odd_only, n, DEFAULT_TOL)
+    assert majorana._parities(odd_only, n, TOL)[1].all()
 
 
 @pytest.mark.parametrize("w", [1, 2])

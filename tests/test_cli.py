@@ -375,6 +375,14 @@ def test_parse_error_reports_position(runner, tmp_path):
     assert "determinant mismatch" in _err(result)
 
 
+def test_parse_refuses_a_line_with_no_gate(runner, tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("qubits 2\n@ 1\n")
+    result = runner.invoke(main, ["parse", str(path)])
+    assert result.exit_code == 1
+    assert _err(result) == "error: line 2, col 1: expected a gate before '@'\n"
+
+
 def test_parse_missing_file(runner, tmp_path):
     result = runner.invoke(main, ["parse", str(tmp_path / "nope.txt")])
     assert result.exit_code == 1

@@ -3,9 +3,12 @@
 The oracle below follows the definition one dense operator at a time:
 level 1 is tested through an einsum over the Jordan-Wigner stack, level
 k+1 conjugates by each Majorana with two matrix products, parity is read
-off Z op Z, and min_level ascends. level_membership and min_level must
-return exactly its answers, on exact gates and on copies perturbed by a
-diagonal expm(i eps H) across the tolerance edge.
+off Z op Z at every node, and min_level ascends. level_membership and
+min_level must return exactly its answers, on exact gates and on copies
+perturbed across the tolerance edge by expm(i eps H), for a diagonal H,
+which keeps the gate's parity, and for a full Hermitian H, which mixes
+the parity sectors. The package tests parity at the root alone, so the
+oracle's per-node test is the independent route to the same answers.
 """
 
 from functools import lru_cache
@@ -26,12 +29,12 @@ from matchgates import (
     random_fermionic,
     random_two_qubit_at_root,
 )
-from matchgates import hierarchy
+from matchgates import classify_gate, hierarchy, majorana
 from matchgates.circuits import build_CnZ
-from matchgates.hierarchy import level_membership
+from matchgates.hierarchy import SearchBudgetError, level_membership
 from matchgates.linalg import DEFAULT_TOL, NORM_TOL, n_qubits_of, norm_max
 from matchgates.majorana import total_parity
-from matchgates.sampling import random_matchgate_circuit
+from matchgates.sampling import haar_unitary, random_matchgate_circuit
 from reference import parity_decompose
 
 
@@ -93,6 +96,13 @@ def perturbed(u, eps, rng):
     return np.exp(1j * eps * rng.standard_normal(len(u)))[:, None] * u
 
 
+def mixed(u, eps, rng):
+    """expm(i eps H) u for a random full Hermitian H, which mixes parity sectors."""
+    a = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+    w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    return (v * np.exp(1j * eps * w)) @ v.conj().T @ u
+
+
 def assert_agrees(u, k_max):
     want = [oracle_member(u, k) for k in range(1, k_max + 1)]
     assert [level_membership(u, k) for k in range(1, k_max + 1)] == want
@@ -107,17 +117,21 @@ epsilons = st.sampled_from(EPSILONS)
 @given(seeds, st.integers(2, 6), st.booleans(), epsilons)
 def test_planted_two_qubit_gates(seed, k, odd, eps):
     rng = np.random.default_rng(seed)
-    u = perturbed(random_two_qubit_at_root(rng, k, odd=odd), eps, rng)
-    assert_agrees(u, k)
+    u = random_two_qubit_at_root(rng, k, odd=odd)
+    assert_agrees(perturbed(u, eps, rng), k)
+    assert_agrees(mixed(u, eps, rng), k)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seeds, st.lists(st.sampled_from((0, 1, None)), min_size=1, max_size=4), epsilons)
 def test_pattern_gates(seed, pattern, eps):
     weight = sum(p is not None for p in pattern)
-    u = perturbed(build_F(tuple(pattern)), eps, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    u = build_F(tuple(pattern))
     # Weight-4 patterns sit at level 5; test_cnz_gates covers that tree.
-    assert_agrees(u, min(max(weight + 1, 2), 4))
+    k_max = min(max(weight + 1, 2), 4)
+    assert_agrees(perturbed(u, eps, rng), k_max)
+    assert_agrees(mixed(u, eps, rng), k_max)
 
 
 @pytest.mark.parametrize("eps", EPSILONS)
@@ -125,6 +139,56 @@ def test_cnz_gates(eps):
     rng = np.random.default_rng(EPSILONS.index(eps))
     assert_agrees(perturbed(build_CnZ(3), eps, rng), 4)
     assert_agrees(perturbed(build_CnZ(4), eps, rng), 5)
+    assert_agrees(mixed(build_CnZ(3), eps, rng), 4)
+    assert_agrees(mixed(build_CnZ(4), eps, rng), 5)
+
+
+def non_fermionic_roots():
+    h = named_gate("H")
+    return {
+        "H": h,
+        "H(x)1": np.kron(h, np.eye(2)),
+        "1(x)RX(0.7)": np.kron(np.eye(2), named_gate("RX", (0.7,))),
+        "haar": haar_unitary(4, np.random.default_rng(5)),
+    }
+
+
+@pytest.mark.parametrize("name", non_fermionic_roots())
+def test_a_root_of_no_definite_parity_is_at_no_level(name):
+    u = non_fermionic_roots()[name]
+    assert majorana.parity_of(u) == "none"
+    for k in range(1, 6):
+        assert not oracle_member(u, k)
+        assert not level_membership(u, k)
+    assert min_level(u, 5) is None
+
+
+def test_a_root_of_no_definite_parity_is_answered_past_the_guard():
+    # (2n)^(k-1) = 4^12 conjugations exceed COST_GUARD, but the root's
+    # parity already decides the question
+    u = non_fermionic_roots()["H(x)1"]
+    assert min_level(u, 13) is None
+    assert not level_membership(u, 13)
+    with pytest.raises(SearchBudgetError):
+        min_level(named_gate("SWAP") @ np.diag([1, 1, 1, np.exp(0.1j)]), 13)
+
+
+def test_each_level_question_tests_parity_once_at_the_root(monkeypatch):
+    sizes = []
+    parities = majorana._parities
+
+    def spy(ops, n, tol):
+        sizes.append(len(ops))
+        return parities(ops, n, tol)
+
+    for module in (majorana, hierarchy):
+        monkeypatch.setattr(module, "_parities", spy, raising=False)
+    assert min_level(build_CnZ(4), 5) == 5
+    assert sizes == [1]
+    sizes.clear()
+    u = random_two_qubit_at_root(np.random.default_rng(21), 5, j=1)
+    assert classify_gate(u).min_level == 5
+    assert sizes == [1]
 
 
 @settings(max_examples=20, deadline=None)

@@ -421,12 +421,9 @@ class CarReport:
     passed: bool
 
 
-def check_car(ops: list[np.ndarray], tol: float = DEFAULT_TOL.residual) -> CarReport:
-    """Check {c_mu, c_nu} = 2 delta_{mu nu} 1 over all pairs of a candidate tuple.
-
-    The tuple must contain exactly 2n operators of dimension 2^n, with
-    finite entries.
-    """
+def _car_operands(ops: list[np.ndarray]) -> int:
+    """The mode count n of a candidate CAR tuple, which must hold exactly 2n
+    operators of dimension 2^n with finite entries; ValueError otherwise."""
     if not ops:
         raise ValueError("empty operator tuple")
     n = n_qubits_of(ops[0])
@@ -438,12 +435,25 @@ def check_car(ops: list[np.ndarray], tol: float = DEFAULT_TOL.residual) -> CarRe
             raise ValueError(f"operator {i + 1} has shape {a.shape}, expected {(dim, dim)}")
         if not np.isfinite(a).all():  # a NaN residual would never count as the worst
             raise ValueError(f"operator {i + 1} has an entry that is not finite")
-    eye2 = 2 * np.eye(dim)
+    return n
+
+
+def _max_hermiticity(ops: list[np.ndarray]) -> float:
+    """max_mu ||d_mu - d_mu^dag||_max over a tuple."""
+    return max(norm_max(a - a.conj().T) for a in ops)
+
+
+def check_car(ops: list[np.ndarray], tol: float = DEFAULT_TOL.residual) -> CarReport:
+    """Check {c_mu, c_nu} = 2 delta_{mu nu} 1 over all pairs of a candidate tuple.
+
+    The tuple must contain exactly 2n operators of dimension 2^n, with
+    finite entries.
+    """
+    n = _car_operands(ops)
+    eye2 = 2 * np.eye(2**n)
     worst = 0.0
     worst_pair = (1, 1)
-    herm = 0.0
     for i, a in enumerate(ops):
-        herm = max(herm, norm_max(a - a.conj().T))
         square = a @ a
         for j in range(i, len(ops)):
             anti = square + square if i == j else a @ ops[j] + ops[j] @ a
@@ -451,4 +461,4 @@ def check_car(ops: list[np.ndarray], tol: float = DEFAULT_TOL.residual) -> CarRe
             resid = norm_max(anti - target)
             if resid > worst:
                 worst, worst_pair = resid, (i + 1, j + 1)
-    return CarReport(n, worst, worst_pair, herm, worst < tol)
+    return CarReport(n, worst, worst_pair, _max_hermiticity(ops), worst < tol)

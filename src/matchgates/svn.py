@@ -26,6 +26,49 @@ The contract residuals ||U^dag c_mu U - d_mu||_max read each c_mu from the
 Majorana word table: U^dag c_mu is a gather of U^dag's columns times a
 phase, so each conjugate costs one matrix product, computed in chunks of
 at most CHUNK_ENTRIES entries.
+
+Acceptance is certified rather than checked pair by pair. check_car forms
+all n(2n+1) anticommutators, about 4n^2 products of size d = 2^n, while
+the reconstruction and its residuals take about 4n; so check_car runs
+only where the certificate below does not hold, and every refusal comes
+from it, in its order: the anticommutation message, then the Hermiticity
+message, then the degenerate probe.
+
+The certificate. Let g = ||U^dag U - 1||_max and r = max_mu ||U^dag c_mu U -
+d_mu||_max for the computed U. Since ||A||_2 <= d ||A||_max, delta = d g
+and rho = d r bound the same defects in the spectral norm. With
+M_mu = U^dag c_mu U and U U^dag - 1 of norm at most delta (it has the
+spectrum of U^dag U - 1), {M_i, M_j} - 2 delta_ij = 2 delta_ij (U^dag U - 1)
++ U^dag (c_i (U U^dag - 1) c_j + c_j (U U^dag - 1) c_i) U and ||M_mu|| <=
+||U||^2 <= 1 + delta, so writing d_mu = M_mu - E_mu with ||E_mu|| <= rho,
+
+    ||{d_i, d_j} - 2 delta_ij||_max <= 2 delta (2 + delta) + 4 (1 + delta) rho + 2 rho^2.
+
+Floating point adds rounding to g, r and check_car's own products
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Sec. 3.1
+and 3.6). A complex dot product x^T y of length d is off by at most
+gamma_{d+2} |x|^T |y| when each complex product is rounded, and by at most
+sqrt(2) gamma_{2d} |x|^T |y| when BLAS sums real and imaginary parts as
+real dot products of length 2d; gamma = sqrt(2) gamma_{2d}, the larger of
+the two, with gamma_k = k u / (1 - k u) and u = 2^-53. Each entry of
+|x|^T |y| is at most a row norm times a column norm: at most 1 + g for
+the products U^dag U and U^dag c_mu U, and (1 + delta + rho)^2 for a
+product of two operators of the tuple. With the rounding of the
+subtractions and of abs inside the relative factors 1 + gamma,
+
+* the true g and r are at most (1 + gamma) g + 2 gamma and
+  (1 + gamma) r + 2 gamma of the computed ones while g < 1/2, and these
+  are the g and r that give delta and rho,
+* check_car's computed residual is at most
+  (1 + gamma) (bound + 2 gamma (1 + delta + rho)^2).
+
+The tuple is accepted without check_car when its operators are float64
+or complex128 (the arithmetic of the bounds above), it is Hermitian
+within tol.residual (the measure check_car reports), delta < 1/2, and
+(1 + 4 gamma) (bound + 4 gamma (1 + delta + rho)^2) < tol.residual; the
+extra factors cover the rounding of the bound itself. Then check_car
+would have passed, so the result is the one the check-first order gives,
+to the bit.
 """
 
 from __future__ import annotations
@@ -34,8 +77,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances, canonical_phase
-from .majorana import CHUNK_ENTRIES, _chunks, _conjugates, check_car
+from .linalg import DEFAULT_TOL, Tolerances, canonical_phase, norm_max
+from .majorana import CHUNK_ENTRIES, _car_operands, _chunks, _conjugates, _max_hermiticity, check_car
 
 PROBE_THRESHOLD = 1e-6
 
@@ -57,7 +100,16 @@ def svn_reconstruct(ops: list[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> Svn
 
     A tuple failing the anticommutation relations, or one whose operators
     are not Hermitian within tol.residual, is refused with ValueError.
+    Acceptance is certified from the result's own defects; check_car runs
+    only when the certificate does not hold.
     """
+    n = _car_operands(ops)
+    projector, columns = _columns(ops, n)
+    result = None
+    if columns is not None and np.isfinite(columns).all():
+        result = _result(columns, ops)
+        if _car_certified(result, ops, tol.residual):
+            return result
     report = check_car(ops, tol.residual)
     if not report.passed:
         raise ValueError(
@@ -68,9 +120,19 @@ def svn_reconstruct(ops: list[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> Svn
         raise ValueError(
             f"tuple is not Hermitian (max ||d_mu - d_mu^dag|| {report.max_hermiticity:.3e})"
         )
-    n = report.n_modes
-    dim = 2**n
+    if columns is None:
+        rank = int(np.linalg.matrix_rank(projector, tol=PROBE_THRESHOLD))
+        raise ValueError(
+            f"projector annihilates every basis probe (numerical rank {rank}); "
+            "the tuple is degenerate"
+        )
+    return result or _result(columns, ops)
 
+
+def _columns(ops: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The vacuum projector and the rows z = column z of S, or None for the
+    rows when the projector annihilates every basis probe."""
+    dim = 2**n
     projector = np.eye(dim, dtype=complex)
     for k in range(1, n + 1):
         projector = projector @ (np.eye(dim) + (-1j) * ops[2 * k - 2] @ ops[2 * k - 1]) / 2
@@ -82,11 +144,7 @@ def svn_reconstruct(ops: list[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> Svn
             vacuum = candidate / np.linalg.norm(candidate)
             break
     if vacuum is None:
-        rank = int(np.linalg.matrix_rank(projector, tol=PROBE_THRESHOLD))
-        raise ValueError(
-            f"projector annihilates every basis probe (numerical rank {rank}); "
-            "the tuple is degenerate"
-        )
+        return projector, None
 
     # Row z holds column z of S: d_{2k-1} times column z - h, h = 2^(n-k).
     columns = np.empty((dim, dim), dtype=complex)
@@ -94,8 +152,33 @@ def svn_reconstruct(ops: list[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> Svn
     for k in range(n, 0, -1):
         h = 1 << (n - k)
         columns[h : 2 * h] = columns[:h] @ ops[2 * k - 2].T
+    return projector, columns
+
+
+def _result(columns: np.ndarray, ops: list[np.ndarray]) -> SvnResult:
+    """U = S^dag with its phase fixed, and its contract residuals."""
     u = canonical_phase(columns.conj())
     return SvnResult(u, _contract_residuals(u, ops))
+
+
+def _car_certified(result: SvnResult, ops: list[np.ndarray], tol: float) -> bool:
+    """True when the tuple's Hermiticity and the defects of the result prove
+    that check_car passes at tol (the certificate of the module docstring)."""
+    if not all(a.dtype in (np.float64, np.complex128) for a in ops):
+        return False  # check_car would multiply in another arithmetic
+    if not _max_hermiticity(ops) < tol:
+        return False
+    u = result.u
+    dim = len(u)
+    ku = 2 * dim * np.finfo(float).eps / 2  # 2d u, u = 2^-53
+    gamma = np.sqrt(2) * ku / (1 - ku)  # sqrt(2) gamma_{2d}, at least gamma_{d+2}
+    g = (1 + gamma) * norm_max(u.conj().T @ u - np.eye(dim)) + 2 * gamma
+    r = (1 + gamma) * result.max_residual + 2 * gamma
+    delta, rho = dim * g, dim * r
+    if not delta < 0.5:  # also false for NaN
+        return False
+    bound = 2 * delta * (2 + delta) + 4 * (1 + delta) * rho + 2 * rho**2
+    return (1 + 4 * gamma) * (bound + 4 * gamma * (1 + delta + rho) ** 2) < tol
 
 
 def _contract_residuals(u: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:

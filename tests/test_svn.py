@@ -1,11 +1,13 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from matchgates import equal_up_to_phase, jw_set, named_gate, random_fermionic, svn_reconstruct
+from matchgates import equal_up_to_phase, jw_set, named_gate, random_fermionic, svn, svn_reconstruct
 from matchgates.io import tuple_from_json, tuple_to_json
-from matchgates.linalg import canonical_phase
+from matchgates.linalg import DEFAULT_TOL, Tolerances, canonical_phase
 from matchgates.majorana import check_car
-from matchgates.svn import _contract_residuals
+from matchgates.svn import PROBE_THRESHOLD, _contract_residuals
 
 
 def _conjugated_tuple(v):
@@ -117,3 +119,110 @@ def test_check_car_refuses_a_nan_entry():
     tup[1][0, 0] = np.nan
     with pytest.raises(ValueError, match="^operator 2 has an entry that is not finite$"):
         check_car(tup)
+
+
+def _check_first_svn(ops, tol):
+    """svn_reconstruct as it was before acceptance was certified: the pairwise
+    check_car first, then the reconstruction."""
+    report = check_car(ops, tol.residual)
+    if not report.passed:
+        raise ValueError(
+            f"tuple fails the anticommutation relations at pair {report.worst_pair} "
+            f"(residual {report.max_pair_residual:.3e})"
+        )
+    if report.max_hermiticity >= tol.residual:
+        raise ValueError(f"tuple is not Hermitian (max ||d_mu - d_mu^dag|| {report.max_hermiticity:.3e})")
+    n = report.n_modes
+    dim = 2**n
+    projector = np.eye(dim, dtype=complex)
+    for k in range(1, n + 1):
+        projector = projector @ (np.eye(dim) + (-1j) * ops[2 * k - 2] @ ops[2 * k - 1]) / 2
+    probes = [p for p in range(dim) if np.linalg.norm(projector[:, p]) > PROBE_THRESHOLD]
+    if not probes:
+        rank = int(np.linalg.matrix_rank(projector, tol=PROBE_THRESHOLD))
+        raise ValueError(
+            f"projector annihilates every basis probe (numerical rank {rank}); the tuple is degenerate"
+        )
+    columns = np.empty((dim, dim), dtype=complex)
+    columns[0] = projector[:, probes[0]] / np.linalg.norm(projector[:, probes[0]])
+    for k in range(n, 0, -1):
+        h = 1 << (n - k)
+        columns[h : 2 * h] = columns[:h] @ ops[2 * k - 2].T
+    u = canonical_phase(columns.conj())
+    return u, _contract_residuals(u, ops)
+
+
+def _outcome(route, ops, tol):
+    """(u, residuals) of a route, or its ValueError message."""
+    try:
+        return route(ops, tol)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_certified_reconstruction_matches_the_check_first_route():
+    def certified(ops, tol):
+        result = svn_reconstruct(ops, tol)
+        return result.u, result.residuals
+
+    for n, (p, parity) in product(range(1, 8), enumerate(("even", "odd"))):
+        rng = np.random.default_rng([23, n, p])
+        tup = _conjugated_tuple(random_fermionic(n, rng, parity=parity))
+        shape = tup[0].shape
+        kick = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+        for eps in (0.0, 1e-13, 1e-11, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8):
+            ops = list(tup)
+            ops[n] = tup[n] + eps * kick
+            for tol in (Tolerances(1e-9), Tolerances(1e-14)):
+                want = _outcome(_check_first_svn, ops, tol)
+                got = _outcome(certified, ops, tol)
+                if isinstance(want, str):
+                    assert got == want, (n, parity, eps, tol)
+                else:
+                    assert not isinstance(got, str), (n, parity, eps, tol, got)
+                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (n, parity, eps, tol)
+
+
+def test_check_car_runs_only_when_the_certificate_fails(monkeypatch):
+    calls = []
+
+    def counting_check_car(*args):
+        calls.append(args)
+        return check_car(*args)
+
+    monkeypatch.setattr(svn, "check_car", counting_check_car)
+    rng = np.random.default_rng(8)
+    for n in range(2, 8):
+        svn_reconstruct(_conjugated_tuple(random_fermionic(n, rng)))
+    assert calls == []
+
+    refused = _conjugated_tuple(named_gate("CZ"))
+    refused[1] = refused[0]
+    with pytest.raises(ValueError, match="anticommutation"):
+        svn_reconstruct(refused)
+    assert len(calls) == 1
+
+    # CAR holds to about 1e-15: accepted by default, refused under 1e-16
+    tup = _conjugated_tuple(random_fermionic(3, rng))
+    svn_reconstruct(tup)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="anticommutation"):
+        svn_reconstruct(tup, Tolerances(1e-16))
+    assert len(calls) == 2
+
+    # check_car would multiply complex64 operators in single precision, outside the certificate
+    single = [c.astype(np.complex64) for c in jw_set(3)]
+    result = svn_reconstruct(single)
+    assert len(calls) == 3
+    want = _check_first_svn(single, DEFAULT_TOL)
+    assert np.array_equal(result.u, want[0]) and np.array_equal(result.residuals, want[1])
+
+
+def test_anticommutation_is_refused_before_hermiticity_and_degeneracy():
+    # [I, -iI] fails CAR and Hermiticity, and its projector (1 + (-i)(I)(-iI)) / 2 is zero
+    eye = np.eye(2, dtype=complex)
+    tup = [eye, -1j * eye]
+    report = check_car(tup)
+    assert not report.passed and report.max_hermiticity >= DEFAULT_TOL.residual
+    with pytest.raises(ValueError, match="^tuple fails the anticommutation relations at pair"):
+        svn_reconstruct(tup)

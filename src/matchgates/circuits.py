@@ -46,14 +46,15 @@ Each fact about a gate is decided once, by one function:
     _dets             the block determinants (hierarchy reads them too)
 
 A GateApp builds its 2x2 or 4x4 matrix once and keeps it read-only; the
-backends only read it. The dense
-route, circuit_to_operator, applies each gate to its own wires of the
-2^n x 2^n product, O(2^w 4^n) for a w-qubit gate; it forms no Kronecker
-embedding. The compact route, circuit_to_rotation, finds the local
-rotations of all one-qubit and of all two-qubit gates in one call each
-of the batched rotation kernel on the Majorana word table (the kernel
-behind hierarchy.extract_rotation), then composes them into the 2n x 2n
-rotation by updating only the columns each gate touches.
+backends only read it. One primitive, apply_circuit, applies a circuit
+or its adjoint to an array gate by gate, each gate on its own wires,
+O(2^w) per entry for a w-qubit gate; it forms no Kronecker embedding.
+The dense route, circuit_to_operator, is apply_circuit on the identity.
+The compact route, circuit_to_rotation, finds the local rotations of
+all one-qubit and of all two-qubit gates in one call each of the batched
+rotation kernel on the Majorana word table (the kernel behind
+hierarchy.extract_rotation), then composes them into the 2n x 2n rotation
+by updating only the columns each gate touches.
 """
 
 from __future__ import annotations
@@ -532,18 +533,28 @@ def circuit_to_text(circuit: CircuitIR) -> str:
     return "\n".join(lines) + "\n"
 
 
-def circuit_to_operator(circuit: CircuitIR) -> np.ndarray:
-    """Dense unitary of the circuit (first-listed gate applied first).
+def apply_circuit(circuit: CircuitIR, array: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """U @ array for the circuit's unitary U, or U^dag @ array when adjoint.
 
-    Each gate acts on its own wires of the current product, seen as a
-    (2^(pos-1), 2^w, rest) array, so a w-qubit gate costs O(2^w 4^n).
+    The first axis of array indexes the circuit's 2^n basis states; any
+    further axes ride along. Each gate acts on its own wires, seen as a
+    (2^(pos-1), 2^w, rest) array, so a w-qubit gate costs O(2^w size).
+    U^dag applies the gates in reverse order, each conjugate-transposed.
+    array is only read; with no gates it is returned as it is.
     """
+    gates = reversed(circuit.gates) if adjoint else circuit.gates
+    for g in gates:
+        m = g.local_matrix().conj().T if adjoint else g.local_matrix()
+        array = (m @ array.reshape(2 ** (g.pos - 1), 2**g.n_wires, -1)).reshape(array.shape)
+    return array
+
+
+def circuit_to_operator(circuit: CircuitIR) -> np.ndarray:
+    """Dense unitary of the circuit (first-listed gate applied first):
+    apply_circuit on the identity, O(2^w 4^n) for a w-qubit gate."""
     n = circuit.n_qubits
     _guard_qubits(n, "circuit operator")
-    u = identity(n)
-    for g in circuit.gates:
-        u = (g.local_matrix() @ u.reshape(2 ** (g.pos - 1), 2**g.n_wires, -1)).reshape(u.shape)
-    return u
+    return apply_circuit(circuit, identity(n))
 
 
 def circuit_to_rotation(circuit: CircuitIR, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -240,10 +240,24 @@ def _state_lambda_norm(psi: np.ndarray) -> float:
 
 
 def level_membership(u: np.ndarray, k: int, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff u belongs to hierarchy level k (membership, not minimality)."""
+    """True iff u belongs to hierarchy level k (membership, not minimality).
+
+    Levels are nested, so when level k alone would pass COST_GUARD the
+    affordable levels below it are searched first, in one ascending search:
+    u in any of them is in level k. Otherwise level k is refused.
+    """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
-    return parity_of(u, tol.residual) != "none" and _search(u, (k,), tol) == k
+    if parity_of(u, tol.residual) == "none":
+        return False
+    n = n_qubits_of(u)
+    if (2 * n) ** (k - 1) > COST_GUARD:
+        top = 1  # the highest affordable level below k
+        while top + 1 < k and (2 * n) ** top <= COST_GUARD:
+            top += 1
+        if _search(u, range(1, top + 1), tol) is not None:
+            return True
+    return _search(u, (k,), tol) == k
 
 
 def _search(u: np.ndarray, levels: range | tuple[int, ...], tol: Tolerances) -> int | None:

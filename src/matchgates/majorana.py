@@ -34,7 +34,7 @@ complex entries (or one operator, when a single operator is larger).
 One word-conjugation kernel, ``_word_conjugates``, computes V W V^dag for
 every V of a stack and every word W of a list given as a column gather
 with phases: the Majoranas c_mu for ``_conjugates``, the teleportation
-byproducts for ``teleport._corrections``. It gathers V W for all m words
+byproducts for ``teleport._correction_runs``. It gathers V W for all m words
 of a parent straight into one contiguous (m 2^n, 2^n) block, stored
 column-major so that every gathered piece is a whole row of V^T, and
 multiplies that block by V^dag in one tall product: BLAS runs one GEMM per
@@ -423,7 +423,8 @@ class CarReport:
 
 def _car_operands(ops: list[np.ndarray]) -> int:
     """The mode count n of a candidate CAR tuple, which must hold exactly 2n
-    operators of dimension 2^n with finite entries; ValueError otherwise."""
+    numeric operators of dimension 2^n with finite entries; ValueError
+    otherwise. A boolean or object array is not numeric."""
     if not ops:
         raise ValueError("empty operator tuple")
     n = n_qubits_of(ops[0])
@@ -433,6 +434,8 @@ def _car_operands(ops: list[np.ndarray]) -> int:
     for i, a in enumerate(ops):  # every shape and entry, before any product
         if a.shape != (dim, dim):
             raise ValueError(f"operator {i + 1} has shape {a.shape}, expected {(dim, dim)}")
+        if a.dtype.kind not in "iufc":  # numpy cannot subtract booleans
+            raise ValueError(f"operator {i + 1} is not numeric (dtype {a.dtype})")
         if not np.isfinite(a).all():  # a NaN residual would never count as the worst
             raise ValueError(f"operator {i + 1} has an entry that is not finite")
     return n

@@ -69,10 +69,19 @@ within tol.residual (the measure check_car reports), delta < 1/2, and
 extra factors cover the rounding of the bound itself. Then check_car
 would have passed, so the result is the one the check-first order gives,
 to the bit.
+
+The cheap conditions come first. A tuple of another dtype or not
+Hermitian within tol.residual goes to check_car before it is
+reconstructed: check_car refuses every such tuple but a Hermitian one of
+another dtype. The bound grows with rho, so g is formed before the contract
+residuals, and they are computed ahead of check_car only when the bound at
+the least rho, that of r = 0, still holds; otherwise they follow check_car
+once it passes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,12 +113,19 @@ def svn_reconstruct(ops: list[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> Svn
     only when the certificate does not hold.
     """
     n = _car_operands(ops)
-    projector, columns = _columns(ops, n)
-    result = None
-    if columns is not None and np.isfinite(columns).all():
-        result = _result(columns, ops)
-        if _car_certified(result, ops, tol.residual):
-            return result
+    # the certificate covers Hermitian float64 or complex128 operators only
+    double = all(a.dtype in (np.float64, np.complex128) for a in ops)
+    certifiable = double and _max_hermiticity(ops) < tol.residual
+    projector = columns = u = residuals = None
+    if certifiable:
+        projector, columns = _columns(ops, n)
+        if columns is not None and np.isfinite(columns).all():
+            u = canonical_phase(columns.conj())
+            holds = _certificate(u, tol.residual)
+            if holds is not None:
+                residuals = _contract_residuals(u, ops)
+                if holds(float(residuals.max())):
+                    return SvnResult(u, residuals)
     report = check_car(ops, tol.residual)
     if not report.passed:
         raise ValueError(
@@ -120,13 +136,17 @@ def svn_reconstruct(ops: list[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> Svn
         raise ValueError(
             f"tuple is not Hermitian (max ||d_mu - d_mu^dag|| {report.max_hermiticity:.3e})"
         )
+    if projector is None:
+        projector, columns = _columns(ops, n)
     if columns is None:
         rank = int(np.linalg.matrix_rank(projector, tol=PROBE_THRESHOLD))
         raise ValueError(
             f"projector annihilates every basis probe (numerical rank {rank}); "
             "the tuple is degenerate"
         )
-    return result or _result(columns, ops)
+    if u is None:
+        u = canonical_phase(columns.conj())
+    return SvnResult(u, _contract_residuals(u, ops) if residuals is None else residuals)
 
 
 def _columns(ops: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -155,30 +175,24 @@ def _columns(ops: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray | No
     return projector, columns
 
 
-def _result(columns: np.ndarray, ops: list[np.ndarray]) -> SvnResult:
-    """U = S^dag with its phase fixed, and its contract residuals."""
-    u = canonical_phase(columns.conj())
-    return SvnResult(u, _contract_residuals(u, ops))
-
-
-def _car_certified(result: SvnResult, ops: list[np.ndarray], tol: float) -> bool:
-    """True when the tuple's Hermiticity and the defects of the result prove
-    that check_car passes at tol (the certificate of the module docstring)."""
-    if not all(a.dtype in (np.float64, np.complex128) for a in ops):
-        return False  # check_car would multiply in another arithmetic
-    if not _max_hermiticity(ops) < tol:
-        return False
-    u = result.u
+def _certificate(u: np.ndarray, tol: float):
+    """The certificate of the module docstring for the u reconstructed from
+    a certifiable tuple, as a test of the largest contract residual that is
+    True when check_car passes at tol; None when no residual could pass it."""
     dim = len(u)
-    ku = 2 * dim * np.finfo(float).eps / 2  # 2d u, u = 2^-53
-    gamma = np.sqrt(2) * ku / (1 - ku)  # sqrt(2) gamma_{2d}, at least gamma_{d+2}
+    ku = 2 * dim * 2.0**-53  # 2d u; Python floats, cheaper than numpy scalars
+    gamma = math.sqrt(2) * ku / (1 - ku)  # sqrt(2) gamma_{2d}, at least gamma_{d+2}
     g = (1 + gamma) * norm_max(u.conj().T @ u - np.eye(dim)) + 2 * gamma
-    r = (1 + gamma) * result.max_residual + 2 * gamma
-    delta, rho = dim * g, dim * r
+    delta = dim * g
     if not delta < 0.5:  # also false for NaN
-        return False
-    bound = 2 * delta * (2 + delta) + 4 * (1 + delta) * rho + 2 * rho**2
-    return (1 + 4 * gamma) * (bound + 4 * gamma * (1 + delta + rho) ** 2) < tol
+        return None
+
+    def holds(max_residual: float) -> bool:
+        rho = dim * ((1 + gamma) * max_residual + 2 * gamma)
+        bound = 2 * delta * (2 + delta) + 4 * (1 + delta) * rho + 2 * rho**2
+        return (1 + 4 * gamma) * (bound + 4 * gamma * (1 + delta + rho) ** 2) < tol
+
+    return holds if holds(0.0) else None
 
 
 def _contract_residuals(u: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:

@@ -20,7 +20,11 @@ the corrections go through the word-conjugation kernel that also
 conjugates by single Majoranas (``majorana._word_conjugates``): U K_z^dag
 is a column gather of U times the conjugate phases, written for a run of
 branches into one contiguous block, and one tall GEMM with U^dag turns the
-run into corrections. No K_z is ever multiplied out densely.
+run into corrections. No K_z is ever multiplied out densely, and the
+corrections are streamed: each run of at most CHUNK_ENTRIES entries (or
+one correction) is applied, or classified, and dropped before the next is
+made, at every n. The table itself takes 4^n 2^n complex entries, 32 MiB
+at n = 7.
 
 The correction R_z = U K_z^dag U^dag therefore lands every branch exactly
 on U|psi>, phase included. When U sits at level k of the hierarchy, each
@@ -28,13 +32,20 @@ correction sits at level k - 1 at most, which is what makes the protocol
 repeatable down to plain matchgate circuits.
 
 A protocol run does only the work that depends on U and the input state.
-The dense network B and B|0...0> depend on n alone and are built once per
-n, then cached read-only (B is 4^n x 4^n: 16 MB stays alive after an n = 5
-run). The magic state applies U to the low n wires of B|0...0> by one
-2^n x 2^n product; no 1 (x) U is formed. Branch probabilities and
-residuals come from one batched pass of row norms. The Lambda Gaussianity
-test of the magic state runs only in magic_state, which reports it; the
-protocol never reads it.
+B^dag and B|0...0> depend on n alone and are built once per n, then cached
+read-only. Up to DENSE_NETWORK_QUBITS the cache holds B^dag densely, as
+the transposed view of conj(B) that the one GEMM with the joint state
+reads (4^n x 4^n: 16 MB stays alive after an n = 5 run). From n = 6 on,
+where B^dag would take 256 MB, it is applied to the (4^n, 2^n) joint
+state as the n + n(n-1)/2 two-qubit gates of build_bn, in reverse order
+and each conjugate-transposed (circuits.apply_circuit), and B|0...0> is
+built from those gates too. From n = 8 on the network would act on 16
+qubits, past linalg.MAX_QUBITS, and the protocol is refused. The magic
+state applies U to the low n wires of B|0...0> by one 2^n x 2^n product;
+no 1 (x) U is formed. Branch probabilities, residuals and phases come
+from one batched pass each, row norms and stacked row-times-column
+products. The Lambda Gaussianity test of the magic state runs only in
+magic_state, which reports it; the protocol never reads it.
 """
 
 from __future__ import annotations
@@ -42,12 +53,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
-from .circuits import build_bn, circuit_to_operator
+from .circuits import apply_circuit, build_bn, circuit_to_operator
 from .hierarchy import _check_cap, is_gaussian_state_lambda, min_level
-from .linalg import DEFAULT_TOL, NORM_TOL, Tolerances, assert_unitary, n_qubits_of
+from .linalg import DEFAULT_TOL, NORM_TOL, Tolerances, _guard_qubits, assert_unitary, n_qubits_of
 from .io import complex_to_json, state_to_json
 from .majorana import (
     CHUNK_ENTRIES,
@@ -58,6 +70,10 @@ from .majorana import (
     state_parity,
 )
 from .sampling import random_state
+
+# Largest n whose Bell-pair network is cached and applied as one dense
+# 4^n x 4^n matrix; from n = 6 on it is applied gate by gate.
+DENSE_NETWORK_QUBITS = 5
 
 
 @dataclass(frozen=True)
@@ -98,15 +114,33 @@ def _magic_psi(u: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, Parity]:
 
 
 @lru_cache(maxsize=None)
-def _network(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The dense Bell-pair network B_n and B_n |0^{2n}> (cached per n, read-only)."""
-    bn = circuit_to_operator(build_bn(n))
+def _network(n: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """B_n^dag and B_n |0^{2n}> of the Bell-pair network (cached per n, read-only).
+
+    B_n^dag is dense up to DENSE_NETWORK_QUBITS, the transposed view of
+    conj(B_n), and None from there on, where _measured applies its gates.
+    """
+    _guard_qubits(2 * n, "Bell-pair network")
     zero = np.zeros(4**n, dtype=complex)
     zero[0] = 1.0
-    b0 = bn @ zero
-    for a in (bn, b0):
-        a.setflags(write=False)
-    return bn, b0
+    if n > DENSE_NETWORK_QUBITS:
+        bn_dag, b0 = None, apply_circuit(build_bn(n), zero)
+    else:
+        bn = circuit_to_operator(build_bn(n))
+        bn_dag, b0 = bn.conj().T, bn @ zero
+        bn_dag.setflags(write=False)
+    b0.setflags(write=False)
+    return bn_dag, b0
+
+
+def _measured(joint: np.ndarray, n: int) -> np.ndarray:
+    """(B_n^dag (x) 1) joint for a (4^n, 2^n) joint state: row z is branch z,
+    unnormalized. One dense product up to DENSE_NETWORK_QUBITS, the gates
+    of B_n^dag from there on."""
+    bn_dag = _network(n)[0]
+    if bn_dag is None:
+        return apply_circuit(build_bn(n), joint, adjoint=True)
+    return bn_dag @ joint
 
 
 def _byproduct(z, n: int) -> tuple[int, np.ndarray]:
@@ -142,22 +176,26 @@ def _byproducts(n: int) -> tuple[np.ndarray, np.ndarray]:
     return flips, phases
 
 
-def _corrections(u: np.ndarray, flips: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """U K^dag U^dag for every word K = (flips[b], phases[b]), as a (B, 2^n, 2^n) stack.
+def _correction_runs(u: np.ndarray, flips: np.ndarray, phases: np.ndarray):
+    """The corrections U K^dag U^dag of the words K = (flips[b], phases[b])
+    as (run, stack) pairs: stack holds the (len(run), 2^n, 2^n) corrections
+    of the slice run of the words, and the runs cover the words in order.
 
     The word-conjugation kernel of ``majorana`` on the words K^dag, in runs
-    of at most CHUNK_ENTRIES gathered entries (or one word) written straight
-    into the result.
+    of at most CHUNK_ENTRIES gathered entries (or one word).
     """
-    # (U K^dag)[:, j] = U[:, j ^ flip] conj(phase[j])
     dim = u.shape[0]
-    cols = np.arange(dim) ^ flips[:, None]
-    out = np.empty((len(flips), dim, dim), dtype=complex)
     step = max(CHUNK_ENTRIES // dim**2, 1)
     for w in range(0, len(flips), step):
         run = slice(w, w + step)
-        _word_conjugates(u[None], cols[run], phases[run].conj(), out=out[run].reshape(1, -1, dim))
-    return out
+        # (U K^dag)[:, j] = U[:, j ^ flip] conj(phase[j])
+        cols = np.arange(dim) ^ flips[run, None]
+        yield run, _word_conjugates(u[None], cols, phases[run].conj()).reshape(-1, dim, dim)
+
+
+def _corrections(u: np.ndarray, flips: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Every correction of _correction_runs in one (B, 2^n, 2^n) stack, for small n."""
+    return np.concatenate([corrections for _, corrections in _correction_runs(u, flips, phases)])
 
 
 @dataclass(frozen=True)
@@ -232,25 +270,25 @@ def simulate_protocol(
         raise ValueError(f"input state is on {n_qubits_of(psi_in)} qubit(s), the teleported gate on {n}")
     if not abs(np.linalg.norm(psi_in) - 1.0) <= NORM_TOL:  # also true for NaN
         raise ValueError("input state must be normalized")
-    bn = _network(n)[0]
     psi, _ = _magic_psi(u, tol)
-    rows = bn.conj().T @ np.outer(psi_in, psi).reshape(4**n, 2**n)
+    rows = _measured(np.outer(psi_in, psi).reshape(4**n, 2**n), n)
     target = u @ psi_in
     # Squared one by one: libm's pow(x, 2), which the scalar ** calls, is
     # not always x * x, and an array ** 2 squares.
-    probs = [float(norm) ** 2 for norm in _row_norms(rows)]
+    probs = [norm**2 for norm in _row_norms(rows).tolist()]
     for zi, prob in enumerate(probs):
         if prob < NORM_TOL:
             raise ValueError(f"branch {zi:0{2 * n}b} has vanishing probability; protocol broken")
     raws = rows / np.sqrt(probs)[:, None]
-    corrs = _corrections(u, *_byproducts(n))
-    corrected = (corrs @ raws[:, :, None])[:, :, 0]
-    residuals = _row_norms(corrected - target)
-    branches = []
-    for zi, (prob, raw, out, residual) in enumerate(zip(probs, raws, corrected, residuals)):
-        phase = complex(np.vdot(target, out))
-        branches.append(Branch(_outcome(zi, n), prob, raw, out, float(residual), phase))
-    return TeleportTranscript(n, psi_in, target, tuple(branches))
+    corrected = np.empty_like(raws)
+    for run, corrections in _correction_runs(u, *_byproducts(n)):
+        corrected[run] = (corrections @ raws[run, :, None])[:, :, 0]
+    residuals = _row_norms(corrected - target).tolist()
+    # <target|out> for every branch: a row times a column, the dot np.vdot takes
+    phases = (target.conj()[None, None, :] @ corrected[:, :, None])[:, 0, 0].tolist()
+    outcomes = map(_outcome, range(4**n), repeat(n))
+    branches = tuple(map(Branch, outcomes, probs, raws, corrected, residuals, phases))
+    return TeleportTranscript(n, psi_in, target, branches)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -315,8 +353,9 @@ def verify_protocol(
     # Corrections depend only on z, not the input. No two are equal up to
     # phase: distinct z give distinct, trace-orthogonal Majorana words K_z,
     # so ||R_z - lambda R_z'||_F^2 = 2 * 2^n for every phase lambda.
-    corrections = _corrections(u, *_byproducts(n))
-    by_level = Counter(min_level(r, k_max_corrections, tol) for r in corrections)
+    by_level = Counter()
+    for _, corrections in _correction_runs(u, *_byproducts(n)):
+        by_level.update(min_level(r, k_max_corrections, tol) for r in corrections)
     levels = tuple(sorted(by_level.items(), key=lambda kv: (kv[0] is None, kv[0])))
     return ProtocolReport(
         n,

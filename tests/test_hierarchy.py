@@ -18,6 +18,7 @@ from matchgates import (
     magic_state,
     min_level,
     named_gate,
+    random_fermionic,
     random_matchgate,
     random_two_qubit_at_root,
     two_qubit_min_level,
@@ -106,8 +107,12 @@ def test_level_membership_nested():
 
 
 def test_cost_guard():
+    # a gate in none of the affordable levels 1..6 is refused at level 8;
+    # the identity, at level 2, is answered from them
+    generic = random_fermionic(8, np.random.default_rng(0))
     with pytest.raises(ValueError, match="guard"):
-        level_membership(np.eye(2**8, dtype=complex), 8)
+        level_membership(generic, 8)
+    assert level_membership(np.eye(2**8, dtype=complex), 8)
 
 
 def test_two_qubit_decompose_round_trip():

@@ -173,6 +173,22 @@ def test_a_root_of_no_definite_parity_is_answered_past_the_guard():
         min_level(named_gate("SWAP") @ np.diag([1, 1, 1, np.exp(0.1j)]), 13)
 
 
+def test_membership_past_the_guard_is_answered_from_the_affordable_levels():
+    # levels are nested: SWAP is at level 3, so it is at level 13, which
+    # alone would need 4^12 conjugations
+    swap = named_gate("SWAP")
+    assert min_level(swap, 13) == 3
+    assert level_membership(swap, 13)
+    assert level_membership(build_CnZ(3), 12)
+    # a gate in none of the affordable levels keeps the level-13 refusal
+    generic = named_gate("CPHASE", (1.0,))
+    message = r"^level-13 membership at n=2 needs about 1\.68e\+07 dense conjugations \(guard 1e\+07\)$"
+    with pytest.raises(SearchBudgetError, match=message):
+        level_membership(generic, 13)
+    with pytest.raises(SearchBudgetError, match=message):
+        min_level(generic, 13)
+
+
 def test_each_level_question_tests_parity_once_at_the_root(monkeypatch):
     sizes = []
     parities = majorana._parities

@@ -226,3 +226,59 @@ def test_anticommutation_is_refused_before_hermiticity_and_degeneracy():
     assert not report.passed and report.max_hermiticity >= DEFAULT_TOL.residual
     with pytest.raises(ValueError, match="^tuple fails the anticommutation relations at pair"):
         svn_reconstruct(tup)
+
+
+def test_a_boolean_operand_is_refused_by_name():
+    # numpy cannot subtract booleans: the Hermiticity measure raised TypeError
+    x, y = jw_set(1)
+    flag = x.real.astype(bool)
+    for route in (svn_reconstruct, check_car):
+        with pytest.raises(ValueError, match=r"^operator 1 is not numeric \(dtype bool\)$"):
+            route([flag, y])
+    with pytest.raises(ValueError, match=r"^operator 2 is not numeric \(dtype object\)$"):
+        svn_reconstruct([x, y.astype(object)])
+
+
+def test_refused_tuples_skip_the_work_the_certificate_cannot_use(monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(svn, name)
+
+        def counting(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(svn, name, counting)
+
+    spy("_columns")
+    spy("_contract_residuals")
+    tup = _conjugated_tuple(random_fermionic(3, np.random.default_rng(4)))
+    svn_reconstruct(tup)
+    assert calls == ["_columns", "_contract_residuals"]
+
+    # not Hermitian: check_car refuses it before any reconstruction
+    calls.clear()
+    anti = list(tup)
+    anti[0] = 1j * tup[0]
+    with pytest.raises(ValueError, match="anticommutation"):
+        svn_reconstruct(anti)
+    assert calls == []
+
+    # operator 3 copies operator 1: the columns are far from orthonormal,
+    # delta >= 1/2, and no contract residual is formed
+    calls.clear()
+    copied = list(tup)
+    copied[2] = tup[0]
+    with pytest.raises(ValueError, match="anticommutation"):
+        svn_reconstruct(copied)
+    assert calls == ["_columns"]
+
+    # operator 1 kicked by 1e-7: delta < 1/2, but the bound fails even at r = 0
+    calls.clear()
+    kick = np.random.default_rng(1).normal(size=(8, 8))
+    kicked = list(tup)
+    kicked[0] = tup[0] + 1e-7 * (kick + kick.T)
+    with pytest.raises(ValueError, match="anticommutation"):
+        svn_reconstruct(kicked)
+    assert calls == ["_columns"]

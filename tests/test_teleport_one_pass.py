@@ -3,10 +3,14 @@ replaced, and the gathered state Lambda test against the dense one.
 
 The old route rebuilt the dense Bell-pair network B_n on every call, formed
 the magic state with the 4^n x 4^n kron(1, U), and took one np.linalg.norm
-per branch row and per residual. The new route caches B_n per n, applies U
-to the low wires of B_n|0...0> by one product and takes every norm in one
-batched pass; it must give the same transcript to the bit.
+per branch row and per residual. The new route caches B_n^dag per n, applies
+U to the low wires of B_n|0...0> by one product and takes every norm and
+phase in one batched pass; it must give the same transcript to the bit. From
+n = 6 it applies B_n^dag as gates instead, which must agree with the dense
+network within 1e-12 wherever both can run.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -22,11 +26,12 @@ from matchgates import (
     simulate_protocol,
 )
 from matchgates import teleport
-from matchgates.circuits import build_CnZ, build_bn, circuit_to_operator
+from matchgates.circuits import CircuitIR, GateApp, apply_circuit, build_CnZ, build_bn, circuit_to_operator
 from matchgates.hierarchy import _state_lambda_norm
-from matchgates.linalg import n_qubits_of
-from matchgates.majorana import state_parity
+from matchgates.linalg import DEFAULT_TOL, n_qubits_of
+from matchgates.majorana import CHUNK_ENTRIES, _word_matrix, state_parity
 from matchgates.sampling import random_matchgate_circuit
+from reference import basis_state
 
 FIELDS = ("z", "probability", "raw_state", "corrected", "residual_vs_target", "phase")
 
@@ -102,9 +107,9 @@ def test_magic_state_matches_the_kron_route_to_the_bit(name, u):
 
 
 def test_vanishing_probability_names_the_first_failing_branch(monkeypatch):
-    bn, b0 = teleport._network(1)
-    broken = bn.copy()
-    broken[:, [2, 1]] = 0.0  # rows 01 and 10 of B^dag vanish
+    bn_dag, b0 = teleport._network(1)
+    broken = bn_dag.copy()
+    broken[[2, 1]] = 0.0  # rows 01 and 10 of B^dag vanish
     monkeypatch.setattr(teleport, "_network", lambda n: (broken, b0))
     u = named_gate("X")
     with pytest.raises(ValueError, match=r"^branch 01 has vanishing probability; protocol broken$"):
@@ -113,15 +118,118 @@ def test_vanishing_probability_names_the_first_failing_branch(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_network_is_cached_read_only_and_exact(n):
-    bn, b0 = teleport._network(n)
-    assert teleport._network(n)[0] is bn
-    for a in (bn, b0):
+    bn_dag, b0 = teleport._network(n)
+    assert teleport._network(n)[0] is bn_dag
+    for a in (bn_dag, b0):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.0
     dense, _ = _dense_magic_psi(np.eye(2**n, dtype=complex))
-    assert np.array_equal(bn, dense)
+    assert np.array_equal(bn_dag, dense.conj().T)
     assert np.array_equal(b0, dense[:, 0])
+
+
+def _structured_gates(n):
+    """CnZ, the first and last Majorana, the identity and an FSWAP chain on n qubits."""
+    gates = [
+        (f"CNZ({n})", build_CnZ(n)),
+        (f"c_1 on {n}", jw_majorana(n, 1)),
+        (f"c_{2 * n} on {n}", jw_majorana(n, 2 * n)),
+        (f"identity on {n}", np.eye(2**n, dtype=complex)),
+    ]
+    if n > 1:
+        chain = CircuitIR(n, tuple(GateApp(kind="NAMED", pos=p, name="FSWAP") for p in range(1, n)))
+        gates.append((f"FSWAP chain on {n}", circuit_to_operator(chain)))
+    return gates
+
+
+STRUCTURED = [
+    (name, u, index)
+    for n in range(1, 6)
+    for name, u in _structured_gates(n)
+    for index in sorted({0, 2 ** (n - 1), 2**n - 1})
+]
+
+
+@pytest.mark.parametrize("name, u, index", STRUCTURED, ids=[f"{name} |{i}>" for name, _, i in STRUCTURED])
+def test_transcript_json_matches_the_dense_route_to_the_bit(name, u, index):
+    # json.dumps tells -0.0 from 0.0, which np.array_equal does not
+    n = n_qubits_of(u)
+    psi_in = basis_state(n, index)
+    target, expected = _dense_protocol(u, psi_in)
+    dense = teleport.TeleportTranscript(n, psi_in, target, tuple(teleport.Branch(*b) for b in expected))
+    got = simulate_protocol(u, psi_in).to_json(include_states=True)
+    assert json.dumps(got) == json.dumps(dense.to_json(include_states=True))
+
+
+@pytest.fixture
+def gate_route(monkeypatch):
+    """The Bell network applied as gates at every n, with the cache cleared around it."""
+    monkeypatch.setattr(teleport, "DENSE_NETWORK_QUBITS", 0)
+    teleport._network.cache_clear()
+    yield
+    teleport._network.cache_clear()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gate_route_matches_the_dense_network(n, gate_route):
+    bn = circuit_to_operator(build_bn(n))
+    joint = random_state(3 * n, np.random.default_rng(n)).reshape(4**n, 2**n)
+    assert teleport._network(n)[0] is None
+    assert np.abs(teleport._measured(joint, n) - bn.conj().T @ joint).max() <= 1e-12
+    assert np.abs(teleport._network(n)[1] - bn[:, 0]).max() <= 1e-12
+    assert np.abs(apply_circuit(build_bn(n), joint) - bn @ joint).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name, u", GATES[::4], ids=[name for name, _ in GATES[::4]])
+def test_gate_route_transcript_matches_the_dense_route(name, u, gate_route):
+    n = n_qubits_of(u)
+    psi_in = random_state(n, np.random.default_rng(len(name)))
+    _, expected = _dense_protocol(u, psi_in)
+    transcript = simulate_protocol(u, psi_in)
+    assert teleport._network(n)[0] is None
+    for branch, want in zip(transcript.branches, expected, strict=True):
+        assert branch.z == want[0]
+        for field, value in zip(FIELDS[1:], want[1:]):
+            assert np.abs(getattr(branch, field) - value).max() <= 1e-12, (field, branch.z)
+
+
+def test_six_qubit_protocol_runs_the_gate_route_and_lands_every_branch():
+    u = build_CnZ(6)
+    rng = np.random.default_rng(6)
+    psi_in = random_state(6, rng)
+    transcript = simulate_protocol(u, psi_in)
+    assert teleport._network(6)[0] is None
+    assert len(transcript.branches) == 4**6
+    assert transcript.max_residual < DEFAULT_TOL.residual
+    assert transcript.max_probability_deviation < 1e-12
+    # before correction, branch z holds U K_z |psi>, phase included
+    for zi in rng.choice(4**6, size=16, replace=False):
+        branch = transcript.branches[zi]
+        want = u @ _word_matrix(*teleport._byproduct(branch.z, 6)) @ psi_in
+        assert np.abs(branch.raw_state - want).max() <= 1e-12
+
+
+def test_protocol_is_refused_past_seven_qubits():
+    with pytest.raises(ValueError, match=r"^Bell-pair network would act on 16 qubits \(limit 15\)$"):
+        simulate_protocol(build_CnZ(8), basis_state(8, 0))
+
+
+def test_corrections_are_streamed_in_runs(monkeypatch):
+    sizes = []
+    kernel = teleport._word_conjugates
+
+    def spy(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(teleport, "_word_conjugates", spy)
+    simulate_protocol(build_CnZ(5), basis_state(5, 0))
+    assert max(sizes) <= CHUNK_ENTRIES and sum(sizes) == 4**5 * 4**5
+    sizes.clear()
+    teleport.verify_protocol(build_CnZ(3), trials=1)
+    assert max(sizes) <= CHUNK_ENTRIES and sum(sizes) == 2 * 4**3 * 4**3
 
 
 def test_protocol_skips_the_lambda_test_and_magic_state_keeps_it(monkeypatch):

@@ -434,7 +434,7 @@ def parse_circuit(text: str, tol: Tolerances = DEFAULT_TOL) -> CircuitIR:
         if head_up == "QUBITS":
             if n_qubits is not None:
                 raise CircuitError("duplicate qubits header", line_no, head_col)
-            if len(tokens) != 2 or not tokens[1][0].isdigit():
+            if len(tokens) != 2 or not tokens[1][0].isdecimal():
                 raise CircuitError("expected: qubits N", line_no, head_col)
             n_qubits = int(tokens[1][0])
             if n_qubits < 1:

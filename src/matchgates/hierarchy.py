@@ -224,19 +224,27 @@ def is_gaussian_state_lambda(psi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> 
     """Gaussian-state test: Lambda (psi (x) psi) = 0.
 
     Each c_mu psi is a gather from the Majorana word table, a row of C
-    (2n, 2^n); sum_mu (c_mu psi) (x) (c_mu psi) is then the single product
-    C^T C, whose norm is taken directly.
+    (2n, 2^n); sum_mu (c_mu psi) (x) (c_mu psi) is then the product C^T C,
+    whose Frobenius norm is summed over row blocks of at most CHUNK_ENTRIES
+    entries. C^T C itself (2^n x 2^n, 4 GiB for a 14-qubit state) is never
+    formed.
     """
     return _state_lambda_norm(psi) < tol.residual
 
 
 def _state_lambda_norm(psi: np.ndarray) -> float:
-    """||Lambda (psi (x) psi)||, the quantity is_gaussian_state_lambda thresholds."""
+    """||Lambda (psi (x) psi)||, the quantity is_gaussian_state_lambda thresholds.
+
+    The squared norm of each block is the sum np.linalg.norm takes, so a
+    single block gives np.linalg.norm(C^T C) to the bit.
+    """
     n = n_qubits_of(psi)
     _guard_qubits(n, "state Lambda test")
     words = majorana_words(n)
     c = words.phase * psi[np.arange(2**n) ^ words.flip[:, None]]
-    return float(np.linalg.norm(c.T @ c))
+    step = max(CHUNK_ENTRIES // 2**n, 1)
+    blocks = ((c.T[i : i + step] @ c).ravel() for i in range(0, 2**n, step))
+    return float(np.sqrt(sum(b.real.dot(b.real) + b.imag.dot(b.imag) for b in blocks)))
 
 
 def level_membership(u: np.ndarray, k: int, tol: Tolerances = DEFAULT_TOL) -> bool:

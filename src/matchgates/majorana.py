@@ -18,10 +18,15 @@ i ^ f_mu with a phase in {+-1, +-i}. The word table of ``majorana_words``
 stores these flip masks and phases, together with the parity signs of the
 basis states, so products with Majoranas and parity tests become gathers
 and sign masks instead of dense matrix products. Every ordered product of
-Majoranas (a monomial, a teleportation byproduct word) is again a signed
-permutation, composed from the table by ``_word`` without a dense matrix
-product. The table is also the one dense builder: jw_majorana, jw_set,
-the stack _jw_stack, the monomials and total_parity are all scattered
+Majoranas is again a signed permutation, composed from the table without
+a dense matrix product. Appending c_mu to a word (f, p) gives
+(f ^ f_mu, p[i] phase_mu[i ^ f]), and only this module applies that rule:
+``_word`` to one word, for single words up to 15 qubits, and
+``_monomials`` in bulk, building all 4^n monomials by 2n doublings with
+every row equal to ``_word``'s to the bit. ``expand`` and the
+teleportation byproducts K_z (a monomial times a scalar) read that table.
+The word table is also the one dense builder: jw_majorana, jw_set, the
+stack _jw_stack, majorana_monomial and total_parity are all scattered
 from it, and no Pauli Kronecker product is formed.
 
 The batched kernels built on the table take stacks (B, 2^n, 2^n) of
@@ -154,6 +159,25 @@ def _word(n: int, mus) -> tuple[int, np.ndarray]:
         phase = phase * words.phase[mu - 1][index ^ flip]
         flip ^= int(words.flip[mu - 1])
     return flip, phase
+
+
+def _monomials(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flips (4^n,) and phases (4^n, 2^n) of every ordered monomial: row m is
+    _word(n, indices_from_mask(m)), to the bit.
+
+    Built by 2n doublings: doubling mu appends c_mu to the rows of the masks
+    below 2^(mu - 1), as _word appends it to one word.
+    """
+    words = majorana_words(n)
+    index = np.arange(2**n)
+    flips = np.zeros(4**n, dtype=np.intp)
+    phases = np.empty((4**n, 2**n), dtype=complex)
+    phases[0] = 1.0
+    for mu, (f, p) in enumerate(zip(words.flip.tolist(), words.phase)):
+        low, high = slice(0, 1 << mu), slice(1 << mu, 2 << mu)
+        phases[high] = phases[low] * p[index ^ flips[low, None]]
+        flips[high] = flips[low] ^ f
+    return flips, phases
 
 
 def _word_matrix(flip: int, phase: np.ndarray) -> np.ndarray:
@@ -366,17 +390,18 @@ def expand(op: np.ndarray) -> MajoranaPoly:
 
     Coefficients come from the trace inner product,
     alpha_m = tr(monomial(m)^dagger op) / 2^n; terms below NORM_TOL are dropped.
-    Cost grows as 4^n, intended for small n.
+    Monomial m holds one entry per column j, at row j ^ f_m, so its trace is
+    one gather of op summed over j. Cost grows as 8^n in time and memory:
+    the monomial table takes 8^n complex entries, 32 MiB at n = 7.
     """
     n = n_qubits_of(op)
-    dim = 2**n
-    terms: dict[int, complex] = {}
-    for mask in range(4**n):
-        mono = majorana_monomial(n, mask)
-        coef = complex(np.trace(mono.conj().T @ op)) / dim
-        if abs(coef) >= NORM_TOL:
-            terms[mask] = coef
-    return MajoranaPoly(n, terms)
+    flips, phases = _monomials(n)
+    index = np.arange(2**n)
+    rows = index ^ flips[:, None]
+    # tr(M^dag op) = sum_j conj(M[j ^ f, j]) op[j ^ f, j]
+    traces = (np.take_along_axis(phases, rows, axis=1).conj() * op[rows, index]).sum(axis=1)
+    coefs = (t / 2**n for t in traces.tolist())
+    return MajoranaPoly(n, {mask: c for mask, c in enumerate(coefs) if abs(c) >= NORM_TOL})
 
 
 def total_parity(n: int) -> np.ndarray:

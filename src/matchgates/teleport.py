@@ -13,9 +13,12 @@ measurement byproduct is the Majorana word
           (-1)^(sum_j (z_{2j-1} + z_{2j})(z_{2j+1} + ... + z_{2n}))
           c_1^{z2} c_2^{z1} c_3^{z4} c_4^{z3} ... c_{2n-1}^{z_{2n}} c_{2n}^{z_{2n-1}}.
 
-Like every Majorana word, K_z is a signed permutation: it sends basis
-state i to i ^ f_z with a phase in {+-1, +-i}. The table of all 4^n
-(flip, phase) pairs is built once per n from the Majorana word table, and
+K_z is an ordered Majorana monomial times a scalar: the monomial of the
+outcome bits with each pair swapped, times (-i)^s (-1)^t. Like every
+Majorana word, it is a signed permutation: it sends basis state i to
+i ^ f_z with a phase in {+-1, +-i}. The table of all 4^n (flip, phase)
+pairs is read once per n from the bulk monomial table
+(``majorana._monomials``), one row per outcome scaled by its scalar, and
 the corrections go through the word-conjugation kernel that also
 conjugates by single Majoranas (``majorana._word_conjugates``): U K_z^dag
 is a column gather of U times the conjugate phases, written for a run of
@@ -53,7 +56,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -64,7 +66,7 @@ from .io import complex_to_json, state_to_json
 from .majorana import (
     CHUNK_ENTRIES,
     Parity,
-    _word,
+    _monomials,
     _word_conjugates,
     parity_sign,
     state_parity,
@@ -143,37 +145,30 @@ def _measured(joint: np.ndarray, n: int) -> np.ndarray:
     return bn_dag @ joint
 
 
-def _byproduct(z, n: int) -> tuple[int, np.ndarray]:
-    """K_z as a signed permutation (flip, phase): K_z[i, i ^ flip] = phase[i]."""
-    s = sum(z[0::2])
-    t = 0
-    for j in range(1, n):
-        t += (z[2 * j - 2] + z[2 * j - 1]) * sum(z[2 * j :])
-    mus = []
-    for k in range(1, n + 1):
-        if z[2 * k - 1]:
-            mus.append(2 * k - 1)
-        if z[2 * k - 2]:
-            mus.append(2 * k)
-    flip, phase = _word(n, mus)
-    return flip, ((-1j) ** s) * ((-1) ** t) * phase
-
-
 @lru_cache(maxsize=None)
-def _outcome(zi: int, n: int) -> tuple[int, ...]:
-    """The 2n outcome bits of branch zi, most significant first."""
-    return tuple((zi >> (2 * n - 1 - b)) & 1 for b in range(2 * n))
+def _byproducts(n: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
+    """Flips (4^n,) and phases (4^n, 2^n) of every K_z, and the outcomes z,
+    in branch order (read-only).
 
-
-@lru_cache(maxsize=None)
-def _byproducts(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flips (4^n,) and phases (4^n, 2^n) of every K_z, in branch order (read-only)."""
-    words = [_byproduct(_outcome(zi, n), n) for zi in range(4**n)]
-    flips = np.array([flip for flip, _ in words], dtype=np.intp)
-    phases = np.stack([phase for _, phase in words])
+    K_z is the monomial of the outcome bits with each pair swapped, c_{2k-1}
+    going with z_{2k} and c_{2k} with z_{2k-1}, times (-i)^s (-1)^t.
+    """
+    # bits[zi, b] is outcome bit z_{b+1} of branch zi, most significant first
+    bits = (np.arange(4**n)[:, None] >> np.arange(2 * n - 1, -1, -1)) & 1
+    masks = bits.reshape(-1, n, 2)[:, :, ::-1].reshape(-1, 2 * n) @ (1 << np.arange(2 * n))
+    s = bits[:, 0::2].sum(axis=1)
+    # t = sum_j (z_{2j-1} + z_{2j}) (z_{2j+1} + ... + z_{2n}), j = 1 .. n-1
+    after = np.cumsum(bits[:, ::-1], axis=1)[:, ::-1]
+    t = ((bits[:, 0:-2:2] + bits[:, 1:-2:2]) * after[:, 2::2]).sum(axis=1)
+    # scale[s, t % 2] is (-1j) ** s * (-1) ** t in Python complex arithmetic,
+    # whose signed zeros the phases keep
+    scale = np.array([[(-1j) ** k * (-1) ** odd for odd in (0, 1)] for k in range(n + 1)])
+    flips, phases = _monomials(n)
+    flips, phases = flips[masks], phases[masks]
+    phases *= scale[s, t % 2][:, None]
     for a in (flips, phases):
         a.setflags(write=False)
-    return flips, phases
+    return flips, phases, tuple(map(tuple, bits.tolist()))
 
 
 def _correction_runs(u: np.ndarray, flips: np.ndarray, phases: np.ndarray):
@@ -191,11 +186,6 @@ def _correction_runs(u: np.ndarray, flips: np.ndarray, phases: np.ndarray):
         # (U K^dag)[:, j] = U[:, j ^ flip] conj(phase[j])
         cols = np.arange(dim) ^ flips[run, None]
         yield run, _word_conjugates(u[None], cols, phases[run].conj()).reshape(-1, dim, dim)
-
-
-def _corrections(u: np.ndarray, flips: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Every correction of _correction_runs in one (B, 2^n, 2^n) stack, for small n."""
-    return np.concatenate([corrections for _, corrections in _correction_runs(u, flips, phases)])
 
 
 @dataclass(frozen=True)
@@ -280,13 +270,13 @@ def simulate_protocol(
         if prob < NORM_TOL:
             raise ValueError(f"branch {zi:0{2 * n}b} has vanishing probability; protocol broken")
     raws = rows / np.sqrt(probs)[:, None]
+    *words, outcomes = _byproducts(n)
     corrected = np.empty_like(raws)
-    for run, corrections in _correction_runs(u, *_byproducts(n)):
+    for run, corrections in _correction_runs(u, *words):
         corrected[run] = (corrections @ raws[run, :, None])[:, :, 0]
     residuals = _row_norms(corrected - target).tolist()
     # <target|out> for every branch: a row times a column, the dot np.vdot takes
     phases = (target.conj()[None, None, :] @ corrected[:, :, None])[:, 0, 0].tolist()
-    outcomes = map(_outcome, range(4**n), repeat(n))
     branches = tuple(map(Branch, outcomes, probs, raws, corrected, residuals, phases))
     return TeleportTranscript(n, psi_in, target, branches)
 
@@ -354,7 +344,7 @@ def verify_protocol(
     # phase: distinct z give distinct, trace-orthogonal Majorana words K_z,
     # so ||R_z - lambda R_z'||_F^2 = 2 * 2^n for every phase lambda.
     by_level = Counter()
-    for _, corrections in _correction_runs(u, *_byproducts(n)):
+    for _, corrections in _correction_runs(u, *_byproducts(n)[:2]):
         by_level.update(min_level(r, k_max_corrections, tol) for r in corrections)
     levels = tuple(sorted(by_level.items(), key=lambda kv: (kv[0] is None, kv[0])))
     return ProtocolReport(

@@ -214,6 +214,8 @@ def test_parse_errors_carry_line_and_col():
         parse_circuit("X @ 1\n")  # gate before header
     with pytest.raises(CircuitError, match="duplicate"):
         parse_circuit("qubits 2\nqubits 2\n")
+    with pytest.raises(CircuitError, match="^line 1, col 1: expected: qubits N$"):
+        parse_circuit("qubits \u00b2\nX @ 1\n")  # a digit to str.isdigit, not to int()
     with pytest.raises(CircuitError, match="determinant mismatch"):
         parse_circuit("qubits 2\nG I X @ 1\n")
     err = None

@@ -12,13 +12,20 @@ from matchgates import (
 from matchgates.io import dumps_stable
 from matchgates.linalg import is_unitary
 from matchgates.majorana import _word_matrix, state_parity
-from matchgates.teleport import _byproduct, _corrections
+from matchgates.teleport import _byproducts, _correction_runs
 from reference import basis_state
 
 
 def correction_K(z, n):
     """The dense byproduct word K_z of outcome bits z."""
-    return _word_matrix(*_byproduct(z, n))
+    return _word_matrix(*byproduct(z, n))
+
+
+def byproduct(z, n):
+    """K_z as (flip, phase), read from the byproduct table at branch z."""
+    flips, phases, _ = _byproducts(n)
+    zi = int("".join(map(str, z)), 2)
+    return int(flips[zi]), phases[zi]
 
 
 def test_correction_k_identity_outcome():
@@ -47,8 +54,9 @@ def test_correction_r_conjugates():
     u = named_gate("CZ")
     z = (1, 0, 1, 1)
     k = correction_K(z, 2)
-    flip, phase = _byproduct(z, 2)
-    assert np.allclose(_corrections(u, np.array([flip]), phase[None])[0], u @ k.conj().T @ u.conj().T)
+    flip, phase = byproduct(z, 2)
+    (_, corrections), = _correction_runs(u, np.array([flip]), phase[None])
+    assert np.allclose(corrections[0], u @ k.conj().T @ u.conj().T)
 
 
 def test_magic_state_parities():

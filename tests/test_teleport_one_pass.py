@@ -11,6 +11,7 @@ network within 1e-12 wherever both can run.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,11 +26,11 @@ from matchgates import (
     random_state,
     simulate_protocol,
 )
-from matchgates import teleport
+from matchgates import selftest, teleport
 from matchgates.circuits import CircuitIR, GateApp, apply_circuit, build_CnZ, build_bn, circuit_to_operator
 from matchgates.hierarchy import _state_lambda_norm
 from matchgates.linalg import DEFAULT_TOL, n_qubits_of
-from matchgates.majorana import CHUNK_ENTRIES, _word_matrix, state_parity
+from matchgates.majorana import CHUNK_ENTRIES, _word_matrix, majorana_words, state_parity
 from matchgates.sampling import random_matchgate_circuit
 from reference import basis_state
 
@@ -53,13 +54,14 @@ def _dense_protocol(u, psi_in):
     target = u @ psi_in
     probs = [float(np.linalg.norm(row) ** 2) for row in rows]
     raws = rows / np.sqrt(probs)[:, None]
-    corrs = teleport._corrections(u, *teleport._byproducts(n))
+    corrs = np.concatenate([stack for _, stack in teleport._correction_runs(u, *teleport._byproducts(n)[:2])])
     corrected = (corrs @ raws[:, :, None])[:, :, 0]
     branches = []
     for zi, (prob, raw, out) in enumerate(zip(probs, raws, corrected)):
         residual = float(np.linalg.norm(out - target))
         phase = complex(np.vdot(target, out))
-        branches.append((teleport._outcome(zi, n), prob, raw, out, residual, phase))
+        z = tuple((zi >> (2 * n - 1 - b)) & 1 for b in range(2 * n))
+        branches.append((z, prob, raw, out, residual, phase))
     return target, branches
 
 
@@ -204,9 +206,10 @@ def test_six_qubit_protocol_runs_the_gate_route_and_lands_every_branch():
     assert transcript.max_residual < DEFAULT_TOL.residual
     assert transcript.max_probability_deviation < 1e-12
     # before correction, branch z holds U K_z |psi>, phase included
+    flips, phases, _ = teleport._byproducts(6)
     for zi in rng.choice(4**6, size=16, replace=False):
         branch = transcript.branches[zi]
-        want = u @ _word_matrix(*teleport._byproduct(branch.z, 6)) @ psi_in
+        want = u @ _word_matrix(int(flips[zi]), phases[zi]) @ psi_in
         assert np.abs(branch.raw_state - want).max() <= 1e-12
 
 
@@ -301,3 +304,46 @@ def test_state_lambda_test_refuses_past_the_qubit_limit():
     psi = _zero(16)
     with pytest.raises(ValueError, match=r"state Lambda test would act on 16 qubits \(limit 15\)"):
         is_gaussian_state_lambda(psi)
+
+
+def _whole_product_lambda_norm(psi):
+    """||C^T C|| with C^T C formed whole, as the state Lambda test took it before the row blocks."""
+    words = majorana_words(n_qubits_of(psi))
+    c = words.phase * psi[np.arange(len(psi)) ^ words.flip[:, None]]
+    return float(np.linalg.norm(c.T @ c))
+
+
+def test_state_lambda_norm_never_forms_the_whole_product():
+    psi = magic_state(build_CnZ(5)).psi  # 10 qubits: C^T C alone would take 16 MiB
+    tracemalloc.start()
+    try:
+        _state_lambda_norm(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_magic_state_gaussianity_is_unchanged_on_the_selftest_gates():
+    seed = selftest.BASE_SEED + 6
+    gates = selftest._teleport_gates_n2(seed) + selftest._teleport_gates_n3()
+    for name, u in gates + [("FSWAP", named_gate("FSWAP")), ("GHH", named_gate("GHH"))]:
+        m = magic_state(u)
+        whole = _whole_product_lambda_norm(m.psi)
+        # at most 8 qubits: one row block, the same sum as np.linalg.norm to the bit
+        assert _state_lambda_norm(m.psi) == whole, name
+        assert m.is_gaussian == (whole < DEFAULT_TOL.residual), name
+
+
+def test_row_blocks_sum_to_the_whole_product_norm():
+    rng = np.random.default_rng(11)
+    gates = [
+        (build_CnZ(5), False),
+        (random_fermionic(5, rng, "even"), False),
+        (circuit_to_operator(random_matchgate_circuit(5, 15, rng)), True),
+    ]
+    for u, gaussian in gates:
+        m = magic_state(u)
+        whole = _whole_product_lambda_norm(m.psi)
+        assert abs(_state_lambda_norm(m.psi) - whole) <= 1e-14 * max(whole, 1.0)
+        assert m.is_gaussian is gaussian and (whole < DEFAULT_TOL.residual) is gaussian

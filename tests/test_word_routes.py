@@ -20,6 +20,7 @@ from matchgates import (
     extract_rotation,
     jw_majorana,
     jw_set,
+    named_gate,
     parse_circuit,
     random_fermionic,
     random_state,
@@ -31,7 +32,7 @@ from matchgates import hierarchy, majorana, teleport
 from matchgates.circuits import CircuitError, build_CnZ, parse_angle
 from matchgates.cli import main
 from matchgates.hierarchy import min_level
-from matchgates.linalg import DEFAULT_TOL, canonical_phase, equal_up_to_phase, norm_max
+from matchgates.linalg import DEFAULT_TOL, NORM_TOL, canonical_phase, equal_up_to_phase, norm_max
 from matchgates.majorana import SUPPORT_RESIDUAL_QUBITS, majorana_monomial, majorana_words, state_parity
 from matchgates.svn import PROBE_THRESHOLD, _contract_residuals
 from reference import kron_majoranas, kron_parity
@@ -81,6 +82,10 @@ def _dense_K(z, n):
 def _dense_R(z, u):
     k = _dense_K(z, int(np.log2(u.shape[0])))
     return u @ k.conj().T @ u.conj().T
+
+
+def _joined_corrections(u, flips, phases):
+    return np.concatenate([stack for _, stack in teleport._correction_runs(u, flips, phases)])
 
 
 def _outcomes(n):
@@ -145,8 +150,9 @@ def test_contract_residuals_match_the_dense_route():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_correction_K_matches_the_dense_product(n):
-    for z in _outcomes(n):
-        assert np.array_equal(majorana._word_matrix(*teleport._byproduct(z, n)), _dense_K(z, n))
+    flips, phases, _ = teleport._byproducts(n)
+    for zi, z in enumerate(_outcomes(n)):
+        assert np.array_equal(majorana._word_matrix(int(flips[zi]), phases[zi]), _dense_K(z, n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -155,9 +161,9 @@ def test_corrections_match_the_dense_route(n):
     u = random_fermionic(n, rng, parity="odd" if n % 2 else "even")
     dense = np.stack([_dense_R(z, u) for z in _outcomes(n)])
     # the batched kernel both protocol routes use, and a batch of one
-    assert np.array_equal(teleport._corrections(u, *teleport._byproducts(n)), dense)
-    flip, phase = teleport._byproduct(_outcomes(n)[-1], n)
-    assert np.array_equal(teleport._corrections(u, np.array([flip]), phase[None])[0], dense[-1])
+    flips, phases, _ = teleport._byproducts(n)
+    assert np.array_equal(_joined_corrections(u, flips, phases), dense)
+    assert np.array_equal(_joined_corrections(u, flips[-1:], phases[-1:])[0], dense[-1])
     transcript = simulate_protocol(u, random_state(n, rng))
     assert [b.z for b in transcript.branches] == _outcomes(n)
     for b, r in zip(transcript.branches, dense):
@@ -188,10 +194,92 @@ def test_verify_protocol_matches_the_dense_grouping(n):
 
 
 def test_byproduct_table_is_read_only():
-    flips, phases = teleport._byproducts(2)
+    flips, phases, _ = teleport._byproducts(2)
     assert flips.shape == (16,) and phases.shape == (16, 4)
     with pytest.raises(ValueError):
         phases[0, 0] = 0
+
+
+def _same_bits(a, b):
+    """Equal values, and equal signs of every real and imaginary part, zeros included."""
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+def _word_route_byproduct(z, n):
+    """K_z by one word per branch, as teleport built each byproduct before the monomial table."""
+    s = sum(z[0::2])
+    t = 0
+    for j in range(1, n):
+        t += (z[2 * j - 2] + z[2 * j - 1]) * sum(z[2 * j :])
+    mus = []
+    for k in range(1, n + 1):
+        if z[2 * k - 1]:
+            mus.append(2 * k - 1)
+        if z[2 * k - 2]:
+            mus.append(2 * k)
+    flip, phase = majorana._word(n, mus)
+    return flip, ((-1j) ** s) * ((-1) ** t) * phase
+
+
+def _trace_route_expand(op):
+    """expand by one dense monomial and one trace product per mask, as before the monomial table."""
+    n = int(np.log2(op.shape[0]))
+    terms = {}
+    for mask in range(4**n):
+        mono = majorana_monomial(n, mask)
+        coef = complex(np.trace(mono.conj().T @ op)) / 2**n
+        if abs(coef) >= NORM_TOL:
+            terms[mask] = coef
+    return terms
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_monomial_table_rows_are_the_words_to_the_bit(n):
+    flips, phases = majorana._monomials(n)
+    assert flips.shape == (4**n,) and phases.shape == (4**n, 2**n)
+    for mask in range(4**n):
+        flip, phase = majorana._word(n, majorana.indices_from_mask(mask))
+        assert flips[mask] == flip and _same_bits(phases[mask], phase), mask
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_byproduct_table_is_the_word_route_to_the_bit(n):
+    flips, phases, outcomes = teleport._byproducts(n)
+    assert outcomes == tuple(_outcomes(n))
+    for zi, z in enumerate(outcomes):
+        flip, phase = _word_route_byproduct(z, n)
+        assert flips[zi] == flip and _same_bits(phases[zi], phase), z
+    assert not flips.flags.writeable and not phases.flags.writeable
+
+
+def _expand_operators():
+    cases = [(name, named_gate(name)) for name in ("SWAP", "CZ", "FSWAP", "GHH")]
+    for n in range(1, 6):
+        rng = np.random.default_rng(400 + n)
+        dim = 2**n
+        cases += [
+            (f"complex n={n}", rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))),
+            (f"real n={n}", rng.normal(size=(dim, dim))),
+            (f"even n={n}", random_fermionic(n, rng, "even")),
+            (f"odd n={n}", random_fermionic(n, rng, "odd")),
+            (f"-i monomial n={n}", -1j * majorana_monomial(n, int(rng.integers(4**n)))),
+            (f"CNZ({n})", build_CnZ(n)),
+        ]
+    return cases
+
+
+EXPAND_OPERATORS = _expand_operators()
+
+
+@pytest.mark.parametrize("name, op", EXPAND_OPERATORS, ids=[c[0] for c in EXPAND_OPERATORS])
+def test_expand_equals_the_trace_route_to_the_repr(name, op):
+    got, want = majorana.expand(op).terms, _trace_route_expand(op)
+    assert list(got) == list(want)
+    assert [repr(c) for c in got.values()] == [repr(c) for c in want.values()]
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -263,7 +263,7 @@ def classify(gate, circuit, matrix, n_qubits, k_max, fmt) -> None:
 @_with_gate_sources
 @click.option("--state", default=None, type=click.Path(), help="Input state JSON; omit to verify over random states.")
 @click.option("--trials", default=5, show_default=True, help="Random input states (without --state).")
-@click.option("--seed", default=0, show_default=True, help="Seed of the random input states (without --state).")
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0), help="Seed of the random input states (without --state).")
 @click.option("--k-max-corrections", default=6, show_default=True, help="Level cap when classifying the corrections (without --state).")
 @click.option("--include-states", is_flag=True, help="Embed branch state vectors in the transcript (with --state).")
 @_FMT

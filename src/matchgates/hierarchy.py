@@ -46,14 +46,14 @@ level_membership (level k alone), min_level (levels 1 .. k_max) and
 classify_gate (levels 3 .. k_max).
 
 The walk is depth first and stops at the first failing batch, so a batch
-is kept small: whole parents up to CHUNK_ENTRIES / 8 complex entries of
-children (128 KiB, small enough to stay in a per-core cache with its
-temporaries), or one parent's 2n children when those are larger, split
-only where CHUNK_ENTRIES already requires it. The batch limit is thus
-min(CHUNK_ENTRIES, max(CHUNK_ENTRIES / 8, 2n 4^n)) entries. Memory stays
-flat however large the tree is, and a failing level wastes at most the
-rest of one small batch. The batch size changes neither the order in
-which nodes are visited nor any answer.
+is kept small. It takes its batches from majorana's one batching rule
+(``majorana._chunks``) with the limit CHUNK_ENTRIES / 8 complex entries
+(128 KiB, small enough to stay in a per-core cache with its temporaries):
+as many whole parents as fit in that limit, at least one, and a parent's
+2n children split into runs only where they exceed CHUNK_ENTRIES itself.
+Memory stays flat however large the tree is, and a failing level wastes
+at most the rest of one small batch. The batch size changes neither the
+order in which nodes are visited nor any answer.
 
 Diagonal gates have a closed form, the matchgate analogue of the level of
 a diagonal gate of the Clifford hierarchy (Cui, Gottesman and Krishna,
@@ -128,6 +128,7 @@ from .majorana import (
     _conjugates,
     _linear_residuals,
     _rotations,
+    _runs,
     _traces,
     _word_gathers,
     majorana_words,
@@ -197,10 +198,10 @@ def is_gaussian_lambda(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     Never materializes Lambda. The commutator is sum_mu (c_mu U) (x) (c_mu U)
     - (U c_mu) (x) (U c_mu); its entries, permuted, are those of the single
     product [cu; uc]^T [cu; -uc] of the flattened operators, whose max norm
-    is taken over row blocks of at most CHUNK_ENTRIES entries. Requires a
-    fermionic (parity even or odd) input; mixed-parity operators are
-    rejected, and so are inputs whose commutator would exceed the qubit
-    limit.
+    is taken over row blocks of at most CHUNK_ENTRIES entries (or one row;
+    majorana._runs). Requires a fermionic (parity even or odd) input;
+    mixed-parity operators are rejected, and so are inputs whose commutator
+    would exceed the qubit limit.
     """
     _guard_qubits(2 * n_qubits_of(u), "Lambda commutator")
     if parity_of(u, tol.residual) == "none":
@@ -209,15 +210,15 @@ def is_gaussian_lambda(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def _lambda_commutator_norm(u: np.ndarray) -> float:
-    """||[Lambda, U (x) U]||_max, the quantity is_gaussian_lambda thresholds."""
+    """||[Lambda, U (x) U]||_max, the quantity is_gaussian_lambda thresholds,
+    the largest over the row blocks of majorana._runs."""
     n = n_qubits_of(u)
     phase, cols, col_phase = _word_gathers(n)
     cu = (u[cols] * phase[:, :, None]).reshape(2 * n, -1)
     uc = (u[:, cols].transpose(1, 0, 2) * col_phase[:, None, :]).reshape(2 * n, -1)
     # Only the sum over mu commutes; individual terms do not.
     left, right = np.concatenate([cu, uc]).T, np.concatenate([cu, -uc])
-    step = max(CHUNK_ENTRIES // right.shape[1], 1)
-    return max(norm_max(left[i : i + step] @ right) for i in range(0, len(left), step))
+    return max(norm_max(left[rows] @ right) for rows in _runs(len(left), right.shape[1]))
 
 
 def is_gaussian_state_lambda(psi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -226,8 +227,8 @@ def is_gaussian_state_lambda(psi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> 
     Each c_mu psi is a gather from the Majorana word table, a row of C
     (2n, 2^n); sum_mu (c_mu psi) (x) (c_mu psi) is then the product C^T C,
     whose Frobenius norm is summed over row blocks of at most CHUNK_ENTRIES
-    entries. C^T C itself (2^n x 2^n, 4 GiB for a 14-qubit state) is never
-    formed.
+    entries (or one row; majorana._runs). C^T C itself (2^n x 2^n, 4 GiB
+    for a 14-qubit state) is never formed.
     """
     return _state_lambda_norm(psi) < tol.residual
 
@@ -235,15 +236,15 @@ def is_gaussian_state_lambda(psi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> 
 def _state_lambda_norm(psi: np.ndarray) -> float:
     """||Lambda (psi (x) psi)||, the quantity is_gaussian_state_lambda thresholds.
 
-    The squared norm of each block is the sum np.linalg.norm takes, so a
-    single block gives np.linalg.norm(C^T C) to the bit.
+    The row blocks are those of majorana._runs. The squared norm of each
+    block is the sum np.linalg.norm takes, so a single block gives
+    np.linalg.norm(C^T C) to the bit.
     """
     n = n_qubits_of(psi)
     _guard_qubits(n, "state Lambda test")
     words = majorana_words(n)
     c = words.phase * psi[np.arange(2**n) ^ words.flip[:, None]]
-    step = max(CHUNK_ENTRIES // 2**n, 1)
-    blocks = ((c.T[i : i + step] @ c).ravel() for i in range(0, 2**n, step))
+    blocks = ((c.T[rows] @ c).ravel() for rows in _runs(2**n, 2**n))
     return float(np.sqrt(sum(b.real.dot(b.real) + b.imag.dot(b.imag) for b in blocks)))
 
 
@@ -342,8 +343,7 @@ def _subtree_ok(nodes: np.ndarray, depth: int, n: int, tol: Tolerances, seen: _S
     """
     if depth == 0:
         return bool(_first_level(nodes, n, tol)[1].all())
-    limit = min(CHUNK_ENTRIES, max(CHUNK_ENTRIES // 8, 2 * n * 4**n))
-    for block, mus in _chunks(len(nodes), n, limit):
+    for block, mus in _chunks(len(nodes), n, CHUNK_ENTRIES // 8):
         kids = _conjugates(nodes[block], n, mus)
         if 1 < depth < seen.top:
             kids = seen.new(kids, depth - 1)

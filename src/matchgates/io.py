@@ -2,7 +2,9 @@
 
 Matrix files: {"n": qubits, "re": [[...]], "im": [[...]]}, row-major,
 qubit 1 most significant. Operator-tuple files are either a bare list of
-matrix objects or {"n": ..., "operators": [...]}.
+matrix objects or {"n": ..., "operators": [...]}. In matrix, state and
+tuple files alike "n" may be left out; when given, it must be the integer
+qubit count of the matrix, the state or the tuple's operators.
 """
 
 from __future__ import annotations
@@ -62,13 +64,17 @@ def matrix_from_json(data: dict) -> np.ndarray:
     if re.shape != im.shape or re.ndim != 2 or re.shape[0] != re.shape[1]:
         raise ValueError(f"matrix JSON has mismatched shapes {re.shape} vs {im.shape}")
     m = re + 1j * im
-    n = n_qubits_of(m)
-    if "n" in data:
-        if type(data["n"]) is not int:  # a bool is an int subclass
-            raise ValueError(f"matrix JSON 'n' must be an integer, got {data['n']!r}")
-        if data["n"] != n:
-            raise ValueError(f"matrix JSON says n={data['n']} but dimension gives n={n}")
+    _check_n(data, n_qubits_of(m), "matrix")
     return m
+
+
+def _check_n(data, n: int, what: str) -> None:
+    """Refuse a decoded object whose 'n', when present, is not the integer n."""
+    if isinstance(data, dict) and "n" in data:
+        if type(data["n"]) is not int:  # a bool is an int subclass
+            raise ValueError(f"{what} JSON 'n' must be an integer, got {data['n']!r}")
+        if data["n"] != n:
+            raise ValueError(f"{what} JSON says n={data['n']} but dimension gives n={n}")
 
 
 def state_to_json(psi: np.ndarray) -> dict:
@@ -81,7 +87,7 @@ def state_from_json(data: dict) -> np.ndarray:
     if re.shape != im.shape or re.ndim != 1:
         raise ValueError(f"state JSON needs 1-D 're' and 'im' of one length, got shapes {re.shape} vs {im.shape}")
     psi = re + 1j * im
-    n_qubits_of(psi)
+    _check_n(data, n_qubits_of(psi), "state")
     return psi
 
 
@@ -101,6 +107,7 @@ def tuple_from_json(data) -> list[np.ndarray]:
     ops = [matrix_from_json(entry) for entry in entries]
     if not ops:
         raise ValueError("empty operator tuple")
+    _check_n(data, n_qubits_of(ops[0]), "tuple")  # n counts the qubits of the operators
     return ops
 
 

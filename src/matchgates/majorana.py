@@ -32,9 +32,15 @@ from it, and no Pauli Kronecker product is formed.
 The batched kernels built on the table take stacks (B, 2^n, 2^n) of
 operators: conjugation of each by every c_mu, the coefficients
 tr(c_mu V) / 2^n, the parity of each operator (``_parities``, the one
-threshold rule behind parity_of) and the rotation R of each operator,
-chunked so that no intermediate array holds more than CHUNK_ENTRIES
-complex entries (or one operator, when a single operator is larger).
+threshold rule behind parity_of) and the rotation R of each operator.
+
+Every loop over an exponential stack, here and in ``hierarchy``, ``svn``
+and ``teleport``, follows one batching rule, ``_runs``: consecutive items
+of a given size, as many as fit in CHUNK_ENTRIES complex entries (or in a
+smaller limit the caller passes), and never fewer than one. ``_chunks``
+applies it to the 2n conjugates of a stack of operators: whole operators
+while their conjugates fit in CHUNK_ENTRIES, otherwise one operator's
+conjugates in runs of CHUNK_ENTRIES.
 
 One word-conjugation kernel, ``_word_conjugates``, computes V W V^dag for
 every V of a stack and every word W of a list given as a column gather
@@ -233,29 +239,34 @@ def _parity_order(n: int) -> np.ndarray:
     return by_parity
 
 
-def _chunks(count: int, n: int, limit: int):
+def _runs(count: int, size: int, limit: int | None = None):
+    """Slices covering range(count) in order, each holding at most `limit`
+    entries (CHUNK_ENTRIES by default) at `size` entries per item, and never
+    fewer than one item. Every batched loop over an exponential stack takes
+    its slices here."""
+    step = max((CHUNK_ENTRIES if limit is None else limit) // size, 1)
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
+def _chunks(count: int, n: int, limit: int | None = None):
     """(operators, mus) slices covering the 2n conjugates of `count` stacked
-    operators in order, each at most `limit` entries (or one conjugate)."""
-    per_chunk = limit // 4**n
-    if per_chunk >= 2 * n:
-        step = per_chunk // (2 * n)
-        for p in range(0, count, step):
-            yield slice(p, p + step), slice(None)
-    else:
-        step = max(per_chunk, 1)
-        for p in range(count):
-            for mu in range(0, 2 * n, step):
-                yield slice(p, p + 1), slice(mu, mu + step)
+    operators in order: whole operators up to `limit` entries (CHUNK_ENTRIES
+    by default; at least one operator), or, when one operator's conjugates
+    exceed CHUNK_ENTRIES, that operator's mus in runs of CHUNK_ENTRIES."""
+    size = 2 * n * 4**n
+    if size <= CHUNK_ENTRIES:
+        return ((ops, slice(None)) for ops in _runs(count, size, limit))
+    return ((slice(p, p + 1), mus) for p in range(count) for mus in _runs(2 * n, 4**n))
 
 
-def _word_conjugates(parents: np.ndarray, cols: np.ndarray, phases: np.ndarray, out=None) -> np.ndarray:
+def _word_conjugates(parents: np.ndarray, cols: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """V W V^dag for every V of the stack (B, 2^n, 2^n) and every word W of
     the list, as a (B, m 2^n, 2^n) array ordered by V, then W.
 
     Word w is the column gather (V W)[:, j] = V[:, cols[w, j]] phases[w, j].
     The m products V W of one parent are gathered, row by row from V^T, into
     one contiguous (m 2^n, 2^n) block in column-major order, and one GEMM per
-    parent multiplies the block by V^dag. out, when given, receives the result.
+    parent multiplies the block by V^dag.
     """
     b, m, dim = len(parents), len(cols), parents.shape[-1]
     # rows[b, k] is column k of V
@@ -265,7 +276,7 @@ def _word_conjugates(parents: np.ndarray, cols: np.ndarray, phases: np.ndarray, 
     vw *= phases.T[:, :, None]
     tall = vw.reshape(b, dim, m * dim).transpose(0, 2, 1)
     # conjugated in place, rows becomes V^dag
-    return np.matmul(tall, np.conjugate(rows, out=rows), out=out)
+    return np.matmul(tall, np.conjugate(rows, out=rows))
 
 
 def _conjugates(parents: np.ndarray, n: int, mus: slice) -> np.ndarray:
@@ -348,7 +359,7 @@ def _rotations(ops: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray, np
     """
     r = np.zeros((len(ops), 2 * n, 2 * n))
     ok = np.ones(len(ops), dtype=bool)
-    for block, mus in _chunks(len(ops), n, CHUNK_ENTRIES):
+    for block, mus in _chunks(len(ops), n):
         kids = _conjugates(ops[block], n, mus)
         rows = _traces(kids, n).real
         resid = _linear_residuals(kids, rows, n)
@@ -391,15 +402,19 @@ def expand(op: np.ndarray) -> MajoranaPoly:
     Coefficients come from the trace inner product,
     alpha_m = tr(monomial(m)^dagger op) / 2^n; terms below NORM_TOL are dropped.
     Monomial m holds one entry per column j, at row j ^ f_m, so its trace is
-    one gather of op summed over j. Cost grows as 8^n in time and memory:
-    the monomial table takes 8^n complex entries, 32 MiB at n = 7.
+    one gather of op summed over j. Time grows as 8^n, and so does memory,
+    through the monomial table alone (8^n complex entries, 32 MiB at
+    n = 7): the gathers are taken in runs of monomials of at most
+    CHUNK_ENTRIES entries.
     """
     n = n_qubits_of(op)
     flips, phases = _monomials(n)
     index = np.arange(2**n)
-    rows = index ^ flips[:, None]
-    # tr(M^dag op) = sum_j conj(M[j ^ f, j]) op[j ^ f, j]
-    traces = (np.take_along_axis(phases, rows, axis=1).conj() * op[rows, index]).sum(axis=1)
+    traces = np.empty(4**n, dtype=complex)
+    for run in _runs(4**n, 2**n):
+        rows = index ^ flips[run, None]
+        # tr(M^dag op) = sum_j conj(M[j ^ f, j]) op[j ^ f, j]
+        traces[run] = (np.take_along_axis(phases[run], rows, axis=1).conj() * op[rows, index]).sum(axis=1)
     coefs = (t / 2**n for t in traces.tolist())
     return MajoranaPoly(n, {mask: c for mask, c in enumerate(coefs) if abs(c) >= NORM_TOL})
 

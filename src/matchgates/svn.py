@@ -24,8 +24,8 @@ level k, the reconstructed U lives at level k+1.
 
 The contract residuals ||U^dag c_mu U - d_mu||_max read each c_mu from the
 Majorana word table: U^dag c_mu is a gather of U^dag's columns times a
-phase, so each conjugate costs one matrix product, computed in chunks of
-at most CHUNK_ENTRIES entries.
+phase, so each conjugate costs one matrix product, computed in the runs of
+majorana._runs: at most CHUNK_ENTRIES entries each (or one conjugate).
 
 Acceptance is certified rather than checked pair by pair. check_car forms
 all n(2n+1) anticommutators, about 4n^2 products of size d = 2^n, while
@@ -87,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerances, canonical_phase, norm_max
-from .majorana import CHUNK_ENTRIES, _car_operands, _chunks, _conjugates, _max_hermiticity, check_car
+from .majorana import _car_operands, _conjugates, _max_hermiticity, _runs, check_car
 
 PROBE_THRESHOLD = 1e-6
 
@@ -196,11 +196,12 @@ def _certificate(u: np.ndarray, tol: float):
 
 
 def _contract_residuals(u: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
-    """||u^dag c_mu u - d_mu||_max for every mu of the tuple, in order."""
+    """||u^dag c_mu u - d_mu||_max for every mu of the tuple, in order,
+    the conjugates formed in runs of majorana._runs."""
     n = len(ops) // 2
     u_dag = u.conj().T[None]
     residuals = np.empty(2 * n)
-    for _, mus in _chunks(1, n, CHUNK_ENTRIES):
+    for mus in _runs(2 * n, 4**n):
         conj = _conjugates(u_dag, n, mus)
         residuals[mus] = np.abs(conj - np.stack(ops[mus])).max(axis=(1, 2))
     return residuals

@@ -64,9 +64,9 @@ from .hierarchy import _check_cap, is_gaussian_state_lambda, min_level
 from .linalg import DEFAULT_TOL, NORM_TOL, Tolerances, _guard_qubits, assert_unitary, n_qubits_of
 from .io import complex_to_json, state_to_json
 from .majorana import (
-    CHUNK_ENTRIES,
     Parity,
     _monomials,
+    _runs,
     _word_conjugates,
     parity_sign,
     state_parity,
@@ -176,13 +176,12 @@ def _correction_runs(u: np.ndarray, flips: np.ndarray, phases: np.ndarray):
     as (run, stack) pairs: stack holds the (len(run), 2^n, 2^n) corrections
     of the slice run of the words, and the runs cover the words in order.
 
-    The word-conjugation kernel of ``majorana`` on the words K^dag, in runs
-    of at most CHUNK_ENTRIES gathered entries (or one word).
+    The word-conjugation kernel of ``majorana`` on the words K^dag, in the
+    runs of majorana._runs: at most CHUNK_ENTRIES gathered entries each (or
+    one word).
     """
     dim = u.shape[0]
-    step = max(CHUNK_ENTRIES // dim**2, 1)
-    for w in range(0, len(flips), step):
-        run = slice(w, w + step)
+    for run in _runs(len(flips), dim**2):
         # (U K^dag)[:, j] = U[:, j ^ flip] conj(phase[j])
         cols = np.arange(dim) ^ flips[run, None]
         yield run, _word_conjugates(u[None], cols, phases[run].conj()).reshape(-1, dim, dim)

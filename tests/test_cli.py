@@ -256,6 +256,36 @@ def test_teleport_refuses_a_state_that_is_not_one_vector(runner, tmp_path, conte
     assert _err(result).startswith("error: state JSON needs 1-D 're' and 'im' of one length")
 
 
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        (["teleport", "--gate", "CZ", "--state"], '{"n": 3, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}',
+         "state JSON says n=3 but dimension gives n=2"),
+        (["teleport", "--gate", "CZ", "--state"], '{"n": true, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}',
+         "state JSON 'n' must be an integer, got True"),
+        (["svn", "--tuple"], '{"n": 7, "operators": [%s, %s]}', "tuple JSON says n=7 but dimension gives n=1"),
+        (["svn", "--tuple"], '{"n": true, "operators": [%s, %s]}', "tuple JSON 'n' must be an integer, got True"),
+    ],
+    ids=["state-n", "state-bool", "tuple-n", "tuple-bool"],
+)
+def test_state_and_tuple_files_refuse_a_wrong_n(runner, tmp_path, command, content, message):
+    # the state and tuple decoders used to ignore "n"
+    if "%s" in content:
+        content %= tuple(json.dumps(matrix_to_json(c)) for c in jw_set(1))
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    result = runner.invoke(main, command + [str(path)])
+    assert result.exit_code == 1
+    assert _err(result) == f"error: {message}\n"
+
+
+def test_teleport_seed_must_be_non_negative(runner):
+    # numpy's own message named no option
+    result = runner.invoke(main, ["teleport", "--gate", "CZ", "--trials", "1", "--seed", "-1"])
+    assert result.exit_code == 1
+    assert _err(result) == "error: Invalid value for '--seed': -1 is not in the range x>=0.\n"
+
+
 def test_svn_round_trip_with_expect(runner, tmp_path):
     v = named_gate("CPHASE", (np.pi / 2,))
     tup = [v.conj().T @ c @ v for c in jw_set(2)]

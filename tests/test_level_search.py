@@ -217,12 +217,70 @@ def test_generic_fermionic_gates(seed, n, parity, eps):
 @pytest.mark.parametrize("chunk", [16, 48, 80])
 def test_chunk_boundaries(monkeypatch, chunk):
     # 4x4 nodes: one child, three children, or one parent's four children per chunk
-    monkeypatch.setattr(hierarchy, "CHUNK_ENTRIES", chunk)
+    for module in (majorana, hierarchy):  # the split threshold and the search's limit
+        monkeypatch.setattr(module, "CHUNK_ENTRIES", chunk)
+    batches = []
+    conjugates = hierarchy._conjugates
+
+    def spy(nodes, n, mus):
+        kids = conjugates(nodes, n, mus)
+        batches.append(len(kids))
+        return kids
+
+    monkeypatch.setattr(hierarchy, "_conjugates", spy)
     rng = np.random.default_rng(chunk)
     for k in (3, 4):
         u = random_two_qubit_at_root(rng, k, odd=bool(k % 2))
         assert_agrees(u, k)
         assert_agrees(perturbed(u, 3e-10, rng), k)
+    assert max(batches) == {16: 1, 48: 3, 80: 4}[chunk]
+
+
+def _old_chunks(count, n, limit):
+    """majorana._chunks before the one batching rule: (operators, mus) slices
+    of at most `limit` entries, or of one operator's mus."""
+    per_chunk = limit // 4**n
+    if per_chunk >= 2 * n:
+        step = per_chunk // (2 * n)
+        for p in range(0, count, step):
+            yield slice(p, p + step), slice(None)
+    else:
+        step = max(per_chunk, 1)
+        for p in range(count):
+            for mu in range(0, 2 * n, step):
+                yield slice(p, p + 1), slice(mu, mu + step)
+
+
+def _old_runs(count, size, chunk):
+    """The hand-written batch steps of the Lambda norms and the corrections."""
+    step = max(chunk // size, 1)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _covered(chunks, count, n):
+    """The (operator, mu) pairs of each chunk, in order."""
+    return [[(p, mu) for p in range(count)[ops] for mu in range(2 * n)[mus]] for ops, mus in chunks]
+
+
+def test_one_batching_rule_gives_every_site_its_old_slices(monkeypatch):
+    default = majorana.CHUNK_ENTRIES
+    for n in range(1, 10):
+        size = 2 * n * 4**n
+        chunks = {default} | {c + d for c in (size, 8 * size) for d in (-8, -1, 0, 1, 8)}
+        for chunk in sorted(chunks):
+            monkeypatch.setattr(majorana, "CHUNK_ENTRIES", chunk)
+            search = min(chunk, max(chunk // 8, size))
+            # svn's contract residuals: the 2n conjugates of one operator
+            mus = [range(2 * n)[s] for s in majorana._runs(2 * n, 4**n)]
+            assert mus == [range(2 * n)[m] for _, m in _old_chunks(1, n, chunk)], (n, chunk)
+            for count in range(1, 71):
+                old = _covered(_old_chunks(count, n, search), count, n)
+                assert _covered(majorana._chunks(count, n, chunk // 8), count, n) == old, (n, chunk, count)
+                old = _covered(_old_chunks(count, n, chunk), count, n)
+                assert _covered(majorana._chunks(count, n), count, n) == old, (n, chunk, count)
+                for item in (2**n, 4**n, size):
+                    old = [range(count)[s] for s in _old_runs(count, item, chunk)]
+                    assert [range(count)[s] for s in majorana._runs(count, item)] == old, (n, chunk, count)
 
 
 def test_wide_gates_split_one_parent_across_chunks():
@@ -298,10 +356,23 @@ def test_lambda_row_blocks_match_the_full_product(monkeypatch, n):
     cases += [build_CnZ(n)] if n >= 2 else []
     # each entry sums 4n products of entries of modulus <= 1
     bound = 16 * n * np.finfo(float).eps
+    blocks = []
+    runs = majorana._runs
+
+    def spy(count, size, limit=None):
+        slices = list(runs(count, size, limit))
+        blocks.append(len(slices))
+        return slices
+
+    monkeypatch.setattr(hierarchy, "_runs", spy)
     for u in cases:
         want = _full_lambda_norm(u)
         # about seven blocks, the last one short; single rows while that is cheap
         for chunk in [4**n * (4**n // 7) + 5] + ([1] if n <= 4 else []):
-            monkeypatch.setattr(hierarchy, "CHUNK_ENTRIES", chunk)
+            monkeypatch.setattr(majorana, "CHUNK_ENTRIES", chunk)
+            blocks.clear()
             assert abs(hierarchy._lambda_commutator_norm(u) - want) <= bound
             assert is_gaussian_lambda(u) == (want < DEFAULT_TOL.residual)
+            # both calls read max(chunk // 4^n, 1) rows per block, more than one block
+            rows = max(chunk // 4**n, 1)
+            assert blocks == [-(-(4**n) // rows)] * 2 and rows < 4**n

@@ -7,6 +7,7 @@ SvN columns come from a recurrence instead of per-column word products and
 may move in the last bits only.
 """
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -280,6 +281,57 @@ def test_expand_equals_the_trace_route_to_the_repr(name, op):
     got, want = majorana.expand(op).terms, _trace_route_expand(op)
     assert list(got) == list(want)
     assert [repr(c) for c in got.values()] == [repr(c) for c in want.values()]
+
+
+def _whole_table_expand(op):
+    """expand with its two 4^n x 2^n gathers taken whole, as before they were streamed."""
+    n = int(np.log2(op.shape[0]))
+    flips, phases = majorana._monomials(n)
+    index = np.arange(2**n)
+    rows = index ^ flips[:, None]
+    traces = (np.take_along_axis(phases, rows, axis=1).conj() * op[rows, index]).sum(axis=1)
+    coefs = (t / 2**n for t in traces.tolist())
+    return {mask: c for mask, c in enumerate(coefs) if abs(c) >= NORM_TOL}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_streamed_expand_equals_the_whole_table_to_the_repr(monkeypatch, n):
+    rng = np.random.default_rng(500 + n)
+    dim = 2**n
+    ops = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), random_fermionic(n, rng, "odd"), build_CnZ(n)]
+    wants = [_whole_table_expand(op) for op in ops]
+    counts = []
+    runs = majorana._runs
+
+    def spy(count, size, limit=None):
+        slices = list(runs(count, size, limit))
+        counts.append(len(slices))
+        return slices
+
+    monkeypatch.setattr(majorana, "_runs", spy)
+    for chunk in (1, 7, 2**n, majorana.CHUNK_ENTRIES):
+        monkeypatch.setattr(majorana, "CHUNK_ENTRIES", chunk)
+        for op, want in zip(ops, wants):
+            counts.clear()
+            got = majorana.expand(op).terms
+            # runs of max(chunk // 2^n, 1) monomials
+            assert counts == [-(-(4**n) // max(chunk // dim, 1))], chunk
+            assert list(got) == list(want)
+            assert [repr(c) for c in got.values()] == [repr(c) for c in want.values()]
+
+
+def test_expand_streams_its_gathers():
+    rng = np.random.default_rng(6)
+    op = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    majorana.expand(op)
+    tracemalloc.start()
+    try:
+        majorana.expand(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 14.1 MiB with the whole gathers; the 4 MiB monomial table's build stays
+    assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize("n", range(1, 9))

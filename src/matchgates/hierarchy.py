@@ -41,9 +41,10 @@ checks the single c_1 ... c_1 path, on which a generic gate already fails.
 One search takes its levels in ascending order and extends that path by
 one conjugate per level, so a failing search costs one descent however
 many levels it spans: K - 1 path conjugates up to level K, where
-restarting at each level would cost K(K - 1) / 2. The one search serves
-level_membership (level k alone), min_level (levels 1 .. k_max) and
-classify_gate (levels 3 .. k_max).
+restarting at each level would cost K(K - 1) / 2. Every level question is
+one call of this search: level_membership asks level k alone, or, when
+the guard refuses level k alone, the affordable levels below k and then
+k; min_level asks levels 1 .. k_max and classify_gate levels 3 .. k_max.
 
 The walk is depth first and stops at the first failing batch, so a batch
 is kept small. It takes its batches from majorana's one batching rule
@@ -74,7 +75,7 @@ pi / 2^m sits at level d + 1 + m, a linear phase is Gaussian.
 For a non-Gaussian gate classify_gate first calls diagonal_level, which
 takes a gate only when every off-diagonal entry is exactly zero and every
 phase ratio d_x / d_0 lies within PHASE_SNAP (1e-14) of a 2^M-th root of
-unity, M bounded by the root-spacing rule of the two-qubit closed form
+unity, M from the root-spacing rule it shares with the two-qubit closed form
 (M = 19 at the default epsilon). The level is then read off the integer
 coefficients, with no tolerance, in O(n 2^n). Every other input, a
 diagonal gate perturbed beyond PHASE_SNAP or with phases on a finer grid
@@ -86,25 +87,29 @@ hold diagonal_level to their answers.
 On the matrix route, trees of gates such as CnZ(n) and the pattern gates F
 are mostly exact repeats, so each level of a search expands every
 distinct node once.
-A node that will be expanded is keyed by its remaining depth and its raw
-bytes; a node whose key this level has already queued is dropped, because
-bit-identical nodes have bit-identical subtrees under the same kernels.
-Keys are never rounded or phase-normalised, so two nodes on opposite
-sides of a check are never merged. Leaves and the root's children are
-not keyed. The keys live for one level and stop growing once they hold
-MEMO_ENTRIES complex entries; after that the walk still looks keys up but
-adds none.
+Every node below the root that will be expanded is keyed by its
+remaining depth and its raw bytes; a node whose key this level has
+already queued is dropped, because bit-identical nodes have bit-identical
+subtrees under the same kernels. Keys are never rounded or
+phase-normalised, so two nodes on opposite sides of a check are never
+merged. Leaves are not keyed: one costs less to check than to key. The
+keys live for one level and stop growing once they hold MEMO_ENTRIES
+complex entries; after that the walk still looks keys up but adds none.
 
 For two qubits a closed form is available: with determinant ratio
 det A / det B of the gate's parity blocks, a gate sits at level k (k >= 2)
-exactly when the ratio is a 2^(k-2)-th root of unity.
+exactly when the ratio is a 2^(k-2)-th root of unity. Both closed forms
+take their finest root grid, 2^M-th roots, from one root-spacing rule:
+the two-qubit form at ANGLE_TOL (M = 19 whatever epsilon), diagonal_level
+at max(ANGLE_TOL, epsilon). The two-qubit form snaps the ratio's angle
+once to the nearest 2^M-th root exp(2 pi i j / 2^M), within ANGLE_TOL,
+and reads k = 2 + M - v2(j), or 2 at j = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
 from types import NotImplementedType
 
 import numpy as np
@@ -251,22 +256,25 @@ def _state_lambda_norm(psi: np.ndarray) -> float:
 def level_membership(u: np.ndarray, k: int, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff u belongs to hierarchy level k (membership, not minimality).
 
-    Levels are nested, so when level k alone would pass COST_GUARD the
-    affordable levels below it are searched first, in one ascending search:
-    u in any of them is in level k. Otherwise level k is refused.
+    One search answers. When COST_GUARD admits level k it searches level
+    k alone: at the tolerance edge a gate can pass a lower level and fail
+    level k. Otherwise it searches the affordable levels below k and then
+    k, in ascending order: levels are nested, so u in any of them is in
+    level k, and a u in none of them reaches level k, which the guard
+    refuses with the level-k message.
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
     if parity_of(u, tol.residual) == "none":
         return False
     n = n_qubits_of(u)
-    if (2 * n) ** (k - 1) > COST_GUARD:
-        top = 1  # the highest affordable level below k
-        while top + 1 < k and (2 * n) ** top <= COST_GUARD:
-            top += 1
-        if _search(u, range(1, top + 1), tol) is not None:
-            return True
-    return _search(u, (k,), tol) == k
+    below = () if _affordable(n, k) else [j for j in range(1, k) if _affordable(n, j)]
+    return _search(u, (*below, k), tol) is not None
+
+
+def _affordable(n: int, k: int) -> bool:
+    """Whether COST_GUARD admits a level-k search at n qubits: about (2n)^(k-1) conjugations."""
+    return (2 * n) ** (k - 1) <= COST_GUARD
 
 
 def _search(u: np.ndarray, levels: range | tuple[int, ...], tol: Tolerances) -> int | None:
@@ -276,7 +284,8 @@ def _search(u: np.ndarray, levels: range | tuple[int, ...], tol: Tolerances) -> 
     Every node below such a root is odd (see the module docstring), so no
     parity is tested here: a level holds when its leaves are first level.
     Each level k is refused by COST_GUARD before its work starts, as a
-    search of that level alone would be. A generic gate already fails on
+    search of that level alone would be; this is the one guard check of
+    every level question. A generic gate already fails on
     the c_1 ... c_1 path, so the path is tried first; it is extended by one
     conjugate per level, so a failing search costs a single descent
     whatever the number of levels.
@@ -285,7 +294,7 @@ def _search(u: np.ndarray, levels: range | tuple[int, ...], tol: Tolerances) -> 
     root = path = u[None]
     depth = 0
     for k in levels:
-        if (2 * n) ** (k - 1) > COST_GUARD:
+        if not _affordable(n, k):
             raise SearchBudgetError(
                 f"level-{k} membership at n={n} needs about {(2 * n) ** (k - 1):.2e} "
                 f"dense conjugations (guard {COST_GUARD:.0e})"
@@ -294,26 +303,27 @@ def _search(u: np.ndarray, levels: range | tuple[int, ...], tol: Tolerances) -> 
             path = _conjugates(path, n, slice(0, 1))
             depth += 1
         # the c_1 ... c_1 leaf first; at level 1 it is the root, the whole search
-        if (k == 1 or _first_level(path, n, tol)[1].all()) and _subtree_ok(root, k - 1, n, tol, _Seen(n, k - 1)):
+        if (k == 1 or _first_level(path, n, tol)[1].all()) and _subtree_ok(root, k - 1, n, tol, _Seen(n)):
             return k
     return None
 
 
 class _Seen:
-    """Exact keys of the nodes queued for expansion at one level of a search.
+    """Exact keys of the nodes queued for expansion at one level of a
+    search, built from the qubit count alone.
 
     A node is keyed by its remaining depth and its raw bytes, never rounded,
     so only bit-identical nodes, whose subtrees are bit-identical, share a
     key. Keys stop being added once they hold MEMO_ENTRIES complex entries.
-    Only the nodes strictly between the root's children and the leaves are
-    keyed: the children of one operator are distinct conjugates of it, and
-    a leaf costs less to check than to key. `top` is the root's depth.
+    Every node below the root that will be expanded is keyed, at every
+    level: the root's children are the only nodes of their remaining depth,
+    so keying them drops none, at a cost of 2n keys per level. Leaves are
+    not keyed; a leaf costs less to check than to key.
     """
 
-    def __init__(self, n: int, top: int):
+    def __init__(self, n: int):
         self.keys: dict[int, set[bytes]] = {}
         self.room = MEMO_ENTRIES // 4**n
-        self.top = top
 
     def new(self, kids: np.ndarray, depth: int) -> np.ndarray:
         """The kids whose (depth, bytes) key is not yet seen, first copies only."""
@@ -345,7 +355,7 @@ def _subtree_ok(nodes: np.ndarray, depth: int, n: int, tol: Tolerances, seen: _S
         return bool(_first_level(nodes, n, tol)[1].all())
     for block, mus in _chunks(len(nodes), n, CHUNK_ENTRIES // 8):
         kids = _conjugates(nodes[block], n, mus)
-        if 1 < depth < seen.top:
+        if depth > 1:
             kids = seen.new(kids, depth - 1)
         if not _subtree_ok(kids, depth - 1, n, tol, seen):
             return False
@@ -413,18 +423,23 @@ def diagonal_level(
     return level if level <= k_max else None
 
 
-@lru_cache(maxsize=None)
 def _phase_bits(tol: Tolerances) -> int:
-    """The largest M whose 2^M-th roots of unity diagonal_level snaps to
-    (cached per Tolerances, which are frozen).
+    """The largest M whose 2^M-th roots of unity diagonal_level snaps to.
 
     PHASE_SNAP joins ANGLE_TOL and epsilon in the spacing rule, so a tiny
     tolerance cannot make the roots so dense that rounding to the nearest
     one is ambiguous or the numerators overflow int64.
     """
-    spacing = ROOT_SPACING_FACTOR * max(ANGLE_TOL, tol.residual, PHASE_SNAP)
+    return _root_bits(max(ANGLE_TOL, tol.residual, PHASE_SNAP))
+
+
+@lru_cache(maxsize=None)
+def _root_bits(angle: float) -> int:
+    """The root-spacing rule of both closed forms: the largest M whose
+    neighbouring 2^M-th roots of unity lie at least ROOT_SPACING_FACTOR *
+    angle apart, so no angle lies within `angle` of two of them."""
     bits = 0
-    while 2 * np.pi / 2 ** (bits + 1) >= spacing:
+    while 2 * np.pi / 2 ** (bits + 1) >= ROOT_SPACING_FACTOR * angle:
         bits += 1
     return bits
 
@@ -458,10 +473,11 @@ def two_qubit_min_level(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int | N
 
     First level: odd gates J(A, A^dag) with det A = -1. Otherwise the gate
     sits at the smallest k >= 2 for which det A / det B is a 2^(k-2)-th
-    root of unity (within ANGLE_TOL of the nearest root). Only k whose root
-    spacing 2 pi / 2^(k-2) is at least ROOT_SPACING_FACTOR * ANGLE_TOL are
-    tried, so k <= 21. Returns None for a generic phase with no dyadic
-    root up to that bound.
+    root of unity (within ANGLE_TOL of the nearest root). The ratio's angle
+    is snapped once to the nearest 2^M-th root, M = 19 by the root-spacing
+    rule at ANGLE_TOL (neighbouring roots at least ROOT_SPACING_FACTOR *
+    ANGLE_TOL apart), so k <= 21. Returns None for a generic phase with no
+    dyadic root up to that bound.
     """
     blocks = two_qubit_decompose(u, tol)
     return _closed_form_level(blocks, *_dets(blocks.a, blocks.b), tol)
@@ -472,14 +488,16 @@ def _closed_form_level(blocks: TwoQubitBlocks, det_a: complex, det_b: complex, t
     if blocks.parity == "odd":
         if norm_max(blocks.b - blocks.a.conj().T) < tol.residual and abs(det_a + 1) < tol.residual:
             return 1
+    # The nearest 2^M-th root exp(2 pi i j / 2^M) has order 2^(M - v2(j)).
+    # |theta| <= pi keeps |j| <= 2^(M-1), so only j = 0 is 0 mod 2^M, and
+    # j & -j is 2^v2(j), negative j included.
     theta = float(np.angle(det_a / det_b))
-    for k in count(2):
-        step = 2 * np.pi / 2 ** (k - 2)
-        if step < ROOT_SPACING_FACTOR * ANGLE_TOL:
-            break
-        if abs(theta - round(theta / step) * step) < ANGLE_TOL:
-            return k
-    return None
+    bits = _root_bits(ANGLE_TOL)
+    step = 2 * np.pi / 2**bits
+    j = round(theta / step)
+    if abs(theta - j * step) >= ANGLE_TOL:
+        return None
+    return 3 + bits - (j & -j).bit_length() if j else 2
 
 
 @dataclass(frozen=True)

@@ -601,6 +601,38 @@ def test_malformed_numbers_exit_one_naming_the_field(runner, tmp_path, command, 
     assert _err(result) == f"error: {what} JSON {message}\n"
 
 
+I_MINUS_I = '[{"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}, {"re": [[0, 0], [0, 0]], "im": [[-1, 0], [0, -1]]}]'
+
+
+@pytest.mark.parametrize(
+    "args, file, env, message",
+    [
+        # under MGH_TOL=5 [I, -iI] passes the CAR and Hermiticity checks, and its projector is zero
+        (
+            ["svn", "--tuple"],
+            I_MINUS_I,
+            {"MGH_TOL": "5"},
+            "projector annihilates every basis probe (numerical rank 0); the tuple is degenerate",
+        ),
+        (["svn", "--tuple"], "[]", {}, "empty operator tuple"),
+        (["classify", "--gate", "F()"], None, {}, "pattern must have at least one entry"),
+        (["classify", "--gate", "F"], None, {}, "F needs a pattern, e.g. F(1,*,1)"),
+        (["parse"], "qubits 0\n", {}, "line 1, col 8: qubit count must be at least 1"),
+        (["parse"], "qubits 2\nallow foo\n", {}, "line 2, col 1: expected: allow freeform"),
+        (["parse"], "qubits 2\nX @ a\n", {}, "line 2, col 5: bad wire 'a'"),
+    ],
+    ids=["degenerate-projector", "empty-tuple", "empty-pattern", "no-pattern", "no-qubits", "bad-directive", "bad-wire"],
+)
+def test_refusals_exit_one_with_one_line(runner, tmp_path, args, file, env, message):
+    if file is not None:
+        path = tmp_path / "input"
+        path.write_text(file)
+        args = args + [str(path)]
+    result = runner.invoke(main, args, env=env)
+    assert result.exit_code == 1
+    assert _err(result) == f"error: {message}\n"
+
+
 def test_version_is_the_package_version(runner):
     # a source checkout has no installed package metadata to read it from
     result = runner.invoke(main, ["--version"])

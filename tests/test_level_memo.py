@@ -159,7 +159,7 @@ def test_one_search_walks_the_probe_path_once(monkeypatch, parity):
 
 def test_keys_are_exact_bytes_per_depth():
     x = build_CnZ(2)[None]
-    seen = hierarchy._Seen(2, 3)
+    seen = hierarchy._Seen(2)
     assert len(seen.new(x, 2)) == 1
     assert len(seen.new(x, 2)) == 0
     assert len(seen.new(x, 1)) == 1
@@ -173,7 +173,7 @@ def test_keys_are_exact_bytes_per_depth():
 def test_full_memo_still_looks_keys_up(monkeypatch):
     monkeypatch.setattr(hierarchy, "MEMO_ENTRIES", 2 * 4**2)
     a, b, c = build_CnZ(2), build_F((1, 0)), build_F((0, 1))
-    seen = hierarchy._Seen(2, 3)
+    seen = hierarchy._Seen(2)
     assert len(seen.new(np.stack([a, b, c]), 1)) == 3
     assert len(seen.new(np.stack([a, b, c, c]), 1)) == 2
 
@@ -185,4 +185,4 @@ def test_a_near_twin_is_expanded(eps):
     a = build_F((0, 1, None, 1))
     b = perturbed(a, eps, np.random.default_rng(5))
     assert level_membership(a, 4) and not level_membership(b, 4)
-    assert not hierarchy._subtree_ok(np.stack([a, b]), 3, 4, DEFAULT_TOL, hierarchy._Seen(4, 4))
+    assert not hierarchy._subtree_ok(np.stack([a, b]), 3, 4, DEFAULT_TOL, hierarchy._Seen(4))

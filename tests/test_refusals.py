@@ -1,0 +1,61 @@
+"""Library refusals that no other test reaches.
+
+Each is safety code: a bad argument must stop with a ValueError naming
+the problem, not run on and fail later or answer wrongly.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from matchgates import jw_majorana, random_fermionic, random_two_qubit_at_root, simulate_protocol, svn_reconstruct
+from matchgates.circuits import CircuitIR, GateApp, circuit_to_text
+from matchgates.hierarchy import two_qubit_decompose
+from matchgates.linalg import HADAMARD, n_qubits_of
+from matchgates.majorana import majorana_monomial, majorana_words
+from matchgates.sampling import random_matchgate_circuit
+from matchgates.teleport import build_bn
+
+RNG = np.random.default_rng(0)
+
+CASES = {
+    "Bell network on no qubits": (lambda: build_bn(0), "need n >= 1, got 0"),
+    "text of a raw-block circuit": (
+        lambda: circuit_to_text(CircuitIR(2, (GateApp(kind="G", pos=1, blocks=(HADAMARD, HADAMARD)),))),
+        "circuit holds raw matrix blocks; it has no canonical text form",
+    ),
+    "blocks of a mixed-parity gate": (
+        lambda: two_qubit_decompose(np.kron(HADAMARD, np.eye(2))),
+        "gate mixes parity sectors; it has no G/J block form",
+    ),
+    "qubits of a 3-D array": (lambda: n_qubits_of(np.zeros((2, 2, 2))), "expected a vector or a matrix, got ndim=3"),
+    "qubits of a non-square matrix": (lambda: n_qubits_of(np.zeros((2, 4))), "operator must be square, got shape (2, 4)"),
+    "Majorana on no qubits": (lambda: jw_majorana(0, 1), "need at least one qubit, got n=0"),
+    "word table on no qubits": (lambda: majorana_words(0), "need at least one qubit, got n=0"),
+    "monomial mask past 2n modes": (lambda: majorana_monomial(1, 4), "mask 4 out of range for 2 Majorana modes"),
+    "SvN of no operators": (lambda: svn_reconstruct([]), "empty operator tuple"),
+    "matchgate circuit on one qubit": (
+        lambda: random_matchgate_circuit(1, 3, RNG),
+        "matchgate circuits need at least two qubits",
+    ),
+    "planted root below level 2": (
+        lambda: random_two_qubit_at_root(RNG, 1),
+        "planted roots are defined for levels k >= 2",
+    ),
+    "fermionic gate of parity x": (
+        lambda: random_fermionic(2, RNG, parity="x"),
+        "parity must be 'even' or 'odd', got 'x'",
+    ),
+    "teleporting a 2-D state": (
+        lambda: simulate_protocol(np.eye(4, dtype=complex), np.eye(4, dtype=complex)),
+        "input state must be a vector, got shape (4, 4)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_refused_with_its_message(name):
+    call, message = CASES[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -58,7 +58,7 @@ from .io import (
     state_from_json,
     tuple_from_json,
 )
-from .linalg import DEFAULT_TOL, Tolerances, equal_up_to_phase
+from .linalg import DEFAULT_TOL, Tolerances, equal_up_to_phase, n_qubits_of
 from .majorana import jw_majorana
 from .svn import svn_reconstruct
 from .teleport import simulate_protocol, verify_protocol
@@ -338,7 +338,7 @@ def svn(tuple_path, expect, fmt) -> None:
     tol = _tolerances()
     result = svn_reconstruct(tuple_from_json(load_json(tuple_path)), tol)
     out = {
-        "n_qubits": int(np.log2(result.u.shape[0])),
+        "n_qubits": n_qubits_of(result.u),
         "u": matrix_to_json(result.u),
         "residuals": [float(r) for r in result.residuals],
         "max_residual": float(result.max_residual),

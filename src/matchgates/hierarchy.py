@@ -6,7 +6,13 @@ A unitary U belongs to level k+1 when U c_mu U^dag is an odd gate of
 level k for every mu. Level 2 is exactly the fermionic Gaussian gates,
 those conjugating Majoranas linearly: U c_mu U^dag = sum_nu R[mu,nu] c_nu
 with R in O(2n). The levels are nested and closed under phases (k >= 2),
-under multiplication by Majoranas, and under tensor products.
+under multiplication by Majoranas, and under tensor products. They are
+closed under multiplication by a Gaussian g that permutes the Majoranas
+up to sign, as exp(pi/4 c_a c_b) does, but not by Gaussians in general:
+each child of g U or U g is then a real sum of conjugates, and a sum of
+level k-1 operators need not be at level k-1. CnZ(3) is at level 4, and
+exp(pi/8 c_a c_b) CnZ(3) and CnZ(3) exp(pi/8 c_a c_b) are at level 5
+whenever c_a and c_b sit on different qubits (tests/test_hierarchy_laws.py).
 
 classify_gate decides Gaussianity once, by the rotation kernel: a gate is
 Gaussian exactly when extract_rotation finds its R. Level 2 is the

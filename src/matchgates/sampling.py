@@ -1,7 +1,9 @@
 """Seeded random gates, states, and circuits used by tests and the self test.
 
 All samplers take a numpy Generator so corpora are reproducible from a
-single seed.
+single seed. Matchgate blocks and planted-root gates come from one draw,
+_planted_blocks: a Haar pair (A, B) with B rescaled so that det A / det B
+is the planted ratio, 1 for a matchgate.
 """
 
 from __future__ import annotations
@@ -34,12 +36,17 @@ def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_matchgate_blocks(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Haar blocks (A, B) with det A = det B."""
+def _planted_blocks(rng: np.random.Generator, ratio: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Haar blocks (A, B), B rescaled so that det A / det B = ratio."""
     a = haar_unitary(2, rng)
     b = haar_unitary(2, rng)
-    b = b * np.sqrt(np.linalg.det(a) / np.linalg.det(b))
+    b = b * np.sqrt((np.linalg.det(a) / ratio) / np.linalg.det(b))
     return a, b
+
+
+def random_matchgate_blocks(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Haar blocks (A, B) with det A = det B: the planted draw at ratio 1."""
+    return _planted_blocks(rng, 1)
 
 
 def random_matchgate(rng: np.random.Generator, odd: bool = False) -> np.ndarray:
@@ -69,10 +76,7 @@ def random_two_qubit_at_root(
     order = 2 ** (k - 2)
     if j is None:
         j = int(rng.integers(order))
-    ratio = np.exp(2j * np.pi * j / order)
-    a = haar_unitary(2, rng)
-    b = haar_unitary(2, rng)
-    b = b * np.sqrt((np.linalg.det(a) / ratio) / np.linalg.det(b))
+    a, b = _planted_blocks(rng, np.exp(2j * np.pi * j / order))
     return build_J(a, b) if odd else build_G(a, b)
 
 

@@ -25,7 +25,7 @@ from .hierarchy import (
     min_level,
     two_qubit_min_level,
 )
-from .linalg import equal_up_to_phase, norm_max
+from .linalg import equal_up_to_phase, n_qubits_of, norm_max
 from .majorana import check_car, jw_majorana, jw_set, parity_of, parity_sign, total_parity
 from .sampling import (
     random_fermionic,
@@ -50,10 +50,6 @@ class CriterionResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} criterion {self.index}: {self.name} ({self.detail})"
-
-
-def _swap() -> np.ndarray:
-    return named_gate("SWAP")
 
 
 def _distant_fswap3() -> np.ndarray:
@@ -112,7 +108,7 @@ def criterion_2(seed: int = BASE_SEED + 2) -> CriterionResult:
         worst = max(worst, norm_max(dense - compact))
         if not is_gaussian_lambda(u):
             ok = False
-    swap = _swap()
+    swap = named_gate("SWAP")
     if extract_rotation(swap) is not None or is_gaussian_lambda(swap):
         ok = False
     if is_gaussian_state_lambda(magic_state(swap).psi):
@@ -133,7 +129,7 @@ def criterion_3(seed: int = BASE_SEED + 3) -> CriterionResult:
         if got != want:
             failures.append(f"{label}: got {got}, want {want}")
 
-    expect("SWAP", min_level(_swap()), 3)
+    expect("SWAP", min_level(named_gate("SWAP")), 3)
     expect("CZ", min_level(named_gate("CZ")), 3)
     for k in range(3, 7):
         gate = named_gate("CPHASE", (2 * np.pi / 2 ** (k - 2),))
@@ -221,7 +217,7 @@ def _teleport_gates_n2(seed: int):
     rng = np.random.default_rng(seed)
     return [
         ("identity", np.eye(4, dtype=complex)),
-        ("SWAP", _swap()),
+        ("SWAP", named_gate("SWAP")),
         ("CZ", named_gate("CZ")),
         ("CPHASE(pi/2)", named_gate("CPHASE", (np.pi / 2,))),
         ("random matchgate", random_matchgate(rng)),
@@ -329,7 +325,7 @@ def criterion_9(seed: int = BASE_SEED + 9) -> CriterionResult:
         (build_F((1, None, 1)), 3),
     ]
     for v, k in hier_cases:
-        n = int(np.log2(v.shape[0]))
+        n = n_qubits_of(v)
         tup = [v.conj().T @ c @ v for c in jw_set(n)]
         if not all(level_membership(d, k - 1) for d in tup):
             ok = False

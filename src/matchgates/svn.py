@@ -160,8 +160,9 @@ def _columns(ops: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray | No
     vacuum = None
     for probe in range(dim):
         candidate = projector[:, probe]
-        if np.linalg.norm(candidate) > PROBE_THRESHOLD:
-            vacuum = candidate / np.linalg.norm(candidate)
+        norm = np.linalg.norm(candidate)
+        if norm > PROBE_THRESHOLD:
+            vacuum = candidate / norm
             break
     if vacuum is None:
         return projector, None

@@ -37,12 +37,13 @@ repeatable down to plain matchgate circuits.
 A protocol run does only the work that depends on U and the input state.
 B^dag and B|0...0> depend on n alone and are built once per n, then cached
 read-only. Up to DENSE_NETWORK_QUBITS the cache holds B^dag densely, as
-the transposed view of conj(B) that the one GEMM with the joint state
-reads (4^n x 4^n: 16 MB stays alive after an n = 5 run). From n = 6 on,
-where B^dag would take 256 MB, it is applied to the (4^n, 2^n) joint
-state as the n + n(n-1)/2 two-qubit gates of build_bn, in reverse order
-and each conjugate-transposed (circuits.apply_circuit), and B|0...0> is
-built from those gates too. From n = 8 on the network would act on 16
+the transposed view of conj(B) that simulate_protocol's one GEMM with the
+joint state reads (4^n x 4^n: 16 MB stays alive after an n = 5 run).
+From n = 6 on, where B^dag would take 256 MB, the cache holds None in its
+place, and simulate_protocol applies B^dag to the (4^n, 2^n) joint state
+as the n + n(n-1)/2 two-qubit gates of build_bn, in reverse order and
+each conjugate-transposed (circuits.apply_circuit); B|0...0> is built
+from those gates too. From n = 8 on the network would act on 16
 qubits, past linalg.MAX_QUBITS, and the protocol is refused. The magic
 state applies U to the low n wires of B|0...0> by one 2^n x 2^n product;
 no 1 (x) U is formed. Branch probabilities, residuals and phases come
@@ -120,7 +121,8 @@ def _network(n: int) -> tuple[np.ndarray | None, np.ndarray]:
     """B_n^dag and B_n |0^{2n}> of the Bell-pair network (cached per n, read-only).
 
     B_n^dag is dense up to DENSE_NETWORK_QUBITS, the transposed view of
-    conj(B_n), and None from there on, where _measured applies its gates.
+    conj(B_n), and None from there on, where simulate_protocol applies its
+    gates.
     """
     _guard_qubits(2 * n, "Bell-pair network")
     zero = np.zeros(4**n, dtype=complex)
@@ -133,16 +135,6 @@ def _network(n: int) -> tuple[np.ndarray | None, np.ndarray]:
         bn_dag.setflags(write=False)
     b0.setflags(write=False)
     return bn_dag, b0
-
-
-def _measured(joint: np.ndarray, n: int) -> np.ndarray:
-    """(B_n^dag (x) 1) joint for a (4^n, 2^n) joint state: row z is branch z,
-    unnormalized. One dense product up to DENSE_NETWORK_QUBITS, the gates
-    of B_n^dag from there on."""
-    bn_dag = _network(n)[0]
-    if bn_dag is None:
-        return apply_circuit(build_bn(n), joint, adjoint=True)
-    return bn_dag @ joint
 
 
 @lru_cache(maxsize=None)
@@ -260,7 +252,10 @@ def simulate_protocol(
     if not abs(np.linalg.norm(psi_in) - 1.0) <= NORM_TOL:  # also true for NaN
         raise ValueError("input state must be normalized")
     psi, _ = _magic_psi(u, tol)
-    rows = _measured(np.outer(psi_in, psi).reshape(4**n, 2**n), n)
+    # (B_n^dag (x) 1) joint: row z is branch z, unnormalized
+    joint = np.outer(psi_in, psi).reshape(4**n, 2**n)
+    bn_dag = _network(n)[0]
+    rows = apply_circuit(build_bn(n), joint, adjoint=True) if bn_dag is None else bn_dag @ joint
     target = u @ psi_in
     # Squared one by one: libm's pow(x, 2), which the scalar ** calls, is
     # not always x * x, and an array ** 2 squares.

@@ -282,3 +282,16 @@ def test_refused_tuples_skip_the_work_the_certificate_cannot_use(monkeypatch):
     with pytest.raises(ValueError, match="anticommutation"):
         svn_reconstruct(kicked)
     assert calls == ["_columns"]
+
+    # n = 4, each operator kicked by a Hermitian 3e-11: the bound fails but
+    # check_car passes, and the residuals are formed after it
+    spy("check_car")
+    calls.clear()
+    rng = np.random.default_rng(0)
+    noisy = []
+    for d in _conjugated_tuple(random_fermionic(4, rng)):
+        h = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        h = h + h.conj().T
+        noisy.append(d + 3e-11 * h / np.abs(h).max())
+    assert svn_reconstruct(noisy).max_residual < 1e-9
+    assert calls == ["_columns", "check_car", "_contract_residuals"]

@@ -178,7 +178,7 @@ def test_gate_route_matches_the_dense_network(n, gate_route):
     bn = circuit_to_operator(build_bn(n))
     joint = random_state(3 * n, np.random.default_rng(n)).reshape(4**n, 2**n)
     assert teleport._network(n)[0] is None
-    assert np.abs(teleport._measured(joint, n) - bn.conj().T @ joint).max() <= 1e-12
+    assert np.abs(apply_circuit(build_bn(n), joint, adjoint=True) - bn.conj().T @ joint).max() <= 1e-12
     assert np.abs(teleport._network(n)[1] - bn[:, 0]).max() <= 1e-12
     assert np.abs(apply_circuit(build_bn(n), joint) - bn @ joint).max() <= 1e-12
 

@@ -74,6 +74,7 @@ from .linalg import (
     PAULI_Z,
     UNITARY_TOL,
     Tolerances,
+    _cached,
     _guard_qubits,
     _guard_wires,
     assert_unitary,
@@ -607,8 +608,10 @@ def circuit_to_rotation(circuit: CircuitIR, tol: Tolerances = DEFAULT_TOL) -> np
     return r
 
 
+@_cached
 def build_bn(n: int) -> CircuitIR:
-    """The 2n-qubit Bell-pair network used by the teleportation protocol.
+    """The 2n-qubit Bell-pair network used by the teleportation protocol,
+    built once per n (linalg._cached).
 
     A column of G(H, H) on pairs (2k-1, 2k) prepares n Bell pairs; a
     triangular cascade of fermionic SWAPs then interleaves the wires so

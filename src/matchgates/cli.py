@@ -340,7 +340,7 @@ def svn(tuple_path, expect, fmt) -> None:
     out = {
         "n_qubits": n_qubits_of(result.u),
         "u": matrix_to_json(result.u),
-        "residuals": [float(r) for r in result.residuals],
+        "residuals": result.residuals.tolist(),
         "max_residual": float(result.max_residual),
     }
     ok = result.max_residual < tol.residual
@@ -389,7 +389,7 @@ def parse(path, emit) -> None:
         click.echo(dumps_stable(matrix_to_json(circuit_to_operator(circ))), nl=False)
     else:
         rot = circuit_to_rotation(circ, tol)
-        obj = {"n_modes": rot.shape[0], "rotation": [[float(x) for x in row] for row in rot]}
+        obj = {"n_modes": rot.shape[0], "rotation": rot.tolist()}
         click.echo(dumps_stable(obj), nl=False)
 
 

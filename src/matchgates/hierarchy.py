@@ -114,8 +114,8 @@ and reads k = 2 + M - v2(j), or 2 at j = 0.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from types import NotImplementedType
 
 import numpy as np
@@ -127,6 +127,7 @@ from .linalg import (
     DEFAULT_TOL,
     NORM_TOL,
     Tolerances,
+    _cached,
     _guard_qubits,
     assert_unitary,
     n_qubits_of,
@@ -269,7 +270,7 @@ def level_membership(u: np.ndarray, k: int, tol: Tolerances = DEFAULT_TOL) -> bo
     level k, and a u in none of them reaches level k, which the guard
     refuses with the level-k message.
     """
-    if k < 1:
+    if _integer(k, "level") < 1:
         raise ValueError(f"level must be >= 1, got {k}")
     if parity_of(u, tol.residual) == "none":
         return False
@@ -368,8 +369,17 @@ def _subtree_ok(nodes: np.ndarray, depth: int, n: int, tol: Tolerances, seen: _S
     return True
 
 
+def _integer(value, what: str) -> int:
+    """The one rule for levels, level caps and trial counts: value as an int
+    by operator.index, or a ValueError naming `what`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _check_cap(k_max: int) -> None:
-    if k_max < 1:
+    if _integer(k_max, "level cap") < 1:
         raise ValueError(f"level cap must be >= 1, got {k_max}")
 
 
@@ -391,12 +401,13 @@ def diagonal_level(
     """Exact minimum level of an exactly diagonal gate with dyadic phases,
     or None if above k_max; NotImplemented for any other input.
 
-    The gate qualifies when every off-diagonal entry is exactly zero, |d_0|
-    is within PHASE_SNAP of 1 and every ratio d_x / d_0 is within PHASE_SNAP
-    of a 2^M-th root of unity exp(2 pi i f(x) / 2^M). M is the largest
-    exponent whose neighbouring roots lie at least ROOT_SPACING_FACTOR *
-    max(ANGLE_TOL, tol.residual) apart (M = 19 at the default epsilon),
-    so no input the matrix route would judge by tolerance is read as exact.
+    The gate qualifies when every off-diagonal entry is exactly zero, every
+    diagonal entry is finite, |d_0| is within PHASE_SNAP of 1 and every
+    ratio d_x / d_0 is within PHASE_SNAP of a 2^M-th root of unity
+    exp(2 pi i f(x) / 2^M). M is the largest exponent whose neighbouring
+    roots lie at least ROOT_SPACING_FACTOR * max(ANGLE_TOL, tol.residual)
+    apart (M = 19 at the default epsilon), so no input the matrix route
+    would judge by tolerance is read as exact.
     The Moebius coefficients a_S of f mod 2^M come from n butterflies
     a[x | e_j] -= a[x], and the level is max(2, |S| + M - v2(a_S)) over the
     a_S != 0 with |S| >= 2 (see the module docstring for the derivation).
@@ -405,7 +416,7 @@ def diagonal_level(
     if np.count_nonzero(u) != len(u):
         return NotImplemented
     d = np.diagonal(u)
-    if np.count_nonzero(d) != len(d):
+    if np.count_nonzero(d) != len(d) or not np.isfinite(d).all():  # a NaN miss is not > PHASE_SNAP
         return NotImplemented
     bits = _phase_bits(tol)
     ratio = d / d[0]
@@ -439,7 +450,7 @@ def _phase_bits(tol: Tolerances) -> int:
     return _root_bits(max(ANGLE_TOL, tol.residual, PHASE_SNAP))
 
 
-@lru_cache(maxsize=None)
+@_cached
 def _root_bits(angle: float) -> int:
     """The root-spacing rule of both closed forms: the largest M whose
     neighbouring 2^M-th roots of unity lie at least ROOT_SPACING_FACTOR *
@@ -567,7 +578,7 @@ class HierarchyReport:
             "n_qubits": self.n_qubits,
             "parity": self.parity,
             "is_gaussian": self.is_gaussian,
-            "rotation": None if self.rotation is None else [[float(x) for x in row] for row in self.rotation],
+            "rotation": None if self.rotation is None else self.rotation.tolist(),
             "rotation_det": None if self.rotation_det is None else float(self.rotation_det),
             "min_level": self.min_level,
             "k_max": self.k_max,
@@ -626,7 +637,7 @@ def class_phases(k: int) -> dict[str, list[float]]:
     relation folds phi with 2 pi - phi, leaving 2^(k-3) + 1 classes for
     k >= 3 (one class at k = 2).
     """
-    if k < 2:
+    if _integer(k, "level") < 2:
         raise ValueError("two-qubit class structure starts at level 2")
     count = 2 ** (k - 2)
     step = 2 * np.pi / count

@@ -22,13 +22,13 @@ def complex_to_json(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
+def _floats(a: np.ndarray) -> list:
+    """Nested lists of Python floats, also for an integer array."""
+    return np.asarray(a, dtype=float).tolist()
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
-    n = n_qubits_of(m)
-    return {
-        "n": n,
-        "re": [[float(x) for x in row] for row in m.real],
-        "im": [[float(x) for x in row] for row in m.imag],
-    }
+    return {"n": n_qubits_of(m), "re": _floats(m.real), "im": _floats(m.imag)}
 
 
 def _re_im(data, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -78,8 +78,7 @@ def _check_n(data, n: int, what: str) -> None:
 
 
 def state_to_json(psi: np.ndarray) -> dict:
-    n = n_qubits_of(psi)
-    return {"n": n, "re": [float(x) for x in psi.real], "im": [float(x) for x in psi.imag]}
+    return {"n": n_qubits_of(psi), "re": _floats(psi.real), "im": _floats(psi.imag)}
 
 
 def state_from_json(data: dict) -> np.ndarray:

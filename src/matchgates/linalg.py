@@ -8,12 +8,17 @@ Conventions used throughout:
   sits at index z1 * 2**(n-1) + ... + zn.
 * "Time order" of gate lists is list order: the first gate listed is
   applied first, i.e. it is the rightmost factor of the matrix product.
+* Objects that depend on the qubit count alone (the Majorana word table
+  and its gathers, the Bell-pair network, the teleportation byproducts)
+  follow one cache rule, _cached: built once per argument, kept for the
+  life of the process, and handed out read-only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -51,6 +56,28 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+
+def _cached(build):
+    """The one cache rule: build once per argument and hand out read-only.
+
+    Returns the lru_cache wrapper itself, so a hit stays lru_cache's own
+    lookup, with no Python frame (the batched kernels read their gathers on
+    every call), and cache_info and cache_clear work. On a miss every
+    ndarray the builder returns, alone, in a tuple or as a dataclass field,
+    is made read-only. A builder that raises caches nothing.
+    """
+
+    @wraps(build)
+    def build_frozen(*args):
+        out = build(*args)
+        parts = vars(out).values() if is_dataclass(out) else out if isinstance(out, tuple) else (out,)
+        for a in parts:
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        return out
+
+    return lru_cache(maxsize=None)(build_frozen)
 
 
 def n_qubits_of(a: np.ndarray) -> int:

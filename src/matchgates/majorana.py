@@ -27,7 +27,10 @@ every row equal to ``_word``'s to the bit. ``expand`` and the
 teleportation byproducts K_z (a monomial times a scalar) read that table.
 The word table is also the one dense builder: jw_majorana, jw_set, the
 stack _jw_stack, majorana_monomial and total_parity are all scattered
-from it, and no Pauli Kronecker product is formed.
+from it, and no Pauli Kronecker product is formed. The table and every
+table derived from it per n go through the package's one cache rule,
+linalg._cached: built once per n and read-only. The 4^n monomials are
+not cached; ``expand`` builds them on each call.
 
 The batched kernels built on the table take stacks (B, 2^n, 2^n) of
 operators: conjugation of each by every c_mu, the coefficients
@@ -71,7 +74,6 @@ bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -80,6 +82,7 @@ from .linalg import (
     DEFAULT_TOL,
     NORM_TOL,
     Tolerances,
+    _cached,
     _guard_qubits,
     n_qubits_of,
     norm_max,
@@ -113,6 +116,8 @@ def jw_majorana(n: int, mu: int) -> np.ndarray:
 
 def jw_set(n: int) -> list[np.ndarray]:
     """All 2n Jordan-Wigner Majorana operators in index order."""
+    if n < 1:
+        raise ValueError(f"need at least one qubit, got n={n}")
     return [jw_majorana(n, mu) for mu in range(1, 2 * n + 1)]
 
 
@@ -130,9 +135,9 @@ class MajoranaWords:
     sign: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@_cached
 def majorana_words(n: int) -> MajoranaWords:
-    """Word table of the 2n Majoranas on n qubits (cached per n, read-only)."""
+    """Word table of the 2n Majoranas on n qubits, built once per n (linalg._cached)."""
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
     index = np.arange(2**n)
@@ -145,10 +150,7 @@ def majorana_words(n: int) -> MajoranaWords:
         flip[2 * k - 2] = flip[2 * k - 1] = 1 << shift
         phase[2 * k - 2] = z_string
         phase[2 * k - 1] = z_string * np.where(bit == 1, 1j, -1j)
-    sign = _popcount_sign(index)
-    for a in (flip, phase, sign):
-        a.setflags(write=False)
-    return MajoranaWords(flip, phase, sign)
+    return MajoranaWords(flip, phase, _popcount_sign(index))
 
 
 def _word(n: int, mus) -> tuple[int, np.ndarray]:
@@ -204,16 +206,14 @@ def _popcount_sign(index: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * odd
 
 
-@lru_cache(maxsize=None)
+@_cached
 def _jw_stack(n: int) -> np.ndarray:
-    """jw_set as one read-only (2n, 2^n, 2^n) stack, scattered from the word
-    table like every dense Jordan-Wigner object."""
-    stack = np.stack(jw_set(n))
-    stack.setflags(write=False)
-    return stack
+    """jw_set as one (2n, 2^n, 2^n) stack, scattered from the word table like
+    every dense Jordan-Wigner object."""
+    return np.stack(jw_set(n))
 
 
-@lru_cache(maxsize=None)
+@_cached
 def _word_gathers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gather tables of the batched kernels, from the Majorana word table.
 
@@ -224,19 +224,14 @@ def _word_gathers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     words = majorana_words(n)
     cols = np.arange(2**n) ^ words.flip[:, None]
-    col_phase = np.take_along_axis(words.phase, cols, axis=1)
-    for a in (cols, col_phase):
-        a.setflags(write=False)
-    return words.phase, cols, col_phase
+    return words.phase, cols, np.take_along_axis(words.phase, cols, axis=1)
 
 
-@lru_cache(maxsize=None)
+@_cached
 def _parity_order(n: int) -> np.ndarray:
-    """The flat entries of a 2^n x 2^n operator, the same-parity half first (read-only)."""
+    """The flat entries of a 2^n x 2^n operator, the same-parity half first."""
     sign = majorana_words(n).sign
-    by_parity = np.argsort(np.not_equal.outer(sign, sign).ravel(), kind="stable")
-    by_parity.setflags(write=False)
-    return by_parity
+    return np.argsort(np.not_equal.outer(sign, sign).ravel(), kind="stable")
 
 
 def _runs(count: int, size: int, limit: int | None = None):
@@ -269,8 +264,8 @@ def _word_conjugates(parents: np.ndarray, cols: np.ndarray, phases: np.ndarray) 
     parent multiplies the block by V^dag.
     """
     b, m, dim = len(parents), len(cols), parents.shape[-1]
-    # rows[b, k] is column k of V
-    rows = parents.transpose(0, 2, 1).copy()
+    # rows[b, k] is column k of V, in complex128 whatever the dtype of V
+    rows = parents.transpose(0, 2, 1).astype(complex, order="C")
     # vw[b, j, w] is column j of V W
     vw = rows[:, cols.T]
     vw *= phases.T[:, :, None]
@@ -309,16 +304,13 @@ def _parities(ops: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, np.ndarr
     return is_even, ~is_even & (even_max < tol)
 
 
-@lru_cache(maxsize=None)
+@_cached
 def _support_entries(n: int) -> np.ndarray:
     """The flat entries on which a Majorana can be nonzero: the n flip
     diagonals (i, i ^ f_k) of a 2^n x 2^n operator, qubit k by qubit k, as
-    one read-only (n 2^n,) array. c_{2k+1} and c_{2k+2} both live on
-    diagonal k."""
+    one (n 2^n,) array. c_{2k+1} and c_{2k+2} both live on diagonal k."""
     _, cols, _ = _word_gathers(n)
-    entries = (np.arange(2**n) * 2**n + cols[::2]).ravel()
-    entries.setflags(write=False)
-    return entries
+    return (np.arange(2**n) * 2**n + cols[::2]).ravel()
 
 
 def _support_residuals(nodes: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -373,7 +365,9 @@ def _rotations(ops: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray, np
 
 
 def indices_from_mask(mask: int) -> tuple[int, ...]:
-    """Ascending 1-based Majorana indices of a bit mask."""
+    """Ascending 1-based Majorana indices of a non-negative bit mask."""
+    if mask < 0:
+        raise ValueError(f"mask must be >= 0, got {mask}")
     return tuple(mu + 1 for mu in range(int(mask).bit_length()) if (mask >> mu) & 1)
 
 
@@ -408,6 +402,8 @@ def expand(op: np.ndarray) -> MajoranaPoly:
     CHUNK_ENTRIES entries.
     """
     n = n_qubits_of(op)
+    if not np.isfinite(op).all():  # a NaN trace is below no threshold and reads as zero
+        raise ValueError("operator has an entry that is not finite")
     flips, phases = _monomials(n)
     index = np.arange(2**n)
     traces = np.empty(4**n, dtype=complex)

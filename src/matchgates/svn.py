@@ -157,19 +157,16 @@ def _columns(ops: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray | No
     for k in range(1, n + 1):
         projector = projector @ (np.eye(dim) + (-1j) * ops[2 * k - 2] @ ops[2 * k - 1]) / 2
 
-    vacuum = None
     for probe in range(dim):
-        candidate = projector[:, probe]
-        norm = np.linalg.norm(candidate)
+        norm = np.linalg.norm(projector[:, probe])
         if norm > PROBE_THRESHOLD:
-            vacuum = candidate / norm
             break
-    if vacuum is None:
+    else:
         return projector, None
 
     # Row z holds column z of S: d_{2k-1} times column z - h, h = 2^(n-k).
     columns = np.empty((dim, dim), dtype=complex)
-    columns[0] = vacuum
+    columns[0] = projector[:, probe] / norm
     for k in range(n, 0, -1):
         h = 1 << (n - k)
         columns[h : 2 * h] = columns[:h] @ ops[2 * k - 2].T

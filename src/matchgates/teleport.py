@@ -35,10 +35,12 @@ correction sits at level k - 1 at most, which is what makes the protocol
 repeatable down to plain matchgate circuits.
 
 A protocol run does only the work that depends on U and the input state.
-B^dag and B|0...0> depend on n alone and are built once per n, then cached
-read-only. Up to DENSE_NETWORK_QUBITS the cache holds B^dag densely, as
-the transposed view of conj(B) that simulate_protocol's one GEMM with the
-joint state reads (4^n x 4^n: 16 MB stays alive after an n = 5 run).
+The network circuit build_bn(n), B^dag, B|0...0> and the byproduct table
+depend on n alone and follow the package's one cache rule
+(linalg._cached): built once per n, then read-only. Up to
+DENSE_NETWORK_QUBITS the cache holds B^dag densely, as the transposed
+view of conj(B) that simulate_protocol's one GEMM with the joint state
+reads (4^n x 4^n: 16 MB stays alive after an n = 5 run).
 From n = 6 on, where B^dag would take 256 MB, the cache holds None in its
 place, and simulate_protocol applies B^dag to the (4^n, 2^n) joint state
 as the n + n(n-1)/2 two-qubit gates of build_bn, in reverse order and
@@ -56,13 +58,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .circuits import apply_circuit, build_bn, circuit_to_operator
-from .hierarchy import _check_cap, is_gaussian_state_lambda, min_level
-from .linalg import DEFAULT_TOL, NORM_TOL, Tolerances, _guard_qubits, assert_unitary, n_qubits_of
+from .hierarchy import _check_cap, _integer, is_gaussian_state_lambda, min_level
+from .linalg import DEFAULT_TOL, NORM_TOL, Tolerances, _cached, _guard_qubits, assert_unitary, n_qubits_of
 from .io import complex_to_json, state_to_json
 from .majorana import (
     Parity,
@@ -116,9 +117,9 @@ def _magic_psi(u: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, Parity]:
     return psi, par
 
 
-@lru_cache(maxsize=None)
+@_cached
 def _network(n: int) -> tuple[np.ndarray | None, np.ndarray]:
-    """B_n^dag and B_n |0^{2n}> of the Bell-pair network (cached per n, read-only).
+    """B_n^dag and B_n |0^{2n}> of the Bell-pair network, built once per n (linalg._cached).
 
     B_n^dag is dense up to DENSE_NETWORK_QUBITS, the transposed view of
     conj(B_n), and None from there on, where simulate_protocol applies its
@@ -128,19 +129,15 @@ def _network(n: int) -> tuple[np.ndarray | None, np.ndarray]:
     zero = np.zeros(4**n, dtype=complex)
     zero[0] = 1.0
     if n > DENSE_NETWORK_QUBITS:
-        bn_dag, b0 = None, apply_circuit(build_bn(n), zero)
-    else:
-        bn = circuit_to_operator(build_bn(n))
-        bn_dag, b0 = bn.conj().T, bn @ zero
-        bn_dag.setflags(write=False)
-    b0.setflags(write=False)
-    return bn_dag, b0
+        return None, apply_circuit(build_bn(n), zero)
+    bn = circuit_to_operator(build_bn(n))
+    return bn.conj().T, bn @ zero
 
 
-@lru_cache(maxsize=None)
+@_cached
 def _byproducts(n: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
     """Flips (4^n,) and phases (4^n, 2^n) of every K_z, and the outcomes z,
-    in branch order (read-only).
+    in branch order, built once per n (linalg._cached).
 
     K_z is the monomial of the outcome bits with each pair swapped, c_{2k-1}
     going with z_{2k} and c_{2k} with z_{2k-1}, times (-i)^s (-1)^t.
@@ -158,8 +155,6 @@ def _byproducts(n: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], 
     flips, phases = _monomials(n)
     flips, phases = flips[masks], phases[masks]
     phases *= scale[s, t % 2][:, None]
-    for a in (flips, phases):
-        a.setflags(write=False)
     return flips, phases, tuple(map(tuple, bits.tolist()))
 
 
@@ -322,7 +317,7 @@ def verify_protocol(
     worst residual and probability deviation; also classify the
     corrections R_z into hierarchy levels (they sit one level below U).
     Refuses fewer than one trial, which would check nothing."""
-    if trials < 1:
+    if _integer(trials, "trials") < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_cap(k_max_corrections)
     n = n_qubits_of(u)

@@ -5,7 +5,8 @@ byproduct word). Every entry is the same dot product, so the results must
 be equal to the bit, for any BLAS thread count. The same holds for the
 linearity residual read on the Majoranas' support against the product with
 the dense Jordan-Wigner stack, in both the rotation kernel and the first
-level.
+level. A real or single-precision gate is conjugated in complex128, so every
+route reports on it what it reports on the complex128 gate.
 """
 
 import gc
@@ -15,11 +16,12 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from matchgates import classify_gate, extract_rotation, random_fermionic, svn_reconstruct
+from matchgates import classify_gate, extract_rotation, random_fermionic, random_state, svn_reconstruct
 from matchgates import hierarchy, majorana, svn, teleport
-from matchgates.circuits import circuit_to_operator
+from matchgates.circuits import build_CnZ, circuit_to_operator, named_gate
+from matchgates.io import dumps_stable
 from matchgates.linalg import DEFAULT_TOL, NORM_TOL
-from matchgates.majorana import SUPPORT_RESIDUAL_QUBITS, _conjugates, _traces, jw_set, majorana_words
+from matchgates.majorana import SUPPORT_RESIDUAL_QUBITS, _conjugates, _traces, jw_majorana, jw_set, majorana_words
 from matchgates.sampling import random_matchgate_circuit
 
 
@@ -72,6 +74,36 @@ def test_conjugates_of_non_contiguous_parents(n):
     mus = slice(None) if n <= 5 else slice(1, 3)
     for parents in (stack[[2, 0]], stack[::2], stack.transpose(0, 2, 1), stack[:, ::-1]):
         assert np.array_equal(_conjugates(parents, n, mus), reference_conjugates(parents, n, mus))
+
+
+REAL_GATES = {
+    "SWAP": named_gate("SWAP"),
+    "CZ": named_gate("CZ"),
+    "FSWAP": named_gate("FSWAP"),
+    "c_1": jw_majorana(2, 1),
+    "I": np.eye(4, dtype=complex),
+    "CNZ(3)": build_CnZ(3),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.float32, np.complex64])
+@pytest.mark.parametrize("name", REAL_GATES)
+def test_a_gate_of_any_numeric_dtype_is_classified_as_in_complex128(name, dtype):
+    # The copy of the parents read the input dtype: in-place complex phases
+    # raised UFuncTypeError on a real gate, and complex64 ran in single precision.
+    u = REAL_GATES[name]
+    assert not u.imag.any()
+    cast = u.astype(dtype) if np.issubdtype(dtype, np.complexfloating) else u.real.astype(dtype)
+    assert dumps_stable(classify_gate(cast).to_json()) == dumps_stable(classify_gate(u).to_json())
+
+
+def test_a_float64_gate_is_teleported_as_in_complex128():
+    cz = named_gate("CZ")
+    psi_in = random_state(2, np.random.default_rng(3))
+    transcripts = [teleport.simulate_protocol(u, psi_in).to_json(include_states=True) for u in (cz.real, cz)]
+    assert dumps_stable(transcripts[0]) == dumps_stable(transcripts[1])
+    reports = [teleport.verify_protocol(u, trials=2).to_json() for u in (cz.real, cz)]
+    assert dumps_stable(reports[0]) == dumps_stable(reports[1])
 
 
 @pytest.mark.parametrize("n", range(1, 6))

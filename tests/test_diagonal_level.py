@@ -249,6 +249,15 @@ def test_other_inputs_are_not_taken():
     assert diagonal_level(nearly) is NotImplemented
 
 
+@pytest.mark.parametrize("entry", [0, 1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)])
+def test_a_diagonal_that_is_not_finite_is_not_taken(bad, entry):
+    # NaN compared False with PHASE_SNAP, so such a gate read as level 2
+    d = np.ones(4, dtype=complex)
+    d[entry] = bad
+    assert diagonal_level(np.diag(d)) is NotImplemented
+
+
 @pytest.mark.parametrize("k_max", [0, -3])
 @pytest.mark.parametrize("route", [diagonal_level, min_level, classify_gate])
 def test_level_cap_below_one_is_refused(route, k_max):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchgates import HADAMARD, circuit_to_operator, equal_up_to_phase, named_gate, parse_circuit
+from matchgates import circuits, hierarchy, majorana, teleport
 from matchgates.linalg import (
     ANGLE_TOL,
     DEFAULT_TOL,
     NORM_TOL,
     UNITARY_TOL,
     Tolerances,
+    _cached,
     assert_unitary,
     canonical_phase,
     identity,
@@ -96,6 +99,61 @@ def test_epsilon_is_the_only_settable_tolerance():
     assert [f.name for f in dataclasses.fields(Tolerances)] == ["residual"]
     assert DEFAULT_TOL.residual == 1e-9
     assert (UNITARY_TOL, NORM_TOL, ANGLE_TOL) == (1e-9, 1e-12, 1e-8)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Table:
+    values: np.ndarray
+    size: int
+
+
+def test_the_cache_rule_builds_once_and_freezes_every_array():
+    calls = []
+
+    @_cached
+    def build(kind):
+        """A builder of every shape the rule freezes."""
+        calls.append(kind)
+        if kind == "alone":
+            return np.zeros(3)
+        if kind == "tuple":
+            return np.zeros(3), None, (1, 2)
+        if kind == "dataclass":
+            return _Table(np.zeros(3), 3)
+        raise ValueError(f"no table of kind {kind!r}")
+
+    # the lru_cache wrapper itself, named and documented as the builder
+    assert isinstance(build, functools._lru_cache_wrapper)
+    assert build.__name__ == "build" and build.__doc__.startswith("A builder")
+    for kind, array in [("alone", lambda t: t), ("tuple", lambda t: t[0]), ("dataclass", lambda t: t.values)]:
+        table = build(kind)
+        assert build(kind) is table
+        assert not array(table).flags.writeable
+    assert calls == ["alone", "tuple", "dataclass"]
+    # a refusal is not cached: it is raised again on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no table of kind 'none'"):
+            build("none")
+    assert calls[3:] == ["none", "none"]
+    assert build.cache_info().currsize == 3
+
+
+def test_every_memoised_builder_follows_the_cache_rule():
+    builders = [
+        majorana.majorana_words,
+        majorana._jw_stack,
+        majorana._word_gathers,
+        majorana._parity_order,
+        majorana._support_entries,
+        teleport._network,
+        teleport._byproducts,
+        hierarchy._root_bits,
+        circuits.build_bn,
+    ]
+    assert all(isinstance(b, functools._lru_cache_wrapper) for b in builders)
+    assert circuits.build_bn(2) is circuits.build_bn(2)
+    words = majorana.majorana_words(2)
+    assert not any(a.flags.writeable for a in (words.flip, words.phase, words.sign))
 
 
 def test_norm_max():

@@ -113,6 +113,13 @@ def test_expand_round_trip():
     assert np.allclose(dense, op, atol=1e-10)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_expand_refuses_an_operator_that_is_not_finite(bad):
+    # a NaN operator expanded to no terms, which reads as the zero operator
+    with pytest.raises(ValueError, match="^operator has an entry that is not finite$"):
+        expand(np.array([[bad, 0], [0, 1]]))
+
+
 def test_total_parity_and_gate_parity():
     assert np.array_equal(total_parity(2), np.kron(PAULI_Z, PAULI_Z))
     assert parity_of(named_gate("CZ")) == "even"

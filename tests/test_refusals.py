@@ -9,11 +9,22 @@ import re
 import numpy as np
 import pytest
 
-from matchgates import jw_majorana, random_fermionic, random_two_qubit_at_root, simulate_protocol, svn_reconstruct
+from matchgates import (
+    class_phases,
+    jw_majorana,
+    jw_set,
+    min_level,
+    named_gate,
+    random_fermionic,
+    random_two_qubit_at_root,
+    simulate_protocol,
+    svn_reconstruct,
+    verify_protocol,
+)
 from matchgates.circuits import CircuitIR, GateApp, circuit_to_text
-from matchgates.hierarchy import two_qubit_decompose
+from matchgates.hierarchy import level_membership, two_qubit_decompose
 from matchgates.linalg import HADAMARD, n_qubits_of
-from matchgates.majorana import majorana_monomial, majorana_words
+from matchgates.majorana import indices_from_mask, majorana_monomial, majorana_words
 from matchgates.sampling import random_matchgate_circuit
 from matchgates.teleport import build_bn
 
@@ -33,6 +44,26 @@ CASES = {
     "qubits of a non-square matrix": (lambda: n_qubits_of(np.zeros((2, 4))), "operator must be square, got shape (2, 4)"),
     "Majorana on no qubits": (lambda: jw_majorana(0, 1), "need at least one qubit, got n=0"),
     "word table on no qubits": (lambda: majorana_words(0), "need at least one qubit, got n=0"),
+    "Majorana set on no qubits": (lambda: jw_set(0), "need at least one qubit, got n=0"),
+    "indices of a negative mask": (lambda: indices_from_mask(-1), "mask must be >= 0, got -1"),
+    "membership at level 2.5": (
+        lambda: level_membership(named_gate("SWAP"), 2.5),
+        "level must be an integer, got 2.5",
+    ),
+    "membership at level 3.0": (
+        lambda: level_membership(named_gate("SWAP"), 3.0),
+        "level must be an integer, got 3.0",
+    ),
+    "minimum level under cap 3.0": (lambda: min_level(named_gate("SWAP"), 3.0), "level cap must be an integer, got 3.0"),
+    "two-qubit classes at level 2.5": (lambda: class_phases(2.5), "level must be an integer, got 2.5"),
+    "protocol over 1.5 trials": (
+        lambda: verify_protocol(named_gate("CZ"), trials=1.5),
+        "trials must be an integer, got 1.5",
+    ),
+    "corrections under cap 1.5": (
+        lambda: verify_protocol(named_gate("CZ"), trials=1, k_max_corrections=1.5),
+        "level cap must be an integer, got 1.5",
+    ),
     "monomial mask past 2n modes": (lambda: majorana_monomial(1, 4), "mask 4 out of range for 2 Majorana modes"),
     "SvN of no operators": (lambda: svn_reconstruct([]), "empty operator tuple"),
     "matchgate circuit on one qubit": (

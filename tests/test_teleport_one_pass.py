@@ -183,6 +183,16 @@ def test_gate_route_matches_the_dense_network(n, gate_route):
     assert np.abs(apply_circuit(build_bn(n), joint) - bn @ joint).max() <= 1e-12
 
 
+def test_gate_route_reads_one_cached_network(gate_route):
+    # simulate_protocol rebuilt build_bn(n) on every call of the gate route
+    u, psi_in = build_CnZ(2), random_state(2, np.random.default_rng(4))
+    simulate_protocol(u, psi_in)
+    before = build_bn.cache_info()
+    simulate_protocol(u, psi_in)
+    after = build_bn.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+
+
 @pytest.mark.parametrize("name, u", GATES[::4], ids=[name for name, _ in GATES[::4]])
 def test_gate_route_transcript_matches_the_dense_route(name, u, gate_route):
     n = n_qubits_of(u)

@@ -31,7 +31,9 @@ Circuit text format (case-insensitive, '#' starts a comment):
     CPHASE(pi/2) @ 1          # angles: decimal radians or [K]pi[/M]
 
 Gate lists are in time order: the first gate listed acts first. Gate
-tokens here and in `mgh --gate` share lex_token, split_args and named_token.
+tokens here and in `mgh --gate` share lex_token, split_args, named_token
+and, for G/J blocks, _block_token, so a bad token is refused in the same
+words in both.
 
 Each fact about a gate is decided once, by one function:
 
@@ -189,8 +191,6 @@ _TWO_QUBIT = {
     "CZ": (0, lambda: (PAULI_Z.copy(), PAULI_I.copy())),
     "CPHASE": (1, lambda phi: (phase_gate(phi), PAULI_I.copy())),
 }
-# Every named-gate name, for the parser's unknown-gate refusal.
-_NAMED = _ONE_QUBIT.keys() | _TWO_QUBIT.keys()
 
 # One-qubit gates that are themselves parity-even or parity-odd; anything
 # else (H, RX, RY) mixes parities and is only admitted as free-form.
@@ -381,18 +381,13 @@ def named_token(name: str, inner: str | None) -> tuple[str, tuple[float, ...], n
     return name.upper(), params, named_gate(name, params)
 
 
-def _known(name: str, known, what: str) -> str:
-    """NAME, the upper case of name, refused as an unknown `what` unless it
-    is in known."""
-    if name.upper() not in known:
-        raise ValueError(f"unknown {what} {name!r}")
-    return name.upper()
-
-
-def _block_token(name: str, inner: str | None) -> tuple[str, tuple[float, ...], np.ndarray]:
-    """named_token of a lexed G/J block token, which must name a one-qubit
-    gate: the block rule of `G A B` lines and of G(A,B) tokens alike."""
-    return named_token(_known(name, _ONE_QUBIT, "block gate"), inner)
+def _block_token(token: str) -> tuple[str, tuple[float, ...], np.ndarray]:
+    """named_token of a G/J block token, which must name a one-qubit gate:
+    the block rule of `G A B` lines and of G(A,B) tokens alike."""
+    name, inner = lex_token(token, "block")
+    if name.upper() not in _ONE_QUBIT:
+        raise ValueError(f"unknown block gate {name!r}")
+    return named_token(name, inner)
 
 
 def _violation(gate: GateApp, tol: float) -> str | None:
@@ -469,11 +464,10 @@ def parse_circuit(text: str, tol: Tolerances = DEFAULT_TOL) -> CircuitIR:
     return CircuitIR(n_qubits, tuple(gates), allow_freeform)
 
 
-def _circuit_token(token: str, line_no: int, col: int, build):
-    """build(NAME as written, text in parentheses) of a circuit-file token;
-    errors point at (line_no, col)."""
+def _circuit_token(token: str | None, line_no: int, col: int, build):
+    """build(token) of a circuit-file token; errors point at (line_no, col)."""
     try:
-        return build(*lex_token(token))
+        return build(token)
     except ValueError as exc:
         raise CircuitError(str(exc), line_no, col) from None
 
@@ -493,12 +487,11 @@ def _parse_gate(gate_tokens, pos, n_qubits, allow_freeform, line_no, tol) -> Gat
     else:
         if len(gate_tokens) != 1:
             raise CircuitError(f"unexpected token {gate_tokens[1][0]!r}", line_no, gate_tokens[1][1])
-        fields = _circuit_token(
-            head, line_no, head_col,
-            lambda name, inner: dict(kind="NAMED", name=_known(name, _NAMED, "gate"), params=_angles(inner)),
-        )
+        name, inner = _circuit_token(head, line_no, head_col, lex_token)
+        fields = dict(kind="NAMED", name=name.upper(), params=_circuit_token(inner, line_no, head_col, _angles))
     try:
-        gate = GateApp(pos=pos, **fields)  # refuses a bad arity or a G/J block that is not unitary
+        # refuses an unknown name (named_gate), a bad arity or a G/J block that is not unitary
+        gate = GateApp(pos=pos, **fields)
         _guard_wires(pos, gate.n_wires, n_qubits)
     except ValueError as exc:
         raise CircuitError(str(exc), line_no, head_col) from None
@@ -616,10 +609,12 @@ def build_bn(n: int) -> CircuitIR:
     A column of G(H, H) on pairs (2k-1, 2k) prepares n Bell pairs; a
     triangular cascade of fermionic SWAPs then interleaves the wires so
     odd-numbered qubits end up listed first. Layer t (t = 1 .. n-1) holds
-    fSWAPs at positions t+1, t+3, ..., 2n-t-1.
+    fSWAPs at positions t+1, t+3, ..., 2n-t-1. A network of 2n qubits
+    past linalg.MAX_QUBITS is refused before any gate is built.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _guard_qubits(2 * n, "Bell-pair network")
     gates = [GateApp(kind="NAMED", pos=2 * k - 1, name="GHH") for k in range(1, n + 1)]
     for t in range(1, n):
         for p in range(t + 1, 2 * n - t, 2):

@@ -13,10 +13,17 @@ option, value or name), 2 classification ran but was inconclusive
 failed (teleportation residual, reconstruction contract, self-test
 criterion), 4 a level search was refused before it started because it
 would exceed the work guard (lower --k-max, or --k-max-corrections for
-teleport). Each refusal is one `error:` line on stderr, written by the
-group's invoke, the one place that maps exceptions to exit codes. A bare
-`mgh` and a bad option of the group itself fail before that, in click's
-argument parsing, and keep click's usage block and exit 2.
+teleport). Each refusal is one `error:` line on stderr. A command raises
+it and never writes it: the group's invoke is the one place that maps
+exceptions to that line and its exit code. A bare `mgh` and a bad option
+of the group itself fail before that, in click's argument parsing, and
+keep click's usage block and exit 2.
+
+A bad gate token is refused by the same check, in the same words, on
+--gate and in a circuit file (circuits._block_token for G/J blocks,
+named_token and named_gate for the rest): a token that does not lex,
+then an unknown block name, then a bad angle, then an unknown gate name
+or a wrong number of angles.
 
 The environment variable MGH_TOL, a finite positive number, sets epsilon,
 the residual tolerance; the unitary, norm and angle thresholds are fixed.
@@ -81,11 +88,11 @@ def _tolerances() -> Tolerances:
     try:
         value = float(raw)
     except ValueError:
-        _fail(f"MGH_TOL must be a number, got {raw!r}")
+        raise ValueError(f"MGH_TOL must be a number, got {raw!r}") from None
     if not math.isfinite(value):
-        _fail(f"MGH_TOL must be finite, got {raw!r}")
+        raise ValueError(f"MGH_TOL must be finite, got {raw!r}")
     if value <= 0:
-        _fail("MGH_TOL must be positive")
+        raise ValueError("MGH_TOL must be positive")
     return Tolerances(residual=value)
 
 
@@ -120,7 +127,7 @@ def gate_from_token(token: str, n_qubits: int | None = None) -> np.ndarray:
         args = split_args(inner)
         if len(args) != 2:
             raise ValueError(f"{head} needs exactly two block gates, got {len(args)}")
-        blocks = [_block_token(*lex_token(arg, "block"))[2] for arg in args]
+        blocks = [_block_token(arg)[2] for arg in args]
         return build_G(*blocks) if head == "G" else build_J(*blocks)
 
     if head == "F":
@@ -152,7 +159,7 @@ def _load_unitary(
 ) -> np.ndarray:
     given = sum(x is not None for x in (gate, circuit, matrix))
     if given != 1:
-        _fail("provide exactly one of --gate, --circuit, --matrix")
+        raise ValueError("provide exactly one of --gate, --circuit, --matrix")
     if n_qubits is not None and (gate is None or lex_token(gate)[0].upper() not in ("MAJORANA", "C")):
         raise ValueError("-n/--n-qubits applies only to a MAJORANA(mu) or C(mu) gate token")
     if gate is not None:
@@ -278,7 +285,7 @@ def teleport(gate, circuit, matrix, n_qubits, state, trials, seed, k_max_correct
     tolerance.
     """
     if state is None and include_states:
-        _fail("--include-states needs --state")
+        raise ValueError("--include-states needs --state")
     if state is not None:
         ctx = click.get_current_context()
         given = [
@@ -287,7 +294,7 @@ def teleport(gate, circuit, matrix, n_qubits, state, trials, seed, k_max_correct
             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT
         ]
         if given:
-            _fail(f"{', '.join(given)} cannot be used with --state")
+            raise ValueError(f"{', '.join(given)} cannot be used with --state")
     tol = _tolerances()
     u = _load_unitary(gate, circuit, matrix, n_qubits, tol)
     if state is not None:
@@ -408,9 +415,9 @@ def selftest(seed, only, fmt) -> None:
         try:
             indices = sorted({int(p) for p in only.split(",") if p.strip()})
         except ValueError:
-            _fail(f"bad --only list {only!r}")
+            raise ValueError(f"bad --only list {only!r}") from None
         if not indices:
-            _fail(f"--only list {only!r} names no criterion")
+            raise ValueError(f"--only list {only!r} names no criterion")
     results = run_selected(indices, base)
     all_passed = all(r.passed for r in results)
     out = {

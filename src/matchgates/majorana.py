@@ -246,12 +246,10 @@ def _runs(count: int, size: int, limit: int | None = None):
 def _chunks(count: int, n: int, limit: int | None = None):
     """(operators, mus) slices covering the 2n conjugates of `count` stacked
     operators in order: whole operators up to `limit` entries (CHUNK_ENTRIES
-    by default; at least one operator), or, when one operator's conjugates
-    exceed CHUNK_ENTRIES, that operator's mus in runs of CHUNK_ENTRIES."""
-    size = 2 * n * 4**n
-    if size <= CHUNK_ENTRIES:
-        return ((ops, slice(None)) for ops in _runs(count, size, limit))
-    return ((slice(p, p + 1), mus) for p in range(count) for mus in _runs(2 * n, 4**n))
+    by default; at least one operator), each split into runs of its mus of
+    CHUNK_ENTRIES entries (one run whenever its conjugates fit)."""
+    mu_runs = tuple(_runs(2 * n, 4**n))
+    return ((ops, mus) for ops in _runs(count, 2 * n * 4**n, limit) for mus in mu_runs)
 
 
 def _word_conjugates(parents: np.ndarray, cols: np.ndarray, phases: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ place, and simulate_protocol applies B^dag to the (4^n, 2^n) joint state
 as the n + n(n-1)/2 two-qubit gates of build_bn, in reverse order and
 each conjugate-transposed (circuits.apply_circuit); B|0...0> is built
 from those gates too. From n = 8 on the network would act on 16
-qubits, past linalg.MAX_QUBITS, and the protocol is refused. The magic
+qubits, past linalg.MAX_QUBITS, and build_bn refuses it. The magic
 state applies U to the low n wires of B|0...0> by one 2^n x 2^n product;
 no 1 (x) U is formed. Branch probabilities, residuals and phases come
 from one batched pass each, row norms and stacked row-times-column
@@ -63,7 +63,7 @@ import numpy as np
 
 from .circuits import apply_circuit, build_bn, circuit_to_operator
 from .hierarchy import _check_cap, _integer, is_gaussian_state_lambda, min_level
-from .linalg import DEFAULT_TOL, NORM_TOL, Tolerances, _cached, _guard_qubits, assert_unitary, n_qubits_of
+from .linalg import DEFAULT_TOL, NORM_TOL, Tolerances, _cached, assert_unitary, n_qubits_of
 from .io import complex_to_json, state_to_json
 from .majorana import (
     Parity,
@@ -125,12 +125,12 @@ def _network(n: int) -> tuple[np.ndarray | None, np.ndarray]:
     conj(B_n), and None from there on, where simulate_protocol applies its
     gates.
     """
-    _guard_qubits(2 * n, "Bell-pair network")
+    network = build_bn(n)  # refuses 2n > linalg.MAX_QUBITS before zero is allocated
     zero = np.zeros(4**n, dtype=complex)
     zero[0] = 1.0
     if n > DENSE_NETWORK_QUBITS:
-        return None, apply_circuit(build_bn(n), zero)
-    bn = circuit_to_operator(build_bn(n))
+        return None, apply_circuit(network, zero)
+    bn = circuit_to_operator(network)
     return bn.conj().T, bn @ zero
 
 
@@ -316,11 +316,14 @@ def verify_protocol(
     """Teleport `trials` seeded random states through U and aggregate the
     worst residual and probability deviation; also classify the
     corrections R_z into hierarchy levels (they sit one level below U).
-    Refuses fewer than one trial, which would check nothing."""
+    Refuses fewer than one trial, which would check nothing, and a seed
+    that is not an integer >= 0."""
     if _integer(trials, "trials") < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_cap(k_max_corrections)
     n = n_qubits_of(u)
+    if _integer(seed, "seed") < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     max_resid = 0.0
     max_prob_dev = 0.0

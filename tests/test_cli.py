@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -631,6 +632,34 @@ def test_refusals_exit_one_with_one_line(runner, tmp_path, args, file, env, mess
     result = runner.invoke(main, args, env=env)
     assert result.exit_code == 1
     assert _err(result) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "args, env, message",
+    [
+        (["classify", "--gate", "SWAP"], {"MGH_TOL": "abc"}, "MGH_TOL must be a number, got 'abc'"),
+        (["classify", "--gate", "SWAP"], {"MGH_TOL": "nan"}, "MGH_TOL must be finite, got 'nan'"),
+        (["classify", "--gate", "SWAP"], {"MGH_TOL": "-1"}, "MGH_TOL must be positive"),
+        (["classify", "--gate", "SWAP", "--circuit", "f"], {}, "provide exactly one of --gate, --circuit, --matrix"),
+        (["teleport", "--gate", "CZ", "--include-states"], {}, "--include-states needs --state"),
+        (["teleport", "--gate", "CZ", "--state", "STATE", "--trials", "2"], {}, "--trials cannot be used with --state"),
+        (["selftest", "--only", "x"], {}, "bad --only list 'x'"),
+        (["selftest", "--only", ","], {}, "--only list ',' names no criterion"),
+    ],
+    ids=["tol-number", "tol-finite", "tol-positive", "one-source", "include-states", "state-mode", "only-list", "only-empty"],
+)
+def test_command_refusals_are_raised_and_written_by_the_group(runner, state_path, monkeypatch, args, env, message):
+    args = [state_path if a == "STATE" else a for a in args]
+    result = runner.invoke(main, args, env=env)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+    # run outside the group, the command raises the refusal instead of writing it
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        main.commands[args[0]].main(args[1:], standalone_mode=False)
 
 
 def test_version_is_the_package_version(runner):

@@ -151,6 +151,7 @@ def test_builders_guard_qubits_before_allocating():
     "token, message",
     [
         ("WHAT(3)", "unknown gate name 'WHAT'"),
+        ("QQ(abc)", "cannot parse angle 'abc'"),
         ("G(qq,I)", "unknown block gate 'qq'"),
         ("G(H!,H)", "bad block token 'H!'"),
         ("G(H,H", "bad gate token 'G(H,H'"),
@@ -186,11 +187,12 @@ def test_cli_token_errors(token, message):
     [
         ("G SWAP SWAP @ 1", "unknown block gate 'SWAP'", 3),
         ("G I qq @ 1", "unknown block gate 'qq'", 5),
-        ("G H! H @ 1", "bad gate token 'H!'", 3),
+        ("G H! H @ 1", "bad block token 'H!'", 3),
         ("G P P @ 1", "P takes 1 parameter(s), got 0", 3),
         ("G H P(x) @ 1", "cannot parse angle 'x'", 5),
         ("G H @ 1", "G needs two block tokens", 1),
-        ("QQ @ 1", "unknown gate 'QQ'", 1),
+        ("QQ @ 1", "unknown gate name 'QQ'", 1),
+        ("QQ(abc) @ 1", "cannot parse angle 'abc'", 1),
         ("(X) @ 1", "bad gate token '(X)'", 1),
         ("FSWAP(1) @ 1", "FSWAP takes 0 parameter(s), got 1", 1),
         ("RZ(two) @ 1", "cannot parse angle 'two'", 1),
@@ -202,6 +204,19 @@ def test_circuit_token_errors_keep_their_position(line, message, col):
         parse_circuit(f"qubits 2\n{line}\n")
     assert message in str(exc.value)
     assert (exc.value.line, exc.value.col) == (2, col)
+
+
+@pytest.mark.parametrize(
+    "token, line, col",
+    [(t, f"{t} @ 1", 1) for t in ("qq", "QQ(abc)", "(X)", "FSWAP(1)", "RZ(two)", "X(0.3)", "CPHASE(inf)")]
+    + [(f"G({t},I)", f"G {t} I @ 1", 3) for t in ("qq", "H!", "SWAP", "P", "P(x)", "RZ(inf)", "(X)")],
+)
+def test_a_bad_token_reads_alike_in_a_file_and_on_gate(token, line, col):
+    with pytest.raises(ValueError) as on_gate:
+        gate_from_token(token)
+    with pytest.raises(CircuitError) as in_file:
+        parse_circuit(f"qubits 2\n{line}\n")
+    assert str(in_file.value) == f"line 2, col {col}: {on_gate.value}"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -32,6 +32,7 @@ RNG = np.random.default_rng(0)
 
 CASES = {
     "Bell network on no qubits": (lambda: build_bn(0), "need n >= 1, got 0"),
+    "Bell network past the qubit limit": (lambda: build_bn(8), "Bell-pair network would act on 16 qubits (limit 15)"),
     "text of a raw-block circuit": (
         lambda: circuit_to_text(CircuitIR(2, (GateApp(kind="G", pos=1, blocks=(HADAMARD, HADAMARD)),))),
         "circuit holds raw matrix blocks; it has no canonical text form",
@@ -59,6 +60,15 @@ CASES = {
     "protocol over 1.5 trials": (
         lambda: verify_protocol(named_gate("CZ"), trials=1.5),
         "trials must be an integer, got 1.5",
+    ),
+    "protocol under seed 1.5": (
+        lambda: verify_protocol(named_gate("CZ"), trials=1, seed=1.5),
+        "seed must be an integer, got 1.5",
+    ),
+    "protocol under seed -1": (lambda: verify_protocol(named_gate("CZ"), trials=1, seed=-1), "seed must be >= 0, got -1"),
+    "protocol under seed '3'": (
+        lambda: verify_protocol(named_gate("CZ"), trials=1, seed="3"),
+        "seed must be an integer, got '3'",
     ),
     "corrections under cap 1.5": (
         lambda: verify_protocol(named_gate("CZ"), trials=1, k_max_corrections=1.5),

@@ -42,7 +42,8 @@ Each fact about a gate is decided once, by one function:
     _guard_wires      the wires fit the register (linalg; CircuitIR and
                       the parser call it)
     _violation        the gate belongs in a matchgate circuit: a one-qubit
-                      gate keeps parity, a two-qubit one has det A = det B
+                      gate keeps parity by the classifier's rule (parity_of
+                      on its matrix), a two-qubit one has det A = det B
                       (the parser calls it on every gate, circuit_to_rotation
                       on the gates of a circuit that allows free-form ones)
     _dets             the block determinants (hierarchy reads them too)
@@ -191,10 +192,6 @@ _TWO_QUBIT = {
     "CZ": (0, lambda: (PAULI_Z.copy(), PAULI_I.copy())),
     "CPHASE": (1, lambda phi: (phase_gate(phi), PAULI_I.copy())),
 }
-
-# One-qubit gates that are themselves parity-even or parity-odd; anything
-# else (H, RX, RY) mixes parities and is only admitted as free-form.
-_FERMIONIC_1Q = {"I", "X", "Y", "Z", "P", "RZ"}
 
 
 def named_gate(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
@@ -393,14 +390,17 @@ def _block_token(token: str) -> tuple[str, tuple[float, ...], np.ndarray]:
 def _violation(gate: GateApp, tol: float) -> str | None:
     """Why gate is not a matchgate-circuit gate, or None when it is one.
 
-    The one admission rule: a one-qubit gate must not mix parities, and the
-    blocks of a two-qubit gate, read off its matrix (every named two-qubit
-    gate is of G form), must have det A = det B within tol.
+    The one admission rule: a one-qubit gate must be parity even or odd by
+    the classifier's parity rule (majorana._parities, behind parity_of) on
+    its matrix, and the blocks of a two-qubit gate, read off its matrix
+    (every named two-qubit gate is of G form), must have det A = det B
+    within tol.
     """
-    if gate.n_wires == 1:
-        return None if gate.name.upper() in _FERMIONIC_1Q else "mixes parities"
-    slot_a, slot_b = _BLOCK_SLOTS[gate.kind == "J"]
     m = gate.local_matrix()
+    if gate.n_wires == 1:
+        is_even, is_odd = _parities(m[None], 1, tol)
+        return None if is_even[0] or is_odd[0] else "mixes parities"
+    slot_a, slot_b = _BLOCK_SLOTS[gate.kind == "J"]
     det_a, det_b = _dets(m[slot_a], m[slot_b])
     if abs(det_a - det_b) < tol:
         return None

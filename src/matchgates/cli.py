@@ -19,6 +19,10 @@ exceptions to that line and its exit code. A bare `mgh` and a bad option
 of the group itself fail before that, in click's argument parsing, and
 keep click's usage block and exit 2.
 
+Exit 3 is decided from the printed report alone: _emit writes a result
+and then exits 3 exactly when its "passed" is false. teleport, svn and
+selftest put their verdict into "passed" and decide nothing else.
+
 A bad gate token is refused by the same check, in the same words, on
 --gate and in a circuit file (circuits._block_token for G/J blocks,
 named_token and named_gate for the rest): a token that does not lex,
@@ -170,11 +174,15 @@ def _load_unitary(
 
 
 def _emit(obj: dict, fmt: str, text_lines) -> None:
+    """Write a result, then exit 3 when it says "passed": false; the one
+    place a verification failure becomes an exit code."""
     if fmt == "json":
         click.echo(dumps_stable(obj), nl=False)
     else:
         for line in text_lines(obj):
             click.echo(line)
+    if obj.get("passed") is False:
+        sys.exit(EXIT_VERIFY)
 
 
 _GATE_SOURCES = [
@@ -300,9 +308,8 @@ def teleport(gate, circuit, matrix, n_qubits, state, trials, seed, k_max_correct
     if state is not None:
         psi = state_from_json(load_json(state))
         transcript = simulate_protocol(u, psi, tol)
-        ok = transcript.max_residual < tol.residual
         out = transcript.to_json(include_states=include_states)
-        out["passed"] = ok
+        out["passed"] = transcript.max_residual < tol.residual
 
         def lines(d):
             yield f"qubits: {d['n']}"
@@ -312,9 +319,7 @@ def teleport(gate, circuit, matrix, n_qubits, state, trials, seed, k_max_correct
             yield "passed" if d["passed"] else "FAILED"
 
     else:
-        report = verify_protocol(u, trials=trials, seed=seed, k_max_corrections=k_max_corrections, tol=tol)
-        ok = report.passed
-        out = report.to_json()
+        out = verify_protocol(u, trials=trials, seed=seed, k_max_corrections=k_max_corrections, tol=tol).to_json()
 
         def lines(d):
             yield f"qubits: {d['n']}, trials: {d['trials']}, branches: {d['branch_count']}"
@@ -326,8 +331,6 @@ def teleport(gate, circuit, matrix, n_qubits, state, trials, seed, k_max_correct
                 yield f"corrections at level {label}: {entry['count']}"
             yield "passed" if d["passed"] else "FAILED"
     _emit(out, fmt, lines)
-    if not ok:
-        sys.exit(EXIT_VERIFY)
 
 
 @main.command()
@@ -349,8 +352,8 @@ def svn(tuple_path, expect, fmt) -> None:
         "u": matrix_to_json(result.u),
         "residuals": result.residuals.tolist(),
         "max_residual": float(result.max_residual),
+        "passed": result.max_residual < tol.residual,
     }
-    ok = result.max_residual < tol.residual
     if expect is not None:
         match = equal_up_to_phase(result.u, matrix_from_json(load_json(expect)), tol.residual)
         out["expect"] = {
@@ -358,8 +361,7 @@ def svn(tuple_path, expect, fmt) -> None:
             "residual": float(match.residual),
             "phase": None if match.phase is None else complex_to_json(match.phase),
         }
-        ok = ok and match.equal
-    out["passed"] = ok
+        out["passed"] = out["passed"] and match.equal
 
     def lines(d):
         yield f"qubits: {d['n_qubits']}"
@@ -369,8 +371,6 @@ def svn(tuple_path, expect, fmt) -> None:
         yield "passed" if d["passed"] else "FAILED"
 
     _emit(out, fmt, lines)
-    if not ok:
-        sys.exit(EXIT_VERIFY)
 
 
 @main.command()
@@ -419,10 +419,9 @@ def selftest(seed, only, fmt) -> None:
         if not indices:
             raise ValueError(f"--only list {only!r} names no criterion")
     results = run_selected(indices, base)
-    all_passed = all(r.passed for r in results)
     out = {
         "seed": base,
-        "passed": all_passed,
+        "passed": all(r.passed for r in results),
         "results": [
             {"index": r.index, "name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results
@@ -436,8 +435,6 @@ def selftest(seed, only, fmt) -> None:
         yield f"{sum(r.passed for r in results)}/{len(results)} criteria passed"
 
     _emit(out, fmt, lines)
-    if not all_passed:
-        sys.exit(EXIT_VERIFY)
 
 
 if __name__ == "__main__":

@@ -109,12 +109,14 @@ take their finest root grid, 2^M-th roots, from one root-spacing rule:
 the two-qubit form at ANGLE_TOL (M = 19 whatever epsilon), diagonal_level
 at max(ANGLE_TOL, epsilon). The two-qubit form snaps the ratio's angle
 once to the nearest 2^M-th root exp(2 pi i j / 2^M), within ANGLE_TOL,
-and reads k = 2 + M - v2(j), or 2 at j = 0.
+and reads k = 2 + M - v2(j), or 2 at j = 0. One reader, _two_qubit,
+takes the block determinants and the ratio's angle once and gives the
+closed-form level and the equivalence class together: classify_gate's
+two_qubit entry, two_qubit_min_level and equiv_class all read its dict.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from types import NotImplementedType
 
@@ -129,6 +131,7 @@ from .linalg import (
     Tolerances,
     _cached,
     _guard_qubits,
+    _integer,
     assert_unitary,
     n_qubits_of,
     norm_max,
@@ -369,15 +372,6 @@ def _subtree_ok(nodes: np.ndarray, depth: int, n: int, tol: Tolerances, seen: _S
     return True
 
 
-def _integer(value, what: str) -> int:
-    """The one rule for levels, level caps and trial counts: value as an int
-    by operator.index, or a ValueError naming `what`."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
 def _check_cap(k_max: int) -> None:
     if _integer(k_max, "level cap") < 1:
         raise ValueError(f"level cap must be >= 1, got {k_max}")
@@ -496,8 +490,7 @@ def two_qubit_min_level(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int | N
     ANGLE_TOL apart), so k <= 21. Returns None for a generic phase with no
     dyadic root up to that bound.
     """
-    blocks = two_qubit_decompose(u, tol)
-    return _closed_form_level(blocks, *_dets(blocks.a, blocks.b), tol)
+    return _two_qubit(two_qubit_decompose(u, tol), tol)["level_closed_form"]
 
 
 def _closed_form_level(blocks: TwoQubitBlocks, det_a: complex, det_b: complex, tol: Tolerances) -> int | None:
@@ -538,14 +531,25 @@ class EquivClass:
 
 def equiv_class(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> EquivClass:
     """Equivalence-class phase of a fermionic two-qubit gate."""
-    blocks = two_qubit_decompose(u, tol)
-    return _equiv_class(*_dets(blocks.a, blocks.b))
+    two_qubit = _two_qubit(two_qubit_decompose(u, tol), tol)
+    return EquivClass(two_qubit["phi"], two_qubit["generalised_phi"])
 
 
-def _equiv_class(det_a: complex, det_b: complex) -> EquivClass:
-    """equiv_class from the block determinants."""
+def _two_qubit(blocks: TwoQubitBlocks, tol: Tolerances) -> dict:
+    """The closed-form data of a two-qubit gate from one reading of its
+    block determinants: the one reader behind classify_gate's two_qubit
+    entry, two_qubit_min_level and equiv_class."""
+    det_a, det_b = _dets(blocks.a, blocks.b)
     phi = float(np.angle(det_a / det_b)) % (2 * np.pi)
-    return EquivClass(phi, min(phi, 2 * np.pi - phi))
+    cls = EquivClass(phi, min(phi, 2 * np.pi - phi))
+    return {
+        "detA": complex_to_json(det_a),
+        "detB": complex_to_json(det_b),
+        "phi": cls.phi,
+        "generalised_phi": cls.generalised_phi,
+        "level_closed_form": _closed_form_level(blocks, det_a, det_b, tol),
+        "class_representative": cls.representative_name,
+    }
 
 
 @dataclass(frozen=True)
@@ -614,19 +618,7 @@ def classify_gate(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) 
         if level is NotImplemented:
             # a gate without a rotation is not Gaussian, so not at level 1 or 2
             level = _search(u, range(3, k_max + 1), tol)
-    two_qubit = None
-    if n == 2 and par != "none":
-        blocks = _blocks(u, par)
-        det_a, det_b = _dets(blocks.a, blocks.b)
-        cls = _equiv_class(det_a, det_b)
-        two_qubit = {
-            "detA": complex_to_json(det_a),
-            "detB": complex_to_json(det_b),
-            "phi": cls.phi,
-            "generalised_phi": cls.generalised_phi,
-            "level_closed_form": _closed_form_level(blocks, det_a, det_b, tol),
-            "class_representative": cls.representative_name,
-        }
+    two_qubit = _two_qubit(_blocks(u, par), tol) if n == 2 and par != "none" else None
     return HierarchyReport(n, par, rotation, rotation_det, level, k_max, two_qubit)
 
 

@@ -17,6 +17,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, is_dataclass
 from functools import lru_cache, wraps
 
@@ -102,6 +103,16 @@ def _guard_qubits(total: int, what: str) -> None:
     """Refuse to build `what` (named in the message) on more than MAX_QUBITS qubits."""
     if total > MAX_QUBITS:
         raise ValueError(f"{what} would act on {total} qubits (limit {MAX_QUBITS})")
+
+
+def _integer(value, what: str) -> int:
+    """The one rule for integer arguments (levels, level caps, trial counts,
+    seeds, sampler sizes): value as an int by operator.index, or a
+    ValueError naming `what`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _guard_wires(k: int, width: int, n: int) -> None:

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .circuits import CircuitIR, GateApp, build_G, build_J
+from .linalg import _integer
 from .majorana import jw_majorana, majorana_words
 
 
@@ -59,6 +60,8 @@ def random_matchgate_circuit(n: int, depth: int, rng: np.random.Generator) -> Ci
     """Random proper matchgate circuit: depth G-form gates at random positions."""
     if n < 2:
         raise ValueError("matchgate circuits need at least two qubits")
+    if _integer(depth, "depth") < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     gates = []
     for _ in range(depth):
         pos = int(rng.integers(1, n))
@@ -70,12 +73,13 @@ def random_two_qubit_at_root(
     rng: np.random.Generator, k: int, j: int | None = None, odd: bool = False
 ) -> np.ndarray:
     """Random two-qubit gate with det A / det B planted at a 2^(k-2)-th root
-    of unity, exp(2 pi i j / 2^(k-2)); j is drawn uniformly when omitted."""
-    if k < 2:
+    of unity, exp(2 pi i j / 2^(k-2)); j is drawn uniformly when omitted.
+    k and a given j must be integers: any other value would plant a root
+    of another order."""
+    if _integer(k, "k") < 2:
         raise ValueError("planted roots are defined for levels k >= 2")
     order = 2 ** (k - 2)
-    if j is None:
-        j = int(rng.integers(order))
+    j = int(rng.integers(order)) if j is None else _integer(j, "j")
     a, b = _planted_blocks(rng, np.exp(2j * np.pi * j / order))
     return build_J(a, b) if odd else build_G(a, b)
 

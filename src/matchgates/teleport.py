@@ -62,8 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import apply_circuit, build_bn, circuit_to_operator
-from .hierarchy import _check_cap, _integer, is_gaussian_state_lambda, min_level
-from .linalg import DEFAULT_TOL, NORM_TOL, Tolerances, _cached, assert_unitary, n_qubits_of
+from .hierarchy import _check_cap, is_gaussian_state_lambda, min_level
+from .linalg import DEFAULT_TOL, NORM_TOL, Tolerances, _cached, _integer, assert_unitary, n_qubits_of
 from .io import complex_to_json, state_to_json
 from .majorana import (
     Parity,

@@ -24,9 +24,12 @@ from matchgates.circuits import (
     build_CnZ,
     build_bn,
     circuit_to_text,
+    lex_token,
+    named_token,
     parse_angle,
 )
 from matchgates.linalg import PAULI_Y, PAULI_Z
+from matchgates.majorana import parity_of
 from reference import basis_state, embed_one_qubit, embed_two_qubit
 
 
@@ -351,3 +354,27 @@ def test_build_bn_matches_explicit_embedding():
 
 def test_phase_gate():
     assert np.allclose(phase_gate(np.pi), PAULI_Z)
+
+
+ONE_QUBIT_ANGLES = ["0", "pi/2", "-pi/2", "pi", "-pi", "3pi/2", "2pi", "0.3"]
+
+
+@pytest.mark.parametrize("name", ["I", "X", "Y", "Z", "H", "P", "RX", "RY", "RZ"])
+def test_a_one_qubit_gate_is_admitted_by_the_classifiers_parity_rule(name):
+    # admission is parity_of's rule on the matrix, not the gate's name: RX(pi) is odd, RX(0.3) mixes
+    tokens = [name] if name in "IXYZH" else [f"{name}({a})" for a in ONE_QUBIT_ANGLES]
+    for token in tokens:
+        matrix = named_token(*lex_token(token))[2]
+        fermionic = parity_of(matrix) != "none"
+        try:
+            parse_circuit(f"qubits 1\n{token} @ 1\n")
+        except CircuitError as exc:
+            assert not fermionic, token
+            assert "mixes parities" in str(exc)
+        else:
+            assert fermionic, token
+
+
+def test_an_rx_at_pi_compiles_to_its_rotation():
+    r = circuit_to_rotation(parse_circuit("qubits 1\nRX(pi) @ 1\n"))
+    assert np.array_equal(r, extract_rotation(named_gate("RX", (np.pi,))))

@@ -810,3 +810,46 @@ def test_a_failed_selftest_criterion_exits_three(runner, monkeypatch):
     result = runner.invoke(main, ["selftest", "--only", "1"])
     assert result.exit_code == 3
     assert json.loads(result.output)["passed"] is False
+
+
+# (command args with placeholders, MGH_TOL or None, force a failing criterion 1, expected "passed")
+VERDICT_RUNS = {
+    "teleport-state": (["teleport", "--gate", "CZ", "--state", "STATE"], None, False, True),
+    "teleport-state-tiny-tol": (["teleport", "--gate", "CZ", "--state", "STATE"], "1e-30", False, False),
+    "teleport-verify": (["teleport", "--gate", "CZ", "--trials", "1"], None, False, True),
+    "teleport-verify-tiny-tol": (["teleport", "--gate", "CZ", "--trials", "1"], "1e-30", False, False),
+    "svn-right-expect": (["svn", "--tuple", "TUPLE", "--expect", "RIGHT"], None, False, True),
+    "svn-wrong-expect": (["svn", "--tuple", "TUPLE", "--expect", "WRONG"], None, False, False),
+    "selftest": (["selftest", "--only", "1"], None, False, True),
+    "selftest-forced-failure": (["selftest", "--only", "1"], None, True, False),
+}
+
+
+@pytest.mark.parametrize("name", VERDICT_RUNS)
+def test_exit_three_is_read_from_the_printed_passed(runner, tmp_path, monkeypatch, name):
+    args, tol, force, want = VERDICT_RUNS[name]
+    v = named_gate("CZ")
+    psi = np.random.default_rng(5).standard_normal(4) + 0j
+    files = {
+        # a generic state: its branches land a rounding error off the target
+        "STATE": state_to_json(psi / np.linalg.norm(psi)),
+        "TUPLE": tuple_to_json([v.conj().T @ c @ v for c in jw_set(2)]),
+        "RIGHT": matrix_to_json(v),
+        "WRONG": matrix_to_json(named_gate("SWAP")),
+    }
+    for key, obj in files.items():
+        save_json(tmp_path / key, obj)
+    args = [str(tmp_path / a) if a in files else a for a in args]
+    if tol is not None:
+        monkeypatch.setenv("MGH_TOL", tol)
+    if force:
+        failed = selftest.CriterionResult(1, "forced", False, "forced failure")
+        monkeypatch.setattr(selftest, "ALL_CRITERIA", [lambda seed: failed, *selftest.ALL_CRITERIA[1:]])
+    result = runner.invoke(main, args)
+    passed = json.loads(result.stdout)["passed"]
+    assert passed is want
+    assert result.exit_code == (0 if passed else 3)
+    text = runner.invoke(main, [*args, "--format", "text"])
+    assert text.exit_code == result.exit_code
+    last = text.stdout.splitlines()[-1]
+    assert last in (("passed", "1/1 criteria passed") if passed else ("FAILED", "0/1 criteria passed"))

@@ -236,3 +236,20 @@ def test_planted_root_level_property(seed, k):
     u = random_two_qubit_at_root(rng, k, j=1, odd=False)
     assert two_qubit_min_level(u) == k
     assert min_level(u, k_max=k) == k
+
+
+def _closed_form_gates():
+    rng = np.random.default_rng(30)
+    planted = [random_two_qubit_at_root(rng, k, odd=odd) for k in range(2, 8) for odd in (False, True)]
+    named = [named_gate("SWAP"), named_gate("CZ"), named_gate("FSWAP"), named_gate("CPHASE", (np.pi / 8,))]
+    return planted + named
+
+
+def test_closed_form_level_and_class_agree_with_the_classifier_bit_for_bit():
+    for u in _closed_form_gates():
+        t = classify_gate(u).two_qubit
+        assert two_qubit_min_level(u) == t["level_closed_form"]
+        cls = equiv_class(u)
+        assert cls.phi.hex() == t["phi"].hex()
+        assert cls.generalised_phi.hex() == t["generalised_phi"].hex()
+        assert cls.representative_name == t["class_representative"]

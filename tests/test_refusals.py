@@ -84,6 +84,10 @@ CASES = {
         lambda: random_two_qubit_at_root(RNG, 1),
         "planted roots are defined for levels k >= 2",
     ),
+    # a non-integer k or j would plant a root of another order, a negative depth draw no gate
+    "planted root at level 2.5": (lambda: random_two_qubit_at_root(RNG, 2.5), "k must be an integer, got 2.5"),
+    "planted root index 0.5": (lambda: random_two_qubit_at_root(RNG, 3, 0.5), "j must be an integer, got 0.5"),
+    "matchgate circuit of depth -1": (lambda: random_matchgate_circuit(3, -1, RNG), "depth must be >= 0, got -1"),
     "fermionic gate of parity x": (
         lambda: random_fermionic(2, RNG, parity="x"),
         "parity must be 'even' or 'odd', got 'x'",

@@ -80,6 +80,7 @@ from .linalg import (
     _cached,
     _guard_qubits,
     _guard_wires,
+    _integer,
     assert_unitary,
     identity,
 )
@@ -246,8 +247,9 @@ class GateApp:
     """One gate application inside a circuit.
 
     kind is "G", "J" (explicit blocks), or "NAMED". pos is the 1-based wire
-    of the gate (leftmost wire for two-qubit gates). blocks holds (A, B) for
-    G/J kinds, block_names their canonical text tokens when available.
+    of the gate (leftmost wire for two-qubit gates), an integer by
+    linalg._integer. blocks holds (A, B) for G/J kinds, block_names their
+    canonical text tokens when available.
     A gate is checked and its matrix built once, when it is built: named
     gates by named_gate, G/J blocks by _check_blocks. G/J blocks are then
     views into that read-only matrix. Whether the gate belongs in a
@@ -266,6 +268,7 @@ class GateApp:
 
     def __post_init__(self) -> None:
         # frozen: object.__setattr__ keeps what is built here
+        _integer(self.pos, "wire")
         if self.kind in ("G", "J"):
             m = _block_gate(*_check_blocks(*self.blocks), odd=self.kind == "J")
             m.flags.writeable = False  # first, so that the block views are read-only too
@@ -305,6 +308,7 @@ class CircuitIR:
     allow_freeform: bool = False
 
     def __post_init__(self) -> None:
+        _integer(self.n_qubits, "qubit count")
         for g in self.gates:
             _guard_wires(g.pos, g.n_wires, self.n_qubits)
 
@@ -612,7 +616,7 @@ def build_bn(n: int) -> CircuitIR:
     fSWAPs at positions t+1, t+3, ..., 2n-t-1. A network of 2n qubits
     past linalg.MAX_QUBITS is refused before any gate is built.
     """
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _guard_qubits(2 * n, "Bell-pair network")
     gates = [GateApp(kind="NAMED", pos=2 * k - 1, name="GHH") for k in range(1, n + 1)]

@@ -273,8 +273,7 @@ def level_membership(u: np.ndarray, k: int, tol: Tolerances = DEFAULT_TOL) -> bo
     level k, and a u in none of them reaches level k, which the guard
     refuses with the level-k message.
     """
-    if _integer(k, "level") < 1:
-        raise ValueError(f"level must be >= 1, got {k}")
+    _integer(k, "level", 1)
     if parity_of(u, tol.residual) == "none":
         return False
     n = n_qubits_of(u)
@@ -372,18 +371,13 @@ def _subtree_ok(nodes: np.ndarray, depth: int, n: int, tol: Tolerances, seen: _S
     return True
 
 
-def _check_cap(k_max: int) -> None:
-    if _integer(k_max, "level cap") < 1:
-        raise ValueError(f"level cap must be >= 1, got {k_max}")
-
-
 def min_level(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) -> int | None:
     """Smallest hierarchy level containing u, or None if above k_max.
 
     Levels are nested, so one ascending search returns the minimum. A gate
     of no definite parity is at no level, whatever k_max.
     """
-    _check_cap(k_max)
+    _integer(k_max, "level cap", 1)
     if parity_of(u, tol.residual) == "none":
         return None
     return _search(u, range(1, k_max + 1), tol)
@@ -406,7 +400,7 @@ def diagonal_level(
     a[x | e_j] -= a[x], and the level is max(2, |S| + M - v2(a_S)) over the
     a_S != 0 with |S| >= 2 (see the module docstring for the derivation).
     """
-    _check_cap(k_max)
+    _integer(k_max, "level cap", 1)
     if np.count_nonzero(u) != len(u):
         return NotImplemented
     d = np.diagonal(u)
@@ -603,7 +597,7 @@ def classify_gate(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) 
     root test: a gate of no definite parity is at no level and is not
     searched.
     """
-    _check_cap(k_max)
+    _integer(k_max, "level cap", 1)
     assert_unitary(u, "gate")
     n = n_qubits_of(u)
     par = parity_of(u, tol.residual)

@@ -96,23 +96,29 @@ def n_qubits_of(a: np.ndarray) -> int:
 
 def identity(n: int) -> np.ndarray:
     """Identity operator on n qubits."""
-    return np.eye(2**n, dtype=complex)
+    return np.eye(2 ** _integer(n, "qubit count"), dtype=complex)
 
 
 def _guard_qubits(total: int, what: str) -> None:
     """Refuse to build `what` (named in the message) on more than MAX_QUBITS qubits."""
-    if total > MAX_QUBITS:
+    if _integer(total, "qubit count") > MAX_QUBITS:
         raise ValueError(f"{what} would act on {total} qubits (limit {MAX_QUBITS})")
 
 
-def _integer(value, what: str) -> int:
-    """The one rule for integer arguments (levels, level caps, trial counts,
-    seeds, sampler sizes): value as an int by operator.index, or a
-    ValueError naming `what`."""
+def _integer(value, what: str, low: int | None = None) -> int:
+    """The one rule for integer arguments: levels, level caps, trial counts,
+    seeds, sampler sizes, qubit counts, wires, Majorana indices, masks and
+    criteria. Returns value as an int by operator.index, or raises a
+    ValueError naming `what`: "{what} must be an integer, got {value!r}",
+    and, when a lower bound low is given and value is below it,
+    "{what} must be >= {low}, got {value}"."""
     try:
-        return operator.index(value)
+        i = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if low is not None and i < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
+    return i
 
 
 def _guard_wires(k: int, width: int, n: int) -> None:

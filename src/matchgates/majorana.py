@@ -84,6 +84,7 @@ from .linalg import (
     Tolerances,
     _cached,
     _guard_qubits,
+    _integer,
     n_qubits_of,
     norm_max,
 )
@@ -106,9 +107,9 @@ SUPPORT_RESIDUAL_QUBITS = 5
 
 def jw_majorana(n: int, mu: int) -> np.ndarray:
     """The Jordan-Wigner Majorana operator c_mu on n qubits, mu in 1..2n."""
-    if n < 1:
+    if _integer(n, "qubit count") < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
-    if not 1 <= mu <= 2 * n:
+    if not 1 <= _integer(mu, "Majorana index") <= 2 * n:
         raise ValueError(f"Majorana index {mu} out of range 1..{2 * n}")
     _guard_qubits(n, "Majorana operator")
     return _word_matrix(*_word(n, (mu,)))
@@ -116,7 +117,7 @@ def jw_majorana(n: int, mu: int) -> np.ndarray:
 
 def jw_set(n: int) -> list[np.ndarray]:
     """All 2n Jordan-Wigner Majorana operators in index order."""
-    if n < 1:
+    if _integer(n, "qubit count") < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
     return [jw_majorana(n, mu) for mu in range(1, 2 * n + 1)]
 
@@ -138,7 +139,7 @@ class MajoranaWords:
 @_cached
 def majorana_words(n: int) -> MajoranaWords:
     """Word table of the 2n Majoranas on n qubits, built once per n (linalg._cached)."""
-    if n < 1:
+    if _integer(n, "qubit count") < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
     index = np.arange(2**n)
     flip = np.empty(2 * n, dtype=np.intp)
@@ -364,16 +365,15 @@ def _rotations(ops: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray, np
 
 def indices_from_mask(mask: int) -> tuple[int, ...]:
     """Ascending 1-based Majorana indices of a non-negative bit mask."""
-    if mask < 0:
-        raise ValueError(f"mask must be >= 0, got {mask}")
-    return tuple(mu + 1 for mu in range(int(mask).bit_length()) if (mask >> mu) & 1)
+    mask = _integer(mask, "mask", 0)
+    return tuple(mu + 1 for mu in range(mask.bit_length()) if (mask >> mu) & 1)
 
 
 def majorana_monomial(n: int, mask: int) -> np.ndarray:
     """Ordered product of the Majoranas selected by mask (empty mask gives 1)."""
-    if mask < 0 or mask >= 1 << (2 * n):
-        raise ValueError(f"mask {mask} out of range for {2 * n} Majorana modes")
     _guard_qubits(n, "Majorana monomial")
+    if not 0 <= _integer(mask, "mask") < 1 << (2 * n):
+        raise ValueError(f"mask {mask} out of range for {2 * n} Majorana modes")
     return _word_matrix(*_word(n, indices_from_mask(mask)))
 
 

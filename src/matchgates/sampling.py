@@ -24,6 +24,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     This is the recipe of scipy.stats.unitary_group.rvs, so the same
     Generator gives the same draws, bit for bit.
     """
+    dim = _integer(dim, "dimension")
     z = 1 / math.sqrt(2) * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     q, r = np.linalg.qr(z)
     d = r.diagonal()
@@ -33,6 +34,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unit state vector on n qubits."""
+    n = _integer(n, "qubit count")
     v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return v / np.linalg.norm(v)
 
@@ -58,10 +60,9 @@ def random_matchgate(rng: np.random.Generator, odd: bool = False) -> np.ndarray:
 
 def random_matchgate_circuit(n: int, depth: int, rng: np.random.Generator) -> CircuitIR:
     """Random proper matchgate circuit: depth G-form gates at random positions."""
-    if n < 2:
+    if _integer(n, "qubit count") < 2:
         raise ValueError("matchgate circuits need at least two qubits")
-    if _integer(depth, "depth") < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    _integer(depth, "depth", 0)
     gates = []
     for _ in range(depth):
         pos = int(rng.integers(1, n))

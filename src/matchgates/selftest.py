@@ -25,7 +25,7 @@ from .hierarchy import (
     min_level,
     two_qubit_min_level,
 )
-from .linalg import equal_up_to_phase, n_qubits_of, norm_max
+from .linalg import _integer, equal_up_to_phase, n_qubits_of, norm_max
 from .majorana import check_car, jw_majorana, jw_set, parity_of, parity_sign, total_parity
 from .sampling import (
     random_fermionic,
@@ -428,7 +428,7 @@ def run_selected(indices, seed: int = BASE_SEED) -> list[CriterionResult]:
     that run_selected([k]) is criterion_k()."""
     results = []
     for idx in indices:
-        if not 1 <= idx <= len(ALL_CRITERIA):
+        if not 1 <= _integer(idx, "criterion") <= len(ALL_CRITERIA):
             raise ValueError(f"no criterion {idx}; valid range is 1..{len(ALL_CRITERIA)}")
-        results.append(ALL_CRITERIA[idx - 1](seed + _SEED_OFFSETS[idx - 1]))
+        results.append(ALL_CRITERIA[idx - 1](_integer(seed, "seed") + _SEED_OFFSETS[idx - 1]))
     return results

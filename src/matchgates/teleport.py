@@ -44,13 +44,13 @@ reads (4^n x 4^n: 16 MB stays alive after an n = 5 run).
 From n = 6 on, where B^dag would take 256 MB, the cache holds None in its
 place, and simulate_protocol applies B^dag to the (4^n, 2^n) joint state
 as the n + n(n-1)/2 two-qubit gates of build_bn, in reverse order and
-each conjugate-transposed (circuits.apply_circuit); B|0...0> is built
-from those gates too. From n = 8 on the network would act on 16
-qubits, past linalg.MAX_QUBITS, and build_bn refuses it. The magic
-state applies U to the low n wires of B|0...0> by one 2^n x 2^n product;
-no 1 (x) U is formed. Branch probabilities, residuals and phases come
-from one batched pass each, row norms and stacked row-times-column
-products. The Lambda Gaussianity test of the magic state runs only in
+each conjugate-transposed (circuits.apply_circuit). B|0...0> is built
+from those gates at every n, dense B^dag or not. From n = 8 on the
+network would act on 16 qubits, past linalg.MAX_QUBITS, and build_bn
+refuses it. The magic state applies U to the low n wires of B|0...0>
+by one 2^n x 2^n product; no 1 (x) U is formed. Branch probabilities,
+residuals and phases come from one batched pass each, row norms and
+stacked row-times-column products. The Lambda Gaussianity test of the magic state runs only in
 magic_state, which reports it; the protocol never reads it.
 """
 
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import apply_circuit, build_bn, circuit_to_operator
-from .hierarchy import _check_cap, is_gaussian_state_lambda, min_level
+from .hierarchy import is_gaussian_state_lambda, min_level
 from .linalg import DEFAULT_TOL, NORM_TOL, Tolerances, _cached, _integer, assert_unitary, n_qubits_of
 from .io import complex_to_json, state_to_json
 from .majorana import (
@@ -123,15 +123,15 @@ def _network(n: int) -> tuple[np.ndarray | None, np.ndarray]:
 
     B_n^dag is dense up to DENSE_NETWORK_QUBITS, the transposed view of
     conj(B_n), and None from there on, where simulate_protocol applies its
-    gates.
+    gates. B_n |0^{2n}> is built from the gates at every n.
     """
     network = build_bn(n)  # refuses 2n > linalg.MAX_QUBITS before zero is allocated
     zero = np.zeros(4**n, dtype=complex)
     zero[0] = 1.0
-    if n > DENSE_NETWORK_QUBITS:
-        return None, apply_circuit(network, zero)
-    bn = circuit_to_operator(network)
-    return bn.conj().T, bn @ zero
+    bn_dag = circuit_to_operator(network).conj().T if n <= DENSE_NETWORK_QUBITS else None
+    # + 0.0 turns the three -0 entries the gates leave at n = 2 into the +0
+    # that the dense product B e_0 gave, so B|0...0> keeps its bits at every n
+    return bn_dag, apply_circuit(network, zero) + 0.0
 
 
 @_cached
@@ -318,12 +318,10 @@ def verify_protocol(
     corrections R_z into hierarchy levels (they sit one level below U).
     Refuses fewer than one trial, which would check nothing, and a seed
     that is not an integer >= 0."""
-    if _integer(trials, "trials") < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_cap(k_max_corrections)
+    _integer(trials, "trials", 1)
+    _integer(k_max_corrections, "level cap", 1)
     n = n_qubits_of(u)
-    if _integer(seed, "seed") < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     max_resid = 0.0
     max_prob_dev = 0.0

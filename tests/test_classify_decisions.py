@@ -268,7 +268,7 @@ def test_the_level_search_starts_at_three_without_a_rotation(monkeypatch, eps):
 @pytest.mark.xfail(
     strict=True,
     reason="NORM_TOL (1e-12) does not follow epsilon, and a scale error grows with "
-    "conjugation depth (ROADMAP items 4 and 9)",
+    "conjugation depth (ROADMAP item 5)",
 )
 @pytest.mark.parametrize("gate", ["SWAP", "c_1"])
 def test_min_level_meets_the_closed_form_off_unit_scale(gate):

@@ -21,11 +21,12 @@ from matchgates import (
     svn_reconstruct,
     verify_protocol,
 )
-from matchgates.circuits import CircuitIR, GateApp, circuit_to_text
+from matchgates.circuits import CircuitIR, GateApp, build_CnZ, circuit_to_text
 from matchgates.hierarchy import level_membership, two_qubit_decompose
-from matchgates.linalg import HADAMARD, n_qubits_of
-from matchgates.majorana import indices_from_mask, majorana_monomial, majorana_words
-from matchgates.sampling import random_matchgate_circuit
+from matchgates.linalg import HADAMARD, identity, n_qubits_of
+from matchgates.majorana import indices_from_mask, majorana_monomial, majorana_words, total_parity
+from matchgates.sampling import haar_unitary, random_matchgate_circuit, random_state
+from matchgates.selftest import run_selected
 from matchgates.teleport import build_bn
 
 RNG = np.random.default_rng(0)
@@ -96,6 +97,29 @@ CASES = {
         lambda: simulate_protocol(np.eye(4, dtype=complex), np.eye(4, dtype=complex)),
         "input state must be a vector, got shape (4, 4)",
     ),
+    # every count, index, wire and mask argument goes through linalg._integer
+    "Majorana on 2.5 qubits": (lambda: jw_majorana(2.5, 1), "qubit count must be an integer, got 2.5"),
+    "Majorana set on 2.5 qubits": (lambda: jw_set(2.5), "qubit count must be an integer, got 2.5"),
+    "word table on 2.5 qubits": (lambda: majorana_words(2.5), "qubit count must be an integer, got 2.5"),
+    "parity operator on 2.5 qubits": (lambda: total_parity(2.5), "qubit count must be an integer, got 2.5"),
+    "monomial on 2.5 qubits": (lambda: majorana_monomial(2.5, 1), "qubit count must be an integer, got 2.5"),
+    "controlled-Z on 2.5 qubits": (lambda: build_CnZ(2.5), "qubit count must be an integer, got 2.5"),
+    "identity on 2.5 qubits": (lambda: identity(2.5), "qubit count must be an integer, got 2.5"),
+    "random state on 2.5 qubits": (lambda: random_state(2.5, RNG), "qubit count must be an integer, got 2.5"),
+    "fermionic gate on 2.5 qubits": (lambda: random_fermionic(2.5, RNG), "qubit count must be an integer, got 2.5"),
+    "circuit on 2.5 qubits": (lambda: CircuitIR(2.5), "qubit count must be an integer, got 2.5"),
+    "matchgate circuit on 3.5 qubits": (
+        lambda: random_matchgate_circuit(3.5, 2, RNG),
+        "qubit count must be an integer, got 3.5",
+    ),
+    "Majorana index 1.5": (lambda: jw_majorana(2, 1.5), "Majorana index must be an integer, got 1.5"),
+    "monomial of mask 2.5": (lambda: majorana_monomial(2, 2.5), "mask must be an integer, got 2.5"),
+    "indices of mask 2.5": (lambda: indices_from_mask(2.5), "mask must be an integer, got 2.5"),
+    "gate on wire 1.5": (lambda: GateApp(kind="NAMED", pos=1.5, name="X"), "wire must be an integer, got 1.5"),
+    "Bell network on 2.5 pairs": (lambda: build_bn(2.5), "n must be an integer, got 2.5"),
+    "Haar unitary of dimension 2.5": (lambda: haar_unitary(2.5, RNG), "dimension must be an integer, got 2.5"),
+    "self-test criterion 1.5": (lambda: run_selected([1.5]), "criterion must be an integer, got 1.5"),
+    "self-test under seed 1.5": (lambda: run_selected([1], 1.5), "seed must be an integer, got 1.5"),
 }
 
 
@@ -104,3 +128,16 @@ def test_refused_with_its_message(name):
     call, message = CASES[name]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"trials": 0}, {"k_max_corrections": 0}, {"seed": -1}],
+    ids=["trials 0", "level cap 0", "seed -1"],
+)
+def test_protocol_refuses_before_its_first_trial(bad, monkeypatch):
+    calls = []
+    monkeypatch.setattr("matchgates.teleport.simulate_protocol", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=" must be >= "):
+        verify_protocol(named_gate("CZ"), **bad)
+    assert calls == []

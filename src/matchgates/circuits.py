@@ -301,14 +301,18 @@ class GateApp:
 
 @dataclass(frozen=True)
 class CircuitIR:
-    """A nearest-neighbour circuit: qubit count plus gates in time order."""
+    """A nearest-neighbour circuit: qubit count plus gates in time order.
+
+    n_qubits is read by linalg._integer with lower bound 1, the bound of
+    the parser's `qubits` header.
+    """
 
     n_qubits: int
     gates: tuple[GateApp, ...] = ()
     allow_freeform: bool = False
 
     def __post_init__(self) -> None:
-        _integer(self.n_qubits, "qubit count")
+        _integer(self.n_qubits, "qubit count", 1)
         for g in self.gates:
             _guard_wires(g.pos, g.n_wires, self.n_qubits)
 
@@ -616,9 +620,7 @@ def build_bn(n: int) -> CircuitIR:
     fSWAPs at positions t+1, t+3, ..., 2n-t-1. A network of 2n qubits
     past linalg.MAX_QUBITS is refused before any gate is built.
     """
-    if _integer(n, "n") < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    _guard_qubits(2 * n, "Bell-pair network")
+    _guard_qubits(2 * _integer(n, "n", 1), "Bell-pair network")
     gates = [GateApp(kind="NAMED", pos=2 * k - 1, name="GHH") for k in range(1, n + 1)]
     for t in range(1, n):
         for p in range(t + 1, 2 * n - t, 2):

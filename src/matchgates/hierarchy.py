@@ -203,7 +203,7 @@ def extract_rotation(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
     generalised ones. This is the batched rotation kernel of the word table
     on a batch of one; the compact circuit route runs the same kernel.
     """
-    r, ok = _rotations(u[None], n_qubits_of(u), tol)
+    r, ok = _rotations(u[None], _guard_qubits(n_qubits_of(u), "rotation kernel"), tol)
     return r[0] if ok[0] else None
 
 
@@ -401,6 +401,7 @@ def diagonal_level(
     a_S != 0 with |S| >= 2 (see the module docstring for the derivation).
     """
     _integer(k_max, "level cap", 1)
+    n = _guard_qubits(n_qubits_of(u), "diagonal gate")
     if np.count_nonzero(u) != len(u):
         return NotImplemented
     d = np.diagonal(u)
@@ -413,7 +414,7 @@ def diagonal_level(
     if miss > PHASE_SNAP or abs(abs(d[0]) - 1) > PHASE_SNAP:
         return NotImplemented
     a, degree = f, np.zeros_like(f)
-    for j in range(n_qubits_of(u)):
+    for j in range(n):
         # pair[:, 0] and pair[:, 1] are the x without and with bit j
         pair = a.reshape(-1, 2, 2**j)
         pair[:, 1] -= pair[:, 0]
@@ -623,8 +624,7 @@ def class_phases(k: int) -> dict[str, list[float]]:
     relation folds phi with 2 pi - phi, leaving 2^(k-3) + 1 classes for
     k >= 3 (one class at k = 2).
     """
-    if _integer(k, "level") < 2:
-        raise ValueError("two-qubit class structure starts at level 2")
+    _integer(k, "level", 2)
     count = 2 ** (k - 2)
     step = 2 * np.pi / count
     even = [j * step for j in range(count)]

@@ -95,14 +95,18 @@ def n_qubits_of(a: np.ndarray) -> int:
 
 
 def identity(n: int) -> np.ndarray:
-    """Identity operator on n qubits."""
-    return np.eye(2 ** _integer(n, "qubit count"), dtype=complex)
+    """Identity operator on n >= 0 qubits; identity(0) is the 1 x 1 identity."""
+    return np.eye(2 ** _integer(n, "qubit count", 0), dtype=complex)
 
 
-def _guard_qubits(total: int, what: str) -> None:
-    """Refuse to build `what` (named in the message) on more than MAX_QUBITS qubits."""
-    if _integer(total, "qubit count") > MAX_QUBITS:
+def _guard_qubits(total: int, what: str) -> int:
+    """The one size rule: the qubit count total as an int, read by _integer
+    with lower bound 1, or a ValueError; past MAX_QUBITS the message names
+    `what`, the object that would be built."""
+    n = _integer(total, "qubit count", 1)
+    if n > MAX_QUBITS:
         raise ValueError(f"{what} would act on {total} qubits (limit {MAX_QUBITS})")
+    return n
 
 
 def _integer(value, what: str, low: int | None = None) -> int:
@@ -111,7 +115,10 @@ def _integer(value, what: str, low: int | None = None) -> int:
     criteria. Returns value as an int by operator.index, or raises a
     ValueError naming `what`: "{what} must be an integer, got {value!r}",
     and, when a lower bound low is given and value is below it,
-    "{what} must be >= {low}, got {value}"."""
+    "{what} must be >= {low}, got {value}". Every lower bound on an integer
+    argument is written here, and nowhere else; a qubit count that sizes a
+    route is read through _guard_qubits, which adds the upper bound
+    MAX_QUBITS."""
     try:
         i = operator.index(value)
     except TypeError:

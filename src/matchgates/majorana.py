@@ -107,18 +107,15 @@ SUPPORT_RESIDUAL_QUBITS = 5
 
 def jw_majorana(n: int, mu: int) -> np.ndarray:
     """The Jordan-Wigner Majorana operator c_mu on n qubits, mu in 1..2n."""
-    if _integer(n, "qubit count") < 1:
-        raise ValueError(f"need at least one qubit, got n={n}")
+    n = _guard_qubits(n, "Majorana operator")
     if not 1 <= _integer(mu, "Majorana index") <= 2 * n:
         raise ValueError(f"Majorana index {mu} out of range 1..{2 * n}")
-    _guard_qubits(n, "Majorana operator")
     return _word_matrix(*_word(n, (mu,)))
 
 
 def jw_set(n: int) -> list[np.ndarray]:
     """All 2n Jordan-Wigner Majorana operators in index order."""
-    if _integer(n, "qubit count") < 1:
-        raise ValueError(f"need at least one qubit, got n={n}")
+    n = _guard_qubits(n, "Majorana operator")
     return [jw_majorana(n, mu) for mu in range(1, 2 * n + 1)]
 
 
@@ -138,9 +135,9 @@ class MajoranaWords:
 
 @_cached
 def majorana_words(n: int) -> MajoranaWords:
-    """Word table of the 2n Majoranas on n qubits, built once per n (linalg._cached)."""
-    if _integer(n, "qubit count") < 1:
-        raise ValueError(f"need at least one qubit, got n={n}")
+    """Word table of the 2n Majoranas on n qubits, 1 <= n <= linalg.MAX_QUBITS,
+    built once per n (linalg._cached)."""
+    n = _guard_qubits(n, "Majorana word table")
     index = np.arange(2**n)
     flip = np.empty(2 * n, dtype=np.intp)
     phase = np.empty((2 * n, 2**n), dtype=complex)
@@ -461,7 +458,7 @@ def _car_operands(ops: list[np.ndarray]) -> int:
     otherwise. A boolean or object array is not numeric."""
     if not ops:
         raise ValueError("empty operator tuple")
-    n = n_qubits_of(ops[0])
+    n = _guard_qubits(n_qubits_of(ops[0]), "CAR tuple")
     if len(ops) != 2 * n:
         raise ValueError(f"expected {2 * n} operators for {n} qubits, got {len(ops)}")
     dim = 2**n

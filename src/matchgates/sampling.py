@@ -24,7 +24,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     This is the recipe of scipy.stats.unitary_group.rvs, so the same
     Generator gives the same draws, bit for bit.
     """
-    dim = _integer(dim, "dimension")
+    dim = _integer(dim, "dimension", 0)
     z = 1 / math.sqrt(2) * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     q, r = np.linalg.qr(z)
     d = r.diagonal()
@@ -33,8 +33,8 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unit state vector on n qubits."""
-    n = _integer(n, "qubit count")
+    """Haar-random unit state vector on n >= 0 qubits."""
+    n = _integer(n, "qubit count", 0)
     v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return v / np.linalg.norm(v)
 
@@ -60,8 +60,7 @@ def random_matchgate(rng: np.random.Generator, odd: bool = False) -> np.ndarray:
 
 def random_matchgate_circuit(n: int, depth: int, rng: np.random.Generator) -> CircuitIR:
     """Random proper matchgate circuit: depth G-form gates at random positions."""
-    if _integer(n, "qubit count") < 2:
-        raise ValueError("matchgate circuits need at least two qubits")
+    _integer(n, "qubit count", 2)
     _integer(depth, "depth", 0)
     gates = []
     for _ in range(depth):
@@ -75,10 +74,9 @@ def random_two_qubit_at_root(
 ) -> np.ndarray:
     """Random two-qubit gate with det A / det B planted at a 2^(k-2)-th root
     of unity, exp(2 pi i j / 2^(k-2)); j is drawn uniformly when omitted.
-    k and a given j must be integers: any other value would plant a root
-    of another order."""
-    if _integer(k, "k") < 2:
-        raise ValueError("planted roots are defined for levels k >= 2")
+    k must be an integer >= 2 and a given j an integer: any other value
+    would plant a root of another order, or none."""
+    _integer(k, "k", 2)
     order = 2 ** (k - 2)
     j = int(rng.integers(order)) if j is None else _integer(j, "j")
     a, b = _planted_blocks(rng, np.exp(2j * np.pi * j / order))

@@ -425,10 +425,13 @@ _SEED_OFFSETS = [criterion.__defaults__[0] - BASE_SEED for criterion in ALL_CRIT
 
 def run_selected(indices, seed: int = BASE_SEED) -> list[CriterionResult]:
     """Run the listed criteria (1-based), each at its offset from seed, so
-    that run_selected([k]) is criterion_k()."""
+    that run_selected([k]) is criterion_k(). The seed must be an integer
+    >= 0, as numpy's generators need; it is read once, before any criterion
+    runs."""
+    seed = _integer(seed, "seed", 0)
     results = []
     for idx in indices:
         if not 1 <= _integer(idx, "criterion") <= len(ALL_CRITERIA):
             raise ValueError(f"no criterion {idx}; valid range is 1..{len(ALL_CRITERIA)}")
-        results.append(ALL_CRITERIA[idx - 1](_integer(seed, "seed") + _SEED_OFFSETS[idx - 1]))
+        results.append(ALL_CRITERIA[idx - 1](seed + _SEED_OFFSETS[idx - 1]))
     return results

@@ -63,7 +63,7 @@ import numpy as np
 
 from .circuits import apply_circuit, build_bn, circuit_to_operator
 from .hierarchy import is_gaussian_state_lambda, min_level
-from .linalg import DEFAULT_TOL, NORM_TOL, Tolerances, _cached, _integer, assert_unitary, n_qubits_of
+from .linalg import DEFAULT_TOL, NORM_TOL, Tolerances, _cached, _guard_qubits, _integer, assert_unitary, n_qubits_of
 from .io import complex_to_json, state_to_json
 from .majorana import (
     Parity,
@@ -106,7 +106,7 @@ def magic_state(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> MagicState:
 def _magic_psi(u: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, Parity]:
     """The magic state (1 (x) U) B |0^{2n}> of a unitary u and its parity;
     refuses a state of no definite parity."""
-    n = n_qubits_of(u)
+    n = _guard_qubits(n_qubits_of(u), "teleported gate")
     # b0 as a 2^n x 2^n array indexes (high wires, low wires), so
     # (1 (x) U) b0 is that array times U^T.
     b0 = _network(n)[1]

@@ -287,6 +287,23 @@ def test_teleport_seed_must_be_non_negative(runner):
     assert _err(result) == "error: Invalid value for '--seed': -1 is not in the range x>=0.\n"
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["selftest", "--seed", "-1", "--only", "1"], "seed must be >= 0, got -1"),
+        (["classify", "--matrix", "{one}"], "qubit count must be >= 1, got 0"),
+    ],
+    ids=["selftest-seed", "classify-1x1"],
+)
+def test_no_route_runs_on_a_negative_seed_or_no_qubits(runner, tmp_path, command, message):
+    # criterion 1 ignored the seed; the rotation kernel divided by zero on a 1x1 gate
+    one = tmp_path / "one.json"
+    one.write_text('{"re": [[1]], "im": [[0]]}')
+    result = runner.invoke(main, [arg.format(one=one) for arg in command])
+    assert result.exit_code == 1
+    assert _err(result) == f"error: {message}\n"
+
+
 def test_svn_round_trip_with_expect(runner, tmp_path):
     v = named_gate("CPHASE", (np.pi / 2,))
     tup = [v.conj().T @ c @ v for c in jw_set(2)]

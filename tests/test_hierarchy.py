@@ -189,7 +189,7 @@ def test_class_phases_table():
     t4 = class_phases(4)
     assert len(t4["even"]) == 4 and len(t4["generalised"]) == 3
     assert abs(t4["even"][1] - np.pi / 2) < 1e-15
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^level must be >= 2, got 1$"):
         class_phases(1)
 
 

@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 from matchgates import (
+    check_car,
     class_phases,
+    extract_rotation,
     jw_majorana,
+    magic_state,
     jw_set,
     min_level,
     named_gate,
@@ -22,7 +25,7 @@ from matchgates import (
     verify_protocol,
 )
 from matchgates.circuits import CircuitIR, GateApp, build_CnZ, circuit_to_text
-from matchgates.hierarchy import level_membership, two_qubit_decompose
+from matchgates.hierarchy import diagonal_level, level_membership, two_qubit_decompose
 from matchgates.linalg import HADAMARD, identity, n_qubits_of
 from matchgates.majorana import indices_from_mask, majorana_monomial, majorana_words, total_parity
 from matchgates.sampling import haar_unitary, random_matchgate_circuit, random_state
@@ -32,7 +35,7 @@ from matchgates.teleport import build_bn
 RNG = np.random.default_rng(0)
 
 CASES = {
-    "Bell network on no qubits": (lambda: build_bn(0), "need n >= 1, got 0"),
+    "Bell network on no qubits": (lambda: build_bn(0), "n must be >= 1, got 0"),
     "Bell network past the qubit limit": (lambda: build_bn(8), "Bell-pair network would act on 16 qubits (limit 15)"),
     "text of a raw-block circuit": (
         lambda: circuit_to_text(CircuitIR(2, (GateApp(kind="G", pos=1, blocks=(HADAMARD, HADAMARD)),))),
@@ -44,9 +47,9 @@ CASES = {
     ),
     "qubits of a 3-D array": (lambda: n_qubits_of(np.zeros((2, 2, 2))), "expected a vector or a matrix, got ndim=3"),
     "qubits of a non-square matrix": (lambda: n_qubits_of(np.zeros((2, 4))), "operator must be square, got shape (2, 4)"),
-    "Majorana on no qubits": (lambda: jw_majorana(0, 1), "need at least one qubit, got n=0"),
-    "word table on no qubits": (lambda: majorana_words(0), "need at least one qubit, got n=0"),
-    "Majorana set on no qubits": (lambda: jw_set(0), "need at least one qubit, got n=0"),
+    "Majorana on no qubits": (lambda: jw_majorana(0, 1), "qubit count must be >= 1, got 0"),
+    "word table on no qubits": (lambda: majorana_words(0), "qubit count must be >= 1, got 0"),
+    "Majorana set on no qubits": (lambda: jw_set(0), "qubit count must be >= 1, got 0"),
     "indices of a negative mask": (lambda: indices_from_mask(-1), "mask must be >= 0, got -1"),
     "membership at level 2.5": (
         lambda: level_membership(named_gate("SWAP"), 2.5),
@@ -79,11 +82,11 @@ CASES = {
     "SvN of no operators": (lambda: svn_reconstruct([]), "empty operator tuple"),
     "matchgate circuit on one qubit": (
         lambda: random_matchgate_circuit(1, 3, RNG),
-        "matchgate circuits need at least two qubits",
+        "qubit count must be >= 2, got 1",
     ),
     "planted root below level 2": (
         lambda: random_two_qubit_at_root(RNG, 1),
-        "planted roots are defined for levels k >= 2",
+        "k must be >= 2, got 1",
     ),
     # a non-integer k or j would plant a root of another order, a negative depth draw no gate
     "planted root at level 2.5": (lambda: random_two_qubit_at_root(RNG, 2.5), "k must be an integer, got 2.5"),
@@ -120,6 +123,31 @@ CASES = {
     "Haar unitary of dimension 2.5": (lambda: haar_unitary(2.5, RNG), "dimension must be an integer, got 2.5"),
     "self-test criterion 1.5": (lambda: run_selected([1.5]), "criterion must be an integer, got 1.5"),
     "self-test under seed 1.5": (lambda: run_selected([1], 1.5), "seed must be an integer, got 1.5"),
+    # every lower bound goes through linalg._integer, and every route needs at least one qubit
+    "rotation of a 1x1 gate": (lambda: extract_rotation(np.eye(1)), "qubit count must be >= 1, got 0"),
+    "diagonal level of a 1x1 gate": (lambda: diagonal_level(np.eye(1)), "qubit count must be >= 1, got 0"),
+    "SvN of a 1x1 operator": (lambda: svn_reconstruct([np.eye(1)]), "qubit count must be >= 1, got 0"),
+    "CAR check of a 1x1 operator": (lambda: check_car([np.eye(1)]), "qubit count must be >= 1, got 0"),
+    "magic state of a 1x1 gate": (lambda: magic_state(np.eye(1)), "qubit count must be >= 1, got 0"),
+    "teleporting through a 1x1 gate": (
+        lambda: simulate_protocol(np.eye(1), np.ones(1)),
+        "qubit count must be >= 1, got 0",
+    ),
+    "protocol of a 1x1 gate": (lambda: verify_protocol(np.eye(1), trials=1), "qubit count must be >= 1, got 0"),
+    "circuit on no qubits": (lambda: CircuitIR(0), "qubit count must be >= 1, got 0"),
+    "circuit on -3 qubits": (lambda: CircuitIR(-3), "qubit count must be >= 1, got -3"),
+    "monomial on no qubits": (lambda: majorana_monomial(0, 0), "qubit count must be >= 1, got 0"),
+    "monomial on -1 qubits": (lambda: majorana_monomial(-1, 0), "qubit count must be >= 1, got -1"),
+    "identity on -1 qubits": (lambda: identity(-1), "qubit count must be >= 0, got -1"),
+    "random state on -1 qubits": (lambda: random_state(-1, RNG), "qubit count must be >= 0, got -1"),
+    "Haar unitary of dimension -1": (lambda: haar_unitary(-1, RNG), "dimension must be >= 0, got -1"),
+    "word table past the qubit limit": (
+        lambda: majorana_words(16),
+        "Majorana word table would act on 16 qubits (limit 15)",
+    ),
+    "self-test under seed -1": (lambda: run_selected([1], -1), "seed must be >= 0, got -1"),
+    "parity operator on no qubits": (lambda: total_parity(0), "qubit count must be >= 1, got 0"),
+    "controlled-Z on no qubits": (lambda: build_CnZ(0), "qubit count must be >= 1, got 0"),
 }
 
 

@@ -432,11 +432,11 @@ def diagonal_level(
 def _phase_bits(tol: Tolerances) -> int:
     """The largest M whose 2^M-th roots of unity diagonal_level snaps to.
 
-    PHASE_SNAP joins ANGLE_TOL and epsilon in the spacing rule, so a tiny
-    tolerance cannot make the roots so dense that rounding to the nearest
-    one is ambiguous or the numerators overflow int64.
+    ANGLE_TOL joins epsilon in the spacing rule, so a tiny epsilon cannot
+    make the roots so dense that rounding to the nearest one is ambiguous
+    or the numerators overflow int64.
     """
-    return _root_bits(max(ANGLE_TOL, tol.residual, PHASE_SNAP))
+    return _root_bits(max(ANGLE_TOL, tol.residual))
 
 
 @_cached

@@ -95,8 +95,13 @@ def n_qubits_of(a: np.ndarray) -> int:
 
 
 def identity(n: int) -> np.ndarray:
-    """Identity operator on n >= 0 qubits; identity(0) is the 1 x 1 identity."""
-    return np.eye(2 ** _integer(n, "qubit count", 0), dtype=complex)
+    """Identity operator on 0 <= n <= MAX_QUBITS qubits; identity(0) is the
+    1 x 1 identity. Past MAX_QUBITS the one size rule refuses n before
+    anything is allocated."""
+    n = _integer(n, "qubit count", 0)
+    if n:
+        _guard_qubits(n, "identity")
+    return np.eye(2**n, dtype=complex)
 
 
 def _guard_qubits(total: int, what: str) -> int:

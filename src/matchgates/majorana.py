@@ -35,7 +35,8 @@ not cached; ``expand`` builds them on each call.
 The batched kernels built on the table take stacks (B, 2^n, 2^n) of
 operators: conjugation of each by every c_mu, the coefficients
 tr(c_mu V) / 2^n, the parity of each operator (``_parities``, the one
-threshold rule behind parity_of) and the rotation R of each operator.
+threshold rule behind parity_of and every parity verdict of the package,
+the magic states' included) and the rotation R of each operator.
 
 Every loop over an exponential stack, here and in ``hierarchy``, ``svn``
 and ``teleport``, follows one batching rule, ``_runs``: consecutive items
@@ -420,16 +421,6 @@ def parity_of(op: np.ndarray, tol: float = DEFAULT_TOL.residual) -> Parity:
     """Classify an operator as parity even, odd, or neither."""
     is_even, is_odd = _parities(op[None], n_qubits_of(op), tol)
     return "even" if is_even[0] else "odd" if is_odd[0] else "none"
-
-
-def state_parity(psi: np.ndarray, tol: float = DEFAULT_TOL.residual) -> Parity:
-    """Classify a state vector by Z^{(x)n} psi = +/- psi."""
-    zpsi = majorana_words(n_qubits_of(psi)).sign * psi
-    if float(np.linalg.norm(zpsi - psi)) < tol:
-        return "even"
-    if float(np.linalg.norm(zpsi + psi)) < tol:
-        return "odd"
-    return "none"
 
 
 def parity_sign(parity: Parity) -> int:

@@ -89,17 +89,18 @@ def random_fermionic(n: int, rng: np.random.Generator, parity: str = "even") -> 
     Even gates are Haar unitaries on each parity sector, the basis states
     of sign +1 and of sign -1 in the word table; odd gates are c_1 (X on
     the first wire) times an even gate. Generic samples sit at no finite
-    hierarchy level.
+    hierarchy level. A parity other than "even" or "odd" is refused before
+    anything is drawn.
     """
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     sign = majorana_words(n).sign
     u = np.zeros((2**n, 2**n), dtype=complex)
     for idx in (np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)):
         u[np.ix_(idx, idx)] = haar_unitary(len(idx), rng)
     if parity == "even":
         return u
-    if parity == "odd":
-        # a product, not the row gather u[i ^ f_1]: at n = 1 the gather turns
-        # some of the product's -0 entries into +0, and seeded samples keep
-        # their exact bits
-        return jw_majorana(n, 1) @ u
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    # a product, not the row gather u[i ^ f_1]: at n = 1 the gather turns
+    # some of the product's -0 entries into +0, and seeded samples keep
+    # their exact bits
+    return jw_majorana(n, 1) @ u

@@ -52,6 +52,13 @@ by one 2^n x 2^n product; no 1 (x) U is formed. Branch probabilities,
 residuals and phases come from one batched pass each, row norms and
 stacked row-times-column products. The Lambda Gaussianity test of the magic state runs only in
 magic_state, which reports it; the protocol never reads it.
+
+Both magic_state and simulate_protocol read the teleported gate once, by
+_magic_psi, before anything else: its qubit count, then its unitarity,
+then its parity by parity_of, the classifier's rule. The magic state's
+parity is the gate's, since B|0...0> is even, so a gate that mgh
+classify calls even or odd is teleported, and one of no definite parity
+is refused before the input state is read.
 """
 
 from __future__ import annotations
@@ -65,14 +72,7 @@ from .circuits import apply_circuit, build_bn, circuit_to_operator
 from .hierarchy import is_gaussian_state_lambda, min_level
 from .linalg import DEFAULT_TOL, NORM_TOL, Tolerances, _cached, _guard_qubits, _integer, assert_unitary, n_qubits_of
 from .io import complex_to_json, state_to_json
-from .majorana import (
-    Parity,
-    _monomials,
-    _runs,
-    _word_conjugates,
-    parity_sign,
-    state_parity,
-)
+from .majorana import Parity, _monomials, _runs, _word_conjugates, parity_of, parity_sign
 from .sampling import random_state
 
 # Largest n whose Bell-pair network is cached and applied as one dense
@@ -82,7 +82,8 @@ DENSE_NETWORK_QUBITS = 5
 
 @dataclass(frozen=True)
 class MagicState:
-    """The resource state |M_U> for teleporting a fermionic gate U."""
+    """The resource state |M_U> for teleporting a fermionic gate U; its
+    parity is U's, read by parity_of."""
 
     n: int  # qubits of the teleported gate; the state lives on 2n
     psi: np.ndarray
@@ -95,26 +96,28 @@ class MagicState:
 
 
 def magic_state(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> MagicState:
-    """Build |M_U| = (1 (x) U) B |0^{2n}> and record its parity and
-    Gaussianity. The state parity always matches the parity of U; the
-    state is Gaussian exactly when U is."""
-    assert_unitary(u, "teleported gate")
+    """Build |M_U> = (1 (x) U) B |0^{2n}> and record its parity and
+    Gaussianity. The parity is the gate's, read by parity_of, since
+    B |0^{2n}> is even; the state is Gaussian exactly when U is."""
     psi, par = _magic_psi(u, tol)
     return MagicState(n_qubits_of(u), psi, par, is_gaussian_state_lambda(psi, tol))
 
 
 def _magic_psi(u: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, Parity]:
-    """The magic state (1 (x) U) B |0^{2n}> of a unitary u and its parity;
-    refuses a state of no definite parity."""
+    """The one reader of a teleported gate: checks u's size, then its
+    unitarity, then its parity by parity_of, the classifier's rule, and
+    only then forms the magic state (1 (x) U) B |0^{2n}>. Returns the
+    state and the gate's parity, which is the state's; refuses a gate of
+    no definite parity."""
     n = _guard_qubits(n_qubits_of(u), "teleported gate")
+    assert_unitary(u, "teleported gate")
+    par = parity_of(u, tol.residual)
+    if par == "none":
+        raise ValueError("magic state has no definite parity; the gate is not fermionic")
     # b0 as a 2^n x 2^n array indexes (high wires, low wires), so
     # (1 (x) U) b0 is that array times U^T.
     b0 = _network(n)[1]
-    psi = (b0.reshape(2**n, 2**n) @ u.T).ravel()
-    par = state_parity(psi, tol.residual)
-    if par == "none":
-        raise ValueError("magic state has no definite parity; the gate is not fermionic")
-    return psi, par
+    return (b0.reshape(2**n, 2**n) @ u.T).ravel(), par
 
 
 @_cached
@@ -238,7 +241,7 @@ def simulate_protocol(
     Branch probabilities are uniform 4^-n by construction; a branch with
     vanishing norm signals a bug and raises rather than being skipped.
     """
-    assert_unitary(u, "teleported gate")
+    psi, _ = _magic_psi(u, tol)
     n = n_qubits_of(u)
     if psi_in.ndim != 1:
         raise ValueError(f"input state must be a vector, got shape {psi_in.shape}")
@@ -246,7 +249,6 @@ def simulate_protocol(
         raise ValueError(f"input state is on {n_qubits_of(psi_in)} qubit(s), the teleported gate on {n}")
     if not abs(np.linalg.norm(psi_in) - 1.0) <= NORM_TOL:  # also true for NaN
         raise ValueError("input state must be normalized")
-    psi, _ = _magic_psi(u, tol)
     # (B_n^dag (x) 1) joint: row z is branch z, unnormalized
     joint = np.outer(psi_in, psi).reshape(4**n, 2**n)
     bn_dag = _network(n)[0]

@@ -1,16 +1,20 @@
 """Dense helpers that only the tests use: basis states, Pauli Kronecker
-products, the split of an operator into parity halves.
+products, the split of an operator into parity halves, the parity of a
+state by its norm rule.
 
 The package builds every Jordan-Wigner object from its word table; the
 Kronecker products here are the independent oracle the tests compare that
-table with, and the embeddings build inputs and oracles.
+table with, and the embeddings build inputs and oracles. The package
+decides every parity, a magic state's included, by the operator rule of
+majorana.parity_of; state_parity is the independent state rule the tests
+hold its magic states to.
 """
 
 from functools import reduce
 
 import numpy as np
 
-from matchgates.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, identity, n_qubits_of
+from matchgates.linalg import DEFAULT_TOL, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, identity, n_qubits_of
 from matchgates.majorana import majorana_words
 
 
@@ -57,3 +61,13 @@ def parity_decompose(op):
     sign = majorana_words(n_qubits_of(op)).sign
     same = np.equal.outer(sign, sign)
     return np.where(same, op, 0j), np.where(same, 0j, op)
+
+
+def state_parity(psi, tol=DEFAULT_TOL.residual):
+    """Classify a state vector by Z^{(x)n} psi = +/- psi."""
+    zpsi = majorana_words(n_qubits_of(psi)).sign * psi
+    if float(np.linalg.norm(zpsi - psi)) < tol:
+        return "even"
+    if float(np.linalg.norm(zpsi + psi)) < tol:
+        return "odd"
+    return "none"

@@ -20,10 +20,9 @@ from matchgates.majorana import (
     majorana_monomial,
     majorana_words,
     parity_sign,
-    state_parity,
     total_parity,
 )
-from reference import basis_state, kron_majoranas, kron_parity
+from reference import kron_majoranas, kron_parity
 
 
 def test_jw_explicit_forms_two_modes():
@@ -128,13 +127,6 @@ def test_total_parity_and_gate_parity():
     assert parity_sign("even") == 1 and parity_sign("odd") == -1
     with pytest.raises(ValueError):
         parity_sign("none")
-
-
-def test_state_parity():
-    assert state_parity(basis_state(2, (0, 0))) == "even"
-    assert state_parity(basis_state(2, (0, 1))) == "odd"
-    plus = (basis_state(2, (0, 0)) + basis_state(2, (0, 1))) / np.sqrt(2)
-    assert state_parity(plus) == "none"
 
 
 def test_conjugation_monomials_swap():

@@ -33,6 +33,8 @@ from matchgates.selftest import run_selected
 from matchgates.teleport import build_bn
 
 RNG = np.random.default_rng(0)
+PSI2 = np.array([0.6, 0, 0.8, 0], dtype=complex)
+MAGIC = "magic state has no definite parity; the gate is not fermionic"
 
 CASES = {
     "Bell network on no qubits": (lambda: build_bn(0), "n must be >= 1, got 0"),
@@ -141,6 +143,7 @@ CASES = {
     "identity on -1 qubits": (lambda: identity(-1), "qubit count must be >= 0, got -1"),
     "random state on -1 qubits": (lambda: random_state(-1, RNG), "qubit count must be >= 0, got -1"),
     "Haar unitary of dimension -1": (lambda: haar_unitary(-1, RNG), "dimension must be >= 0, got -1"),
+    "identity past the qubit limit": (lambda: identity(16), "identity would act on 16 qubits (limit 15)"),
     "word table past the qubit limit": (
         lambda: majorana_words(16),
         "Majorana word table would act on 16 qubits (limit 15)",
@@ -148,6 +151,17 @@ CASES = {
     "self-test under seed -1": (lambda: run_selected([1], -1), "seed must be >= 0, got -1"),
     "parity operator on no qubits": (lambda: total_parity(0), "qubit count must be >= 1, got 0"),
     "controlled-Z on no qubits": (lambda: build_CnZ(0), "qubit count must be >= 1, got 0"),
+    # the teleported gate is read first: its size, then its unitarity, then its parity by parity_of
+    "magic state of H (x) 1": (lambda: magic_state(np.kron(HADAMARD, np.eye(2))), MAGIC),
+    "teleporting through H (x) 1": (lambda: simulate_protocol(np.kron(HADAMARD, np.eye(2)), PSI2), MAGIC),
+    "protocol of H (x) 1": (lambda: verify_protocol(np.kron(HADAMARD, np.eye(2)), trials=1), MAGIC),
+    "teleporting H on two qubits": (lambda: simulate_protocol(HADAMARD, PSI2), MAGIC),
+    "teleporting RX(0.3) on two qubits": (lambda: simulate_protocol(named_gate("RX", (0.3,)), PSI2), MAGIC),
+    "teleporting through [[2]]": (
+        lambda: simulate_protocol(np.array([[2.0 + 0j]]), np.ones(1, dtype=complex)),
+        "qubit count must be >= 1, got 0",
+    ),
+    "protocol of [[2]]": (lambda: verify_protocol(np.array([[2.0 + 0j]]), trials=1), "qubit count must be >= 1, got 0"),
 }
 
 

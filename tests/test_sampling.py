@@ -2,12 +2,14 @@
 
 random_matchgate_blocks and random_two_qubit_at_root used to draw their
 Haar pair and rescale B each in their own three lines. Both now read one
-planted draw, and every draw must keep its bits.
+planted draw, and every draw must keep its bits. random_fermionic refuses
+a bad parity before it draws anything.
 """
 
 import numpy as np
+import pytest
 
-from matchgates import random_matchgate, random_two_qubit_at_root
+from matchgates import random_fermionic, random_matchgate, random_two_qubit_at_root
 from matchgates.circuits import build_G, build_J
 from matchgates.sampling import haar_unitary, random_matchgate_blocks
 
@@ -44,3 +46,11 @@ def test_planted_draws_keep_their_bits():
             a, b = old_blocks(old)
             want = build_J(a, b) if odd else build_G(a, b)
             assert random_matchgate(new, odd).tobytes() == want.tobytes()
+
+
+def test_a_bad_fermionic_parity_consumes_no_draws():
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^parity must be 'even' or 'odd', got 'x'$"):
+        random_fermionic(2, rng, parity="x")
+    assert rng.bit_generator.state == before

@@ -11,9 +11,9 @@ from matchgates import (
 )
 from matchgates.io import dumps_stable
 from matchgates.linalg import is_unitary
-from matchgates.majorana import _word_matrix, state_parity
+from matchgates.majorana import _word_matrix
 from matchgates.teleport import _byproducts, _correction_runs
-from reference import basis_state
+from reference import basis_state, state_parity
 
 
 def correction_K(z, n):

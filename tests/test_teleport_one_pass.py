@@ -30,9 +30,9 @@ from matchgates import selftest, teleport
 from matchgates.circuits import CircuitIR, GateApp, apply_circuit, build_CnZ, build_bn, circuit_to_operator
 from matchgates.hierarchy import _state_lambda_norm
 from matchgates.linalg import DEFAULT_TOL, n_qubits_of
-from matchgates.majorana import CHUNK_ENTRIES, _word_matrix, majorana_words, state_parity
+from matchgates.majorana import CHUNK_ENTRIES, _word_matrix, majorana_words
 from matchgates.sampling import random_matchgate_circuit
-from reference import basis_state
+from reference import basis_state, state_parity
 
 FIELDS = ("z", "probability", "raw_state", "corrected", "residual_vs_target", "phase")
 

@@ -35,7 +35,6 @@ the residual tolerance; the unitary, norm and angle thresholds are fixed.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from pathlib import Path
@@ -89,15 +88,10 @@ def _tolerances() -> Tolerances:
     raw = os.environ.get("MGH_TOL")
     if raw is None:
         return DEFAULT_TOL
-    try:
-        value = float(raw)
+    try:  # float() refuses a non-number, Tolerances a non-finite or non-positive one
+        return Tolerances(residual=float(raw))
     except ValueError:
-        raise ValueError(f"MGH_TOL must be a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"MGH_TOL must be finite, got {raw!r}")
-    if value <= 0:
-        raise ValueError("MGH_TOL must be positive")
-    return Tolerances(residual=value)
+        raise ValueError(f"MGH_TOL must be a finite positive number, got {raw!r}") from None
 
 
 def _count(head: str, inner: str | None, what: str) -> int:

@@ -32,9 +32,9 @@ definite parity is odd, and so are the children of an odd node.
 Conversely, if every child of U is odd, conjugation by U commutes with
 conjugation by P, so U^dag P U P commutes with every operator and U has
 definite parity; a root of no definite parity sits at no level. Each level
-question therefore tests the root's parity once, min_level and
-level_membership by parity_of and classify_gate by the parity it reports,
-and the walk tests only that the leaves are first level. The tree has
+question therefore tests the root's parity once, when it reads its gate by
+majorana._read_gate (size, unitarity, then parity by parity_of), and the
+walk tests only that the leaves are first level. The tree has
 about (2n)^(k-1) nodes; a guard refuses unreasonable searches. Nodes are
 handled in batches through the Majorana word table: the children of a
 parent come from one contiguous gather and one GEMM of the
@@ -132,7 +132,8 @@ from .linalg import (
     _cached,
     _guard_qubits,
     _integer,
-    assert_unitary,
+    _read_operator,
+    _read_state,
     n_qubits_of,
     norm_max,
 )
@@ -142,12 +143,13 @@ from .majorana import (
     _chunks,
     _conjugates,
     _linear_residuals,
+    _read_gate,
     _rotations,
     _runs,
     _traces,
     _word_gathers,
     majorana_words,
-    parity_of,
+    parity_of,  # noqa: F401  (hierarchy.parity_of is majorana's, which perfbench's tracer test reads)
 )
 
 # Refuse level searches needing more than this many dense conjugations.
@@ -178,7 +180,7 @@ def first_level_coeffs(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
     within tol.residual, and ||a|| = 1 within NORM_TOL; phases other than
     -1 push a gate out of the first level.
     """
-    a, ok = _first_level(u[None], n_qubits_of(u), tol)
+    a, ok = _first_level(u[None], _read_operator(u, "operator"), tol)
     return a[0] if ok[0] else None
 
 
@@ -203,7 +205,7 @@ def extract_rotation(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
     generalised ones. This is the batched rotation kernel of the word table
     on a batch of one; the compact circuit route runs the same kernel.
     """
-    r, ok = _rotations(u[None], _guard_qubits(n_qubits_of(u), "rotation kernel"), tol)
+    r, ok = _rotations(u[None], _read_operator(u, "rotation kernel"), tol)
     return r[0] if ok[0] else None
 
 
@@ -214,12 +216,13 @@ def is_gaussian_lambda(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     - (U c_mu) (x) (U c_mu); its entries, permuted, are those of the single
     product [cu; uc]^T [cu; -uc] of the flattened operators, whose max norm
     is taken over row blocks of at most CHUNK_ENTRIES entries (or one row;
-    majorana._runs). Requires a fermionic (parity even or odd) input;
-    mixed-parity operators are rejected, and so are inputs whose commutator
-    would exceed the qubit limit.
+    majorana._runs). The gate is read by majorana._read_gate; then inputs
+    whose commutator would exceed the qubit limit are rejected, and so are
+    gates of no definite parity.
     """
-    _guard_qubits(2 * n_qubits_of(u), "Lambda commutator")
-    if parity_of(u, tol.residual) == "none":
+    n, par = _read_gate(u, tol)
+    _guard_qubits(2 * n, "Lambda commutator")
+    if par == "none":
         raise ValueError("operator has no definite parity; Gaussian test undefined")
     return _lambda_commutator_norm(u) < tol.residual
 
@@ -243,7 +246,8 @@ def is_gaussian_state_lambda(psi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> 
     (2n, 2^n); sum_mu (c_mu psi) (x) (c_mu psi) is then the product C^T C,
     whose Frobenius norm is summed over row blocks of at most CHUNK_ENTRIES
     entries (or one row; majorana._runs). C^T C itself (2^n x 2^n, 4 GiB
-    for a 14-qubit state) is never formed.
+    for a 14-qubit state) is never formed. psi is read by
+    linalg._read_state: a vector of unit norm within NORM_TOL.
     """
     return _state_lambda_norm(psi) < tol.residual
 
@@ -255,8 +259,7 @@ def _state_lambda_norm(psi: np.ndarray) -> float:
     block is the sum np.linalg.norm takes, so a single block gives
     np.linalg.norm(C^T C) to the bit.
     """
-    n = n_qubits_of(psi)
-    _guard_qubits(n, "state Lambda test")
+    n = _read_state(psi, "state Lambda test")
     words = majorana_words(n)
     c = words.phase * psi[np.arange(2**n) ^ words.flip[:, None]]
     blocks = ((c.T[rows] @ c).ravel() for rows in _runs(2**n, 2**n))
@@ -271,12 +274,14 @@ def level_membership(u: np.ndarray, k: int, tol: Tolerances = DEFAULT_TOL) -> bo
     level k. Otherwise it searches the affordable levels below k and then
     k, in ascending order: levels are nested, so u in any of them is in
     level k, and a u in none of them reaches level k, which the guard
-    refuses with the level-k message.
+    refuses with the level-k message. The gate is read by
+    majorana._read_gate, so a non-unitary u is refused; a u of no definite
+    parity is in no level.
     """
     _integer(k, "level", 1)
-    if parity_of(u, tol.residual) == "none":
+    n, par = _read_gate(u, tol)
+    if par == "none":
         return False
-    n = n_qubits_of(u)
     below = () if _affordable(n, k) else [j for j in range(1, k) if _affordable(n, j)]
     return _search(u, (*below, k), tol) is not None
 
@@ -374,11 +379,12 @@ def _subtree_ok(nodes: np.ndarray, depth: int, n: int, tol: Tolerances, seen: _S
 def min_level(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) -> int | None:
     """Smallest hierarchy level containing u, or None if above k_max.
 
-    Levels are nested, so one ascending search returns the minimum. A gate
-    of no definite parity is at no level, whatever k_max.
+    Levels are nested, so one ascending search returns the minimum. The
+    gate is read by majorana._read_gate, so a non-unitary u is refused; a
+    gate of no definite parity is at no level, whatever k_max.
     """
     _integer(k_max, "level cap", 1)
-    if parity_of(u, tol.residual) == "none":
+    if _read_gate(u, tol)[1] == "none":
         return None
     return _search(u, range(1, k_max + 1), tol)
 
@@ -401,7 +407,7 @@ def diagonal_level(
     a_S != 0 with |S| >= 2 (see the module docstring for the derivation).
     """
     _integer(k_max, "level cap", 1)
-    n = _guard_qubits(n_qubits_of(u), "diagonal gate")
+    n = _read_operator(u, "diagonal gate")
     if np.count_nonzero(u) != len(u):
         return NotImplemented
     d = np.diagonal(u)
@@ -458,10 +464,11 @@ class TwoQubitBlocks:
 
 
 def two_qubit_decompose(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> TwoQubitBlocks:
-    """Blocks (A, B) of a fermionic two-qubit gate in G/J form."""
-    if n_qubits_of(u) != 2:
+    """Blocks (A, B) of a fermionic two-qubit gate in G/J form. The gate is
+    read by majorana._read_gate before its qubit count is checked."""
+    n, par = _read_gate(u, tol)
+    if n != 2:
         raise ValueError("block decomposition is defined for two-qubit gates")
-    par = parity_of(u, tol.residual)
     if par == "none":
         raise ValueError("gate mixes parity sectors; it has no G/J block form")
     return _blocks(u, par)
@@ -594,14 +601,13 @@ def classify_gate(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) 
     gate without a rotation is at neither level: an exactly diagonal one
     with dyadic phases is read by diagonal_level, any other is searched
     from level 3 up to k_max. So is_gaussian == (min_level <= 2) for every
-    fermionic gate whenever k_max >= 2. The parity read here is the search's
-    root test: a gate of no definite parity is at no level and is not
-    searched.
+    fermionic gate whenever k_max >= 2. The gate is read by
+    majorana._read_gate, which refuses a non-unitary u; the parity it reads
+    is the search's root test: a gate of no definite parity is at no level
+    and is not searched.
     """
     _integer(k_max, "level cap", 1)
-    assert_unitary(u, "gate")
-    n = n_qubits_of(u)
-    par = parity_of(u, tol.residual)
+    n, par = _read_gate(u, tol)
     rotation = extract_rotation(u, tol)
     rotation_det = None if rotation is None else float(np.linalg.det(rotation))
     level = None

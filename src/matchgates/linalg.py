@@ -12,6 +12,10 @@ Conventions used throughout:
   and its gathers, the Bell-pair network, the teleportation byproducts)
   follow one cache rule, _cached: built once per argument, kept for the
   life of the process, and handed out read-only.
+* Array arguments follow one reading rule each: an operator by
+  _read_operator (a matrix, then the one size rule), a state by
+  _read_state (a vector, the size rule, then unit norm), and a gate by
+  majorana._read_gate (an operator that is unitary, with its parity).
 """
 
 from __future__ import annotations
@@ -133,6 +137,28 @@ def _integer(value, what: str, low: int | None = None) -> int:
     return i
 
 
+def _read_operator(a: np.ndarray, what: str) -> int:
+    """The one reader of an operator argument: its qubit count, or a
+    ValueError naming `what` when a is not a matrix, and then the one size
+    rule, _guard_qubits. Unitarity is not read here; majorana._read_gate
+    adds it for gates."""
+    if a.ndim != 2:
+        raise ValueError(f"{what} must be a matrix, got shape {a.shape}")
+    return _guard_qubits(n_qubits_of(a), what)
+
+
+def _read_state(psi: np.ndarray, what: str) -> int:
+    """The one reader of a state argument: its qubit count, or a ValueError
+    naming `what` when psi is not a vector, fails the one size rule, or is
+    not of unit norm within NORM_TOL (a NaN entry included)."""
+    if psi.ndim != 1:
+        raise ValueError(f"{what} must be a vector, got shape {psi.shape}")
+    n = _guard_qubits(n_qubits_of(psi), what)
+    if not abs(np.linalg.norm(psi) - 1.0) <= NORM_TOL:  # also true for NaN
+        raise ValueError(f"{what} must be normalized")
+    return n
+
+
 def _guard_wires(k: int, width: int, n: int) -> None:
     """Refuse a gate on `width` (1 or 2) wires starting at wire k (1-based)
     that does not fit n qubits."""
@@ -200,6 +226,8 @@ def canonical_phase(a: np.ndarray) -> np.ndarray:
     flat = a.reshape(-1)
     mags = np.abs(flat)
     m = mags.max()
+    if not np.isfinite(m):  # a NaN maximum would select no pivot
+        raise ValueError("cannot fix the phase of an object with an entry that is not finite")
     if m < 1e-14:
         raise ValueError("cannot fix the phase of a numerically zero object")
     pivot = flat[np.flatnonzero(mags >= m - NORM_TOL)[0]]

@@ -36,7 +36,9 @@ The batched kernels built on the table take stacks (B, 2^n, 2^n) of
 operators: conjugation of each by every c_mu, the coefficients
 tr(c_mu V) / 2^n, the parity of each operator (``_parities``, the one
 threshold rule behind parity_of and every parity verdict of the package,
-the magic states' included) and the rotation R of each operator.
+the magic states' included) and the rotation R of each operator. Every
+gate argument of the package is read by ``_read_gate``: an operator by
+linalg._read_operator, then unitary, then its parity by parity_of.
 
 Every loop over an exponential stack, here and in ``hierarchy``, ``svn``
 and ``teleport``, follows one batching rule, ``_runs``: consecutive items
@@ -86,7 +88,8 @@ from .linalg import (
     _cached,
     _guard_qubits,
     _integer,
-    n_qubits_of,
+    _read_operator,
+    assert_unitary,
     norm_max,
 )
 
@@ -397,7 +400,7 @@ def expand(op: np.ndarray) -> MajoranaPoly:
     n = 7): the gathers are taken in runs of monomials of at most
     CHUNK_ENTRIES entries.
     """
-    n = n_qubits_of(op)
+    n = _read_operator(op, "operator")
     if not np.isfinite(op).all():  # a NaN trace is below no threshold and reads as zero
         raise ValueError("operator has an entry that is not finite")
     flips, phases = _monomials(n)
@@ -418,9 +421,22 @@ def total_parity(n: int) -> np.ndarray:
 
 
 def parity_of(op: np.ndarray, tol: float = DEFAULT_TOL.residual) -> Parity:
-    """Classify an operator as parity even, odd, or neither."""
-    is_even, is_odd = _parities(op[None], n_qubits_of(op), tol)
+    """Classify an operator as parity even, odd, or neither. The operator
+    is read by linalg._read_operator, so anything but a matrix is refused;
+    it need not be unitary."""
+    is_even, is_odd = _parities(op[None], _read_operator(op, "operator"), tol)
     return "even" if is_even[0] else "odd" if is_odd[0] else "none"
+
+
+def _read_gate(u: np.ndarray, tol: Tolerances, what: str = "gate") -> tuple[int, Parity]:
+    """The one reader of a gate argument: (qubit count, parity), or a
+    ValueError naming `what`. u is read as an operator (a matrix within the
+    one size rule), then must be unitary within UNITARY_TOL, and its parity
+    is read by parity_of at tol.residual. A parity of "none" is returned,
+    not refused: each caller says what it means."""
+    n = _read_operator(u, what)
+    assert_unitary(u, what)
+    return n, parity_of(u, tol.residual)
 
 
 def parity_sign(parity: Parity) -> int:
@@ -449,7 +465,7 @@ def _car_operands(ops: list[np.ndarray]) -> int:
     otherwise. A boolean or object array is not numeric."""
     if not ops:
         raise ValueError("empty operator tuple")
-    n = _guard_qubits(n_qubits_of(ops[0]), "CAR tuple")
+    n = _read_operator(ops[0], "CAR tuple")
     if len(ops) != 2 * n:
         raise ValueError(f"expected {2 * n} operators for {n} qubits, got {len(ops)}")
     dim = 2**n

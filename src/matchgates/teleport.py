@@ -53,12 +53,15 @@ residuals and phases come from one batched pass each, row norms and
 stacked row-times-column products. The Lambda Gaussianity test of the magic state runs only in
 magic_state, which reports it; the protocol never reads it.
 
-Both magic_state and simulate_protocol read the teleported gate once, by
-_magic_psi, before anything else: its qubit count, then its unitarity,
-then its parity by parity_of, the classifier's rule. The magic state's
+magic_state, simulate_protocol and verify_protocol read the teleported
+gate once, by _magic_psi, before anything else. It reads the gate by
+majorana._read_gate, the classifier's reader: its shape and qubit count,
+then its unitarity, then its parity by parity_of. The magic state's
 parity is the gate's, since B|0...0> is even, so a gate that mgh
 classify calls even or odd is teleported, and one of no definite parity
-is refused before the input state is read.
+is refused before the input state is read. The input state is read by
+linalg._read_state: a vector, its qubit count, then its norm, and only
+then is its qubit count matched to the gate's.
 """
 
 from __future__ import annotations
@@ -70,9 +73,9 @@ import numpy as np
 
 from .circuits import apply_circuit, build_bn, circuit_to_operator
 from .hierarchy import is_gaussian_state_lambda, min_level
-from .linalg import DEFAULT_TOL, NORM_TOL, Tolerances, _cached, _guard_qubits, _integer, assert_unitary, n_qubits_of
+from .linalg import DEFAULT_TOL, NORM_TOL, Tolerances, _cached, _integer, _read_state
 from .io import complex_to_json, state_to_json
-from .majorana import Parity, _monomials, _runs, _word_conjugates, parity_of, parity_sign
+from .majorana import Parity, _monomials, _read_gate, _runs, _word_conjugates, parity_sign
 from .sampling import random_state
 
 # Largest n whose Bell-pair network is cached and applied as one dense
@@ -99,25 +102,23 @@ def magic_state(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> MagicState:
     """Build |M_U> = (1 (x) U) B |0^{2n}> and record its parity and
     Gaussianity. The parity is the gate's, read by parity_of, since
     B |0^{2n}> is even; the state is Gaussian exactly when U is."""
-    psi, par = _magic_psi(u, tol)
-    return MagicState(n_qubits_of(u), psi, par, is_gaussian_state_lambda(psi, tol))
+    n, par, psi = _magic_psi(u, tol)
+    return MagicState(n, psi, par, is_gaussian_state_lambda(psi, tol))
 
 
-def _magic_psi(u: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, Parity]:
-    """The one reader of a teleported gate: checks u's size, then its
-    unitarity, then its parity by parity_of, the classifier's rule, and
-    only then forms the magic state (1 (x) U) B |0^{2n}>. Returns the
-    state and the gate's parity, which is the state's; refuses a gate of
-    no definite parity."""
-    n = _guard_qubits(n_qubits_of(u), "teleported gate")
-    assert_unitary(u, "teleported gate")
-    par = parity_of(u, tol.residual)
+def _magic_psi(u: np.ndarray, tol: Tolerances) -> tuple[int, Parity, np.ndarray]:
+    """The one reader of a teleported gate: reads u by majorana._read_gate
+    (its shape and size, then its unitarity, then its parity by parity_of,
+    the classifier's rule), refuses a gate of no definite parity, and only
+    then forms the magic state (1 (x) U) B |0^{2n}>. Returns the gate's
+    qubit count, its parity, which is the state's, and the state."""
+    n, par = _read_gate(u, tol, "teleported gate")
     if par == "none":
         raise ValueError("magic state has no definite parity; the gate is not fermionic")
     # b0 as a 2^n x 2^n array indexes (high wires, low wires), so
     # (1 (x) U) b0 is that array times U^T.
     b0 = _network(n)[1]
-    return (b0.reshape(2**n, 2**n) @ u.T).ravel(), par
+    return n, par, (b0.reshape(2**n, 2**n) @ u.T).ravel()
 
 
 @_cached
@@ -241,14 +242,10 @@ def simulate_protocol(
     Branch probabilities are uniform 4^-n by construction; a branch with
     vanishing norm signals a bug and raises rather than being skipped.
     """
-    psi, _ = _magic_psi(u, tol)
-    n = n_qubits_of(u)
-    if psi_in.ndim != 1:
-        raise ValueError(f"input state must be a vector, got shape {psi_in.shape}")
-    if n_qubits_of(psi_in) != n:
-        raise ValueError(f"input state is on {n_qubits_of(psi_in)} qubit(s), the teleported gate on {n}")
-    if not abs(np.linalg.norm(psi_in) - 1.0) <= NORM_TOL:  # also true for NaN
-        raise ValueError("input state must be normalized")
+    n, _, psi = _magic_psi(u, tol)
+    m = _read_state(psi_in, "input state")
+    if m != n:
+        raise ValueError(f"input state is on {m} qubit(s), the teleported gate on {n}")
     # (B_n^dag (x) 1) joint: row z is branch z, unnormalized
     joint = np.outer(psi_in, psi).reshape(4**n, 2**n)
     bn_dag = _network(n)[0]
@@ -318,11 +315,12 @@ def verify_protocol(
     """Teleport `trials` seeded random states through U and aggregate the
     worst residual and probability deviation; also classify the
     corrections R_z into hierarchy levels (they sit one level below U).
-    Refuses fewer than one trial, which would check nothing, and a seed
-    that is not an integer >= 0."""
+    Refuses fewer than one trial, which would check nothing, a seed that
+    is not an integer >= 0, and a gate that _magic_psi refuses, before the
+    first state is drawn."""
     _integer(trials, "trials", 1)
     _integer(k_max_corrections, "level cap", 1)
-    n = n_qubits_of(u)
+    n = _magic_psi(u, tol)[0]
     _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     max_resid = 0.0

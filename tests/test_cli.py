@@ -476,7 +476,7 @@ def test_mgh_tol_env_validation(runner):
     for value in ("nan", "inf", "-inf"):
         result = runner.invoke(main, ["classify", "--gate", "SWAP"], env={"MGH_TOL": value})
         assert result.exit_code == 1
-        assert _err(result) == f"error: MGH_TOL must be finite, got {value!r}\n"
+        assert _err(result) == f"error: MGH_TOL must be a finite positive number, got {value!r}\n"
 
 
 def test_mgh_tol_moves_only_epsilon(runner, tmp_path):
@@ -654,9 +654,9 @@ def test_refusals_exit_one_with_one_line(runner, tmp_path, args, file, env, mess
 @pytest.mark.parametrize(
     "args, env, message",
     [
-        (["classify", "--gate", "SWAP"], {"MGH_TOL": "abc"}, "MGH_TOL must be a number, got 'abc'"),
-        (["classify", "--gate", "SWAP"], {"MGH_TOL": "nan"}, "MGH_TOL must be finite, got 'nan'"),
-        (["classify", "--gate", "SWAP"], {"MGH_TOL": "-1"}, "MGH_TOL must be positive"),
+        (["classify", "--gate", "SWAP"], {"MGH_TOL": "abc"}, "MGH_TOL must be a finite positive number, got 'abc'"),
+        (["classify", "--gate", "SWAP"], {"MGH_TOL": "nan"}, "MGH_TOL must be a finite positive number, got 'nan'"),
+        (["classify", "--gate", "SWAP"], {"MGH_TOL": "-1"}, "MGH_TOL must be a finite positive number, got '-1'"),
         (["classify", "--gate", "SWAP", "--circuit", "f"], {}, "provide exactly one of --gate, --circuit, --matrix"),
         (["teleport", "--gate", "CZ", "--include-states"], {}, "--include-states needs --state"),
         (["teleport", "--gate", "CZ", "--state", "STATE", "--trials", "2"], {}, "--trials cannot be used with --state"),

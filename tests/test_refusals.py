@@ -12,21 +12,28 @@ import pytest
 from matchgates import (
     check_car,
     class_phases,
+    classify_gate,
+    equiv_class,
+    expand,
     extract_rotation,
+    is_gaussian_lambda,
+    is_gaussian_state_lambda,
     jw_majorana,
     magic_state,
     jw_set,
     min_level,
     named_gate,
+    parity_of,
     random_fermionic,
     random_two_qubit_at_root,
     simulate_protocol,
     svn_reconstruct,
+    two_qubit_min_level,
     verify_protocol,
 )
 from matchgates.circuits import CircuitIR, GateApp, build_CnZ, circuit_to_text
-from matchgates.hierarchy import diagonal_level, level_membership, two_qubit_decompose
-from matchgates.linalg import HADAMARD, identity, n_qubits_of
+from matchgates.hierarchy import diagonal_level, first_level_coeffs, level_membership, two_qubit_decompose
+from matchgates.linalg import HADAMARD, canonical_phase, identity, n_qubits_of
 from matchgates.majorana import indices_from_mask, majorana_monomial, majorana_words, total_parity
 from matchgates.sampling import haar_unitary, random_matchgate_circuit, random_state
 from matchgates.selftest import run_selected
@@ -35,6 +42,16 @@ from matchgates.teleport import build_bn
 RNG = np.random.default_rng(0)
 PSI2 = np.array([0.6, 0, 0.8, 0], dtype=complex)
 MAGIC = "magic state has no definite parity; the gate is not fermionic"
+# the bad array arguments: a unit vector where a gate belongs, and three square non-unitaries
+VECTOR = np.full(4, 0.5, dtype=complex)
+ZERO = np.zeros((4, 4), dtype=complex)
+TWO = 2 * np.eye(4, dtype=complex)
+NAN = np.full((4, 4), np.nan, dtype=complex)
+NOT_A_GATE = "gate must be a matrix, got shape (4,)"
+NOT_AN_OPERATOR = "operator must be a matrix, got shape (4,)"
+UNITARY_0 = "gate is not unitary (||U*U - 1|| = 1.000e+00, tol 1.0e-09)"
+UNITARY_2 = "gate is not unitary (||U*U - 1|| = 3.000e+00, tol 1.0e-09)"
+UNNORMALIZED = "state Lambda test must be normalized"
 
 CASES = {
     "Bell network on no qubits": (lambda: build_bn(0), "n must be >= 1, got 0"),
@@ -162,6 +179,47 @@ CASES = {
         "qubit count must be >= 1, got 0",
     ),
     "protocol of [[2]]": (lambda: verify_protocol(np.array([[2.0 + 0j]]), trials=1), "qubit count must be >= 1, got 0"),
+    # every operator, gate and state argument is read by one rule: linalg._read_operator,
+    # majorana._read_gate or linalg._read_state
+    "parity of a vector": (lambda: parity_of(VECTOR), NOT_AN_OPERATOR),
+    "first level of a vector": (lambda: first_level_coeffs(VECTOR), NOT_AN_OPERATOR),
+    "expansion of a vector": (lambda: expand(VECTOR), NOT_AN_OPERATOR),
+    "rotation of a vector": (lambda: extract_rotation(VECTOR), "rotation kernel must be a matrix, got shape (4,)"),
+    "diagonal level of a vector": (lambda: diagonal_level(VECTOR), "diagonal gate must be a matrix, got shape (4,)"),
+    "minimum level of a vector": (lambda: min_level(VECTOR), NOT_A_GATE),
+    "membership of a vector": (lambda: level_membership(VECTOR, 2), NOT_A_GATE),
+    "classification of a vector": (lambda: classify_gate(VECTOR), NOT_A_GATE),
+    "Lambda test of a vector": (lambda: is_gaussian_lambda(VECTOR), NOT_A_GATE),
+    "two-qubit level of a vector": (lambda: two_qubit_min_level(VECTOR), NOT_A_GATE),
+    "class of a vector": (lambda: equiv_class(VECTOR), NOT_A_GATE),
+    "magic state of a vector": (lambda: magic_state(VECTOR), "teleported " + NOT_A_GATE),
+    "protocol of a vector": (lambda: verify_protocol(VECTOR, trials=1), "teleported " + NOT_A_GATE),
+    "two-qubit level of 0": (lambda: two_qubit_min_level(ZERO), UNITARY_0),
+    "class of 0": (lambda: equiv_class(ZERO), UNITARY_0),
+    "Lambda test of 0": (lambda: is_gaussian_lambda(ZERO), UNITARY_0),
+    "two-qubit level of 2 * 1": (lambda: two_qubit_min_level(TWO), UNITARY_2),
+    "class of 2 * 1": (lambda: equiv_class(TWO), UNITARY_2),
+    "Lambda test of 2 * 1": (lambda: is_gaussian_lambda(TWO), UNITARY_2),
+    "state Lambda test of a matrix": (
+        lambda: is_gaussian_state_lambda(np.eye(4, dtype=complex)),
+        "state Lambda test must be a vector, got shape (4, 4)",
+    ),
+    "state Lambda test of 0": (lambda: is_gaussian_state_lambda(np.zeros(4, dtype=complex)), UNNORMALIZED),
+    "state Lambda test of 3|00>": (lambda: is_gaussian_state_lambda(np.array([3, 0, 0, 0], dtype=complex)), UNNORMALIZED),
+    "state Lambda test of NaN": (lambda: is_gaussian_state_lambda(np.full(4, np.nan, dtype=complex)), UNNORMALIZED),
+    # the readers' order: a state's norm before its match with the gate, a gate's unitarity before its size
+    "teleporting an unnormalized 3-qubit state": (
+        lambda: simulate_protocol(named_gate("CZ"), np.eye(8, dtype=complex)[0] * 2),
+        "input state must be normalized",
+    ),
+    "blocks of a 3-qubit non-unitary": (
+        lambda: two_qubit_decompose(3 * np.eye(8, dtype=complex)),
+        "gate is not unitary (||U*U - 1|| = 8.000e+00, tol 1.0e-09)",
+    ),
+    "phase of a NaN entry": (
+        lambda: canonical_phase(np.array([np.nan, 1.0])),
+        "cannot fix the phase of an object with an entry that is not finite",
+    ),
 }
 
 
@@ -182,4 +240,41 @@ def test_protocol_refuses_before_its_first_trial(bad, monkeypatch):
     monkeypatch.setattr("matchgates.teleport.simulate_protocol", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match=" must be >= "):
         verify_protocol(named_gate("CZ"), **bad)
+    assert calls == []
+
+
+GATE_ROUTES = {
+    "min_level": min_level,
+    "level_membership": lambda u: level_membership(u, 2),
+    "classify_gate": classify_gate,
+    "two_qubit_min_level": two_qubit_min_level,
+    "equiv_class": equiv_class,
+    "is_gaussian_lambda": is_gaussian_lambda,
+    "magic_state": magic_state,
+    "simulate_protocol": lambda u: simulate_protocol(u, PSI2),
+    "verify_protocol": lambda u: verify_protocol(u, trials=1),
+}
+
+
+@pytest.mark.parametrize("route", GATE_ROUTES)
+def test_every_gate_route_refuses_a_bad_gate_in_one_wording(route):
+    # majorana._read_gate reads every gate: a matrix, then unitary, then its parity
+    call = GATE_ROUTES[route]
+    for bad in (ZERO, TWO, NAN):
+        with pytest.raises(ValueError, match=r"^(teleported )?gate is not unitary \(\|\|U\*U - 1\|\| = \S+, tol 1\.0e-09\)$"):
+            call(bad)
+    with pytest.raises(ValueError, match=f"^(teleported )?{re.escape(NOT_A_GATE)}$"):
+        call(VECTOR)
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [VECTOR, ZERO, TWO, NAN, np.kron(HADAMARD, np.eye(2))],
+    ids=["vector", "zero", "2 * 1", "NaN", "H (x) 1"],
+)
+def test_protocol_refuses_a_bad_gate_before_its_first_trial(gate, monkeypatch):
+    calls = []
+    monkeypatch.setattr("matchgates.teleport.simulate_protocol", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="^teleported gate |^magic state has no definite parity"):
+        verify_protocol(gate, trials=1)
     assert calls == []

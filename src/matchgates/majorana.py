@@ -46,7 +46,19 @@ of a given size, as many as fit in CHUNK_ENTRIES complex entries (or in a
 smaller limit the caller passes), and never fewer than one. ``_chunks``
 applies it to the 2n conjugates of a stack of operators: whole operators
 while their conjugates fit in CHUNK_ENTRIES, otherwise one operator's
-conjugates in runs of CHUNK_ENTRIES.
+conjugates in runs of CHUNK_ENTRIES. The runs are independent, and
+``_map_runs`` maps a function over them in order: a plain loop with one
+run or one worker, otherwise W runs at a time, W - 1 on a thread pool
+created on first use and one in the calling thread, the results yielded in
+run order. W is the number of CPUs in the process's affinity mask divided
+by the BLAS thread count that OPENBLAS_NUM_THREADS or MKL_NUM_THREADS
+(else OMP_NUM_THREADS) sets; with none set BLAS uses every CPU and W = 1.
+So at most W runs of at most CHUNK_ENTRIES entries (or one conjugate) each
+are computed at once, and at most 2W - 1 runs' results, waiting to be taken
+in run order, are in memory. A run body may execute on the pool, so it
+calls only private helpers: the benchmark's tracer wraps every public
+function and keeps one span stack. The rotation kernel ``_rotations`` is
+the one caller; its results are the same bits for every W.
 
 One word-conjugation kernel, ``_word_conjugates``, computes V W V^dag for
 every V of a stack and every word W of a list given as a column gather
@@ -56,7 +68,9 @@ of a parent straight into one contiguous (m 2^n, 2^n) block, stored
 column-major so that every gathered piece is a whole row of V^T, and
 multiplies that block by V^dag in one tall product: BLAS runs one GEMM per
 parent instead of one small GEMM per (parent, word) pair, and every entry
-of the result is the same dot product, to the bit. The gather indices are
+of the result is the same dot product, to the bit. The rotation kernel
+forms the operands V^T and V^dag of a parent split into runs once
+(``_adjoints``), and the runs share them. The gather indices are
 the (m, 2^n) word table itself; no flat index of the m 4^n gathered
 entries is built or cached.
 
@@ -76,7 +90,10 @@ bit.
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Literal
 
 import numpy as np
@@ -107,6 +124,21 @@ CHUNK_ENTRIES = 2**16
 # hierarchy_mix and compile_compact_s +4.2% on compile_mix, slower in 10 of
 # 10 pairs each.
 SUPPORT_RESIDUAL_QUBITS = 5
+
+
+def _worker_count() -> int:
+    """How many runs the run map keeps in flight: the CPUs of the process's
+    affinity mask divided by the BLAS thread count that OPENBLAS_NUM_THREADS
+    or MKL_NUM_THREADS (else OMP_NUM_THREADS) sets. When none is set, or the
+    first one set is no positive integer, BLAS takes every CPU and it is 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    names = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+    blas = next((os.environ[name] for name in names if name in os.environ), "")
+    return max(cpus // int(blas), 1) if blas.isdigit() and int(blas) > 0 else 1
+
+
+# Read once, at import: BLAS has read its thread count by then.
+_WORKERS = _worker_count()
 
 
 def jw_majorana(n: int, mu: int) -> np.ndarray:
@@ -245,6 +277,75 @@ def _runs(count: int, size: int, limit: int | None = None):
     return (slice(start, start + step) for start in range(0, count, step))
 
 
+@_cached
+def _pool(threads: int):
+    """The run map's pool of `threads` worker threads, created on first use
+    (concurrent.futures is imported only then). A forked child drops it:
+    the threads stay in the parent."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(threads, thread_name_prefix="matchgates-run")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _map_runs(fn, runs):
+    """fn(run) for every run of an iterable of runs of the one batching
+    rule, as an iterator in run order.
+
+    With one worker (_WORKERS) or one run it is map(fn, runs), a plain
+    loop. Otherwise it is a generator that keeps at most _WORKERS runs in
+    flight: up to _WORKERS - 1 on the thread pool, and one computed by the
+    calling thread whenever the next result is still on the pool; at most
+    2 _WORKERS - 1 results are held, counting the one the caller has. The
+    runs are pulled in order, in the calling thread. A run that raises
+    re-raises here, in run order. When the generator is closed early (a
+    caller that leaves its loop drops it, which closes it) or raises, the
+    runs on the pool are awaited, so no run outlives the loop.
+
+    fn may run on the pool, so it calls only private helpers (the
+    benchmark's tracer wraps every public function and keeps one span
+    stack), builds no per-n table (their builders call public functions)
+    and maps no runs itself.
+    """
+    runs = iter(runs)
+    head = list(islice(runs, 2 if _WORKERS > 1 else 0))
+    if len(head) < 2:
+        return map(fn, chain(head, runs))
+    return _pooled_runs(fn, chain(head, runs))
+
+
+def _pooled_runs(fn, runs):
+    """The generator of _map_runs with more than one worker and run."""
+    from concurrent.futures import Future, wait
+
+    pool = _pool(_WORKERS - 1)
+    slots: deque = deque()  # (future, on the pool) of each run not yet yielded, in run order
+    queued = 0
+    try:
+        while True:
+            for run in islice(runs, _WORKERS - 1 - queued):
+                slots.append((pool.submit(fn, run), True))
+                queued += 1
+            if not slots:
+                return
+            if slots[0][1]:  # the next result is on the pool: compute one run meanwhile
+                for run in islice(runs, 1):
+                    here = Future()
+                    try:
+                        here.set_result(fn(run))
+                    except Exception as exc:  # re-raised in run order, below
+                        here.set_exception(exc)
+                    slots.append((here, False))
+            future, pooled = slots.popleft()
+            queued -= pooled
+            yield future.result()
+    finally:
+        wait([future for future, _ in slots])
+
+
 def _chunks(count: int, n: int, limit: int | None = None):
     """(operators, mus) slices covering the 2n conjugates of `count` stacked
     operators in order: whole operators up to `limit` entries (CHUNK_ENTRIES
@@ -254,35 +355,48 @@ def _chunks(count: int, n: int, limit: int | None = None):
     return ((ops, mus) for ops in _runs(count, 2 * n * 4**n, limit) for mus in mu_runs)
 
 
-def _word_conjugates(parents: np.ndarray, cols: np.ndarray, phases: np.ndarray) -> np.ndarray:
+def _adjoints(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V^T, V^dag) of every V of the stack (B, 2^n, 2^n), both C-contiguous
+    complex128 whatever the dtype of V: the operands of _word_conjugates,
+    formed once for several calls on the same stack."""
+    rows = parents.transpose(0, 2, 1).astype(complex, order="C")
+    return rows, np.conjugate(rows)
+
+
+def _word_conjugates(parents: np.ndarray, cols: np.ndarray, phases: np.ndarray, adjoints=None) -> np.ndarray:
     """V W V^dag for every V of the stack (B, 2^n, 2^n) and every word W of
     the list, as a (B, m 2^n, 2^n) array ordered by V, then W.
 
     Word w is the column gather (V W)[:, j] = V[:, cols[w, j]] phases[w, j].
     The m products V W of one parent are gathered, row by row from V^T, into
     one contiguous (m 2^n, 2^n) block in column-major order, and one GEMM per
-    parent multiplies the block by V^dag.
+    parent multiplies the block by V^dag. A caller that conjugates the stack
+    by several lists of words passes its _adjoints, formed once; otherwise
+    V^T is formed here and turned into V^dag in place.
     """
+    if adjoints is None:
+        # rows[b, k] is column k of V, in complex128 whatever the dtype of V
+        rows, dagger = parents.transpose(0, 2, 1).astype(complex, order="C"), None
+    else:
+        rows, dagger = adjoints
     b, m, dim = len(parents), len(cols), parents.shape[-1]
-    # rows[b, k] is column k of V, in complex128 whatever the dtype of V
-    rows = parents.transpose(0, 2, 1).astype(complex, order="C")
     # vw[b, j, w] is column j of V W
     vw = rows[:, cols.T]
     vw *= phases.T[:, :, None]
     tall = vw.reshape(b, dim, m * dim).transpose(0, 2, 1)
-    # conjugated in place, rows becomes V^dag
-    return np.matmul(tall, np.conjugate(rows, out=rows))
+    return np.matmul(tall, np.conjugate(rows, out=rows) if dagger is None else dagger)
 
 
-def _conjugates(parents: np.ndarray, n: int, mus: slice) -> np.ndarray:
+def _conjugates(parents: np.ndarray, n: int, mus: slice, adjoints=None) -> np.ndarray:
     """V c_mu V^dag for every V of the stack and every mu in mus, ordered by V, then mu.
 
     The word-conjugation kernel on the Majorana words: the products V c_mu of
     one parent are gathered into one contiguous block and conjugated by one
-    GEMM with V^dag.
+    GEMM with V^dag. A caller that conjugates the stack in several runs of
+    mus passes its _adjoints, formed once.
     """
     _, cols, col_phase = _word_gathers(n)
-    return _word_conjugates(parents, cols[mus], col_phase[mus]).reshape(-1, 2**n, 2**n)
+    return _word_conjugates(parents, cols[mus], col_phase[mus], adjoints).reshape(-1, 2**n, 2**n)
 
 
 def _traces(nodes: np.ndarray, n: int) -> np.ndarray:
@@ -341,6 +455,41 @@ def _linear_residuals(nodes: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray
     return np.abs(nodes.reshape(len(nodes), -1) - rows @ basis).max(axis=1)
 
 
+def _rotation_runs(ops: np.ndarray, n: int):
+    """The runs of _chunks over the stack, each as (ops, n, block, mus,
+    adjoints): the _adjoints of a block split into runs of its mus are
+    formed once, for all of its runs; a block of one run forms its own
+    (adjoints is None), so they are freed with the run.
+
+    The per-n tables the runs read are built first, here: a run may execute
+    on the pool, and the builders call public functions.
+    """
+    _word_gathers(n)
+    if n < SUPPORT_RESIDUAL_QUBITS:
+        _jw_stack(n)
+    for block, mus in _chunks(len(ops), n):
+        if mus.start == 0:
+            adjoints = _adjoints(ops[block]) if mus.stop < 2 * n else None
+        yield ops, n, block, mus, adjoints
+
+
+def _rotation_run(run) -> tuple:
+    """One run of _rotation_runs: (block, mus, rows, residuals, conjugates)
+    with rows[i, nu] = Re tr(c_nu V_i) / 2^n and the residuals of
+    _linear_residuals, V_i the conjugates of the run in order.
+
+    The conjugates go back with the result, to be freed only once the next
+    run has allocated: freed at the end of its run, a run's arrays leave
+    glibc's top of heap past its trim threshold and every run faults its
+    pages in again (8192 against 1248 minor faults per 8-qubit call on one
+    worker).
+    """
+    ops, n, block, mus, adjoints = run
+    kids = _conjugates(ops[block], n, mus, adjoints)
+    rows = _traces(kids, n).real
+    return block, mus, rows, _linear_residuals(kids, rows, n), kids
+
+
 def _rotations(ops: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Rotations (B, 2n, 2n) of a stack of operators u, and which of them pass.
 
@@ -348,13 +497,13 @@ def _rotations(ops: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray, np
     when every V equals sum_nu R[mu, nu] c_nu and R R^T equals the identity,
     both within tol.residual, the first by _linear_residuals. The work stops
     once every operator has failed.
+
+    The runs go through the run map; r and ok are written, and the early
+    exit taken, in run order, so both are the same bits for any worker count.
     """
     r = np.zeros((len(ops), 2 * n, 2 * n))
     ok = np.ones(len(ops), dtype=bool)
-    for block, mus in _chunks(len(ops), n):
-        kids = _conjugates(ops[block], n, mus)
-        rows = _traces(kids, n).real
-        resid = _linear_residuals(kids, rows, n)
+    for block, mus, rows, resid, _kids in _map_runs(_rotation_run, _rotation_runs(ops, n)):
         per_op = (len(ops[block]), -1)
         r[block, mus] = rows.reshape(*per_op, 2 * n)
         ok[block] &= (resid <= tol.residual).reshape(per_op).all(axis=1)

@@ -153,9 +153,11 @@ def _columns(ops: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray | No
     """The vacuum projector and the rows z = column z of S, or None for the
     rows when the projector annihilates every basis probe."""
     dim = 2**n
-    projector = np.eye(dim, dtype=complex)
-    for k in range(1, n + 1):
-        projector = projector @ (np.eye(dim) + (-1j) * ops[2 * k - 2] @ ops[2 * k - 1]) / 2
+    eye = np.eye(dim)
+    factors = ((eye + (-1j) * ops[2 * k - 2] @ ops[2 * k - 1]) / 2 for k in range(1, n + 1))
+    projector = next(factors)  # the product of the factors: 1 + X holds no -0.0 to be changed
+    for factor in factors:
+        projector = projector @ factor
 
     for probe in range(dim):
         norm = np.linalg.norm(projector[:, probe])
@@ -180,7 +182,9 @@ def _certificate(u: np.ndarray, tol: float):
     dim = len(u)
     ku = 2 * dim * 2.0**-53  # 2d u; Python floats, cheaper than numpy scalars
     gamma = math.sqrt(2) * ku / (1 - ku)  # sqrt(2) gamma_{2d}, at least gamma_{d+2}
-    g = (1 + gamma) * norm_max(u.conj().T @ u - np.eye(dim)) + 2 * gamma
+    gram = u.conj().T @ u
+    gram.flat[:: dim + 1] -= 1
+    g = (1 + gamma) * norm_max(gram) + 2 * gamma
     delta = dim * g
     if not delta < 0.5:  # also false for NaN
         return None
@@ -201,5 +205,7 @@ def _contract_residuals(u: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
     residuals = np.empty(2 * n)
     for mus in _runs(2 * n, 4**n):
         conj = _conjugates(u_dag, n, mus)
-        residuals[mus] = np.abs(conj - np.stack(ops[mus])).max(axis=(1, 2))
+        for c, d in zip(conj, ops[mus]):
+            c -= d
+        residuals[mus] = np.abs(conj).max(axis=(1, 2))
     return residuals

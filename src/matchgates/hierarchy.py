@@ -39,10 +39,16 @@ about (2n)^(k-1) nodes; a guard refuses unreasonable searches. Nodes are
 handled in batches through the Majorana word table: the children of a
 parent come from one contiguous gather and one GEMM of the
 word-conjugation kernel, and the first-level coefficients tr(c_mu V) / 2^n
-are gathers. A leaf is first level when V - sum_mu a_mu c_mu vanishes,
-read by the same linearity residual that decides Gaussianity in the
-rotation kernel (majorana._linear_residuals), so both levels share its
-dense and support routes. Before the first batch of a level the walk
+are gathers. A leaf is first level when its coefficients are real and
+V - sum_mu a_mu c_mu vanishes, read by the same linearity residual that
+decides Gaussianity in the rotation kernel (majorana._linear_residuals),
+so both levels share its dense and support routes. Unit norm is not
+tested again at the leaves: a real combination V has V*V = (a.a) 1, and a
+leaf is conjugated from the gate whose unitarity _read_gate judged, so
+that one admission, ||U*U - 1||_max < UNITARY_TOL, settles it for the
+whole tree. first_level_coeffs, which may be passed any operator, judges
+its argument by the same rule read off the coefficients, |a.a - 1| <
+UNITARY_TOL. Before the first batch of a level the walk
 checks the single c_1 ... c_1 path, on which a generic gate already fails.
 One search takes its levels in ascending order and extends that path by
 one conjugate per level, so a failing search costs one descent however
@@ -127,7 +133,7 @@ from .io import complex_to_json
 from .linalg import (
     ANGLE_TOL,
     DEFAULT_TOL,
-    NORM_TOL,
+    UNITARY_TOL,
     Tolerances,
     _cached,
     _guard_qubits,
@@ -176,23 +182,25 @@ class SearchBudgetError(ValueError):
 def first_level_coeffs(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
     """Real coefficient vector a with u = sum_mu a_mu c_mu, or None.
 
-    Requires the coefficients to be real, the reconstruction to match
-    within tol.residual, and ||a|| = 1 within NORM_TOL; phases other than
-    -1 push a gate out of the first level.
+    Requires the coefficients to be real and the reconstruction to match
+    within tol.residual (_first_level); phases other than -1 push a gate
+    out of the first level. u may be any operator, so its unitarity is
+    judged here, once, by the gate rule read off its coefficients: for
+    u = sum_mu a_mu c_mu, U*U = (a.a) 1, so ||U*U - 1||_max = |a.a - 1|,
+    which must be below UNITARY_TOL, at O(n) cost rather than a product.
     """
     a, ok = _first_level(u[None], _read_operator(u, "operator"), tol)
-    return a[0] if ok[0] else None
+    return a[0] if ok[0] and abs(a[0] @ a[0] - 1) < UNITARY_TOL else None
 
 
 def _first_level(nodes: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Majorana coefficients (B, 2n) of a stack of operators and which pass the first-level checks."""
+    """Majorana coefficients (B, 2n) of a stack of operators and which are
+    real Majorana combinations within tol.residual. Unit norm is not judged
+    here: a leaf's is the admitted gate's (see the module docstring)."""
     coeffs = _traces(nodes, n)
     ok = np.abs(coeffs.imag).max(axis=1) <= tol.residual
     a = coeffs.real.copy()
     ok &= _linear_residuals(nodes, a, n) <= tol.residual
-    # row times column is the dot product np.linalg.norm takes, to the bit
-    norm = np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
-    ok &= np.abs(norm - 1.0) <= NORM_TOL
     return a, ok
 
 
@@ -249,17 +257,21 @@ def is_gaussian_state_lambda(psi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> 
     for a 14-qubit state) is never formed. psi is read by
     linalg._read_state: a vector of unit norm within NORM_TOL.
     """
+    _read_state(psi, "state Lambda test")
     return _state_lambda_norm(psi) < tol.residual
 
 
 def _state_lambda_norm(psi: np.ndarray) -> float:
     """||Lambda (psi (x) psi)||, the quantity is_gaussian_state_lambda thresholds.
 
-    The row blocks are those of majorana._runs. The squared norm of each
-    block is the sum np.linalg.norm takes, so a single block gives
-    np.linalg.norm(C^T C) to the bit.
+    psi is not read as an argument here: is_gaussian_state_lambda reads its
+    input, and teleport.magic_state thresholds the state it built from a
+    gate that majorana._read_gate admitted. The row blocks are those of
+    majorana._runs. The squared norm of each block is the sum
+    np.linalg.norm takes, so a single block gives np.linalg.norm(C^T C) to
+    the bit.
     """
-    n = _read_state(psi, "state Lambda test")
+    n = n_qubits_of(psi)
     words = majorana_words(n)
     c = words.phase * psi[np.arange(2**n) ^ words.flip[:, None]]
     blocks = ((c.T[rows] @ c).ravel() for rows in _runs(2**n, 2**n))
@@ -384,9 +396,15 @@ def min_level(u: np.ndarray, k_max: int = 8, tol: Tolerances = DEFAULT_TOL) -> i
     gate of no definite parity is at no level, whatever k_max.
     """
     _integer(k_max, "level cap", 1)
-    if _read_gate(u, tol)[1] == "none":
-        return None
-    return _search(u, range(1, k_max + 1), tol)
+    return _min_level(u, _read_gate(u, tol)[1], k_max, tol)
+
+
+def _min_level(u: np.ndarray, par: Parity, k_max: int, tol: Tolerances) -> int | None:
+    """min_level of a gate whose unitarity is already judged and whose
+    parity, read by parity_of, is par: the root test, then one search.
+    teleport.verify_protocol classifies its corrections here, since they
+    are conjugated from a gate that majorana._read_gate admitted."""
+    return None if par == "none" else _search(u, range(1, k_max + 1), tol)
 
 
 def diagonal_level(

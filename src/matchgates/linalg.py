@@ -40,8 +40,12 @@ MAX_QUBITS = 15
 
 
 # Fixed thresholds. MGH_TOL sets only Tolerances.residual (epsilon).
+# Unitarity is judged once, when majorana._read_gate admits a gate (or
+# first_level_coeffs reads |a.a - 1| off an operator's coefficients); the
+# level tree's leaves, the magic state and the teleport corrections derive
+# from the admitted gate and are not judged again. NORM_TOL decides no level.
 UNITARY_TOL = 1e-9  # max-norm threshold for ||U*U - 1||
-NORM_TOL = 1e-12  # threshold for norm and probability checks
+NORM_TOL = 1e-12  # input states, branch probabilities, expansion terms, phase ties
 ANGLE_TOL = 1e-8  # angular threshold when snapping phases to roots of unity
 
 

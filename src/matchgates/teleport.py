@@ -62,6 +62,14 @@ classify calls even or odd is teleported, and one of no definite parity
 is refused before the input state is read. The input state is read by
 linalg._read_state: a vector, its qubit count, then its norm, and only
 then is its qubit count matched to the gate's.
+
+That reading of the gate is the one unitarity judgment of the gate and of
+everything derived from it. The magic state and the corrections R_z are
+built from the admitted U and inherit its unitarity slack, so neither is
+read again: magic_state thresholds the Lambda norm of the state it built,
+and verify_protocol classifies each correction by the root parity test
+and the search that min_level runs (hierarchy._min_level). NORM_TOL
+judges only the input state and the branch probabilities.
 """
 
 from __future__ import annotations
@@ -72,10 +80,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import apply_circuit, build_bn, circuit_to_operator
-from .hierarchy import is_gaussian_state_lambda, min_level
+from .hierarchy import _min_level, _state_lambda_norm
 from .linalg import DEFAULT_TOL, NORM_TOL, Tolerances, _cached, _integer, _read_state
 from .io import complex_to_json, state_to_json
-from .majorana import Parity, _monomials, _read_gate, _runs, _word_conjugates, parity_sign
+from .majorana import Parity, _monomials, _read_gate, _runs, _word_conjugates, parity_of, parity_sign
 from .sampling import random_state
 
 # Largest n whose Bell-pair network is cached and applied as one dense
@@ -101,9 +109,12 @@ class MagicState:
 def magic_state(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> MagicState:
     """Build |M_U> = (1 (x) U) B |0^{2n}> and record its parity and
     Gaussianity. The parity is the gate's, read by parity_of, since
-    B |0^{2n}> is even; the state is Gaussian exactly when U is."""
+    B |0^{2n}> is even; the state is Gaussian exactly when U is, by the
+    Lambda test's norm below tol.residual. The state is not read again as
+    an input: its norm is the gate's, which _magic_psi admitted as unitary,
+    so every gate of definite parity that _read_gate admits has one."""
     n, par, psi = _magic_psi(u, tol)
-    return MagicState(n, psi, par, is_gaussian_state_lambda(psi, tol))
+    return MagicState(n, psi, par, _state_lambda_norm(psi) < tol.residual)
 
 
 def _magic_psi(u: np.ndarray, tol: Tolerances) -> tuple[int, Parity, np.ndarray]:
@@ -317,7 +328,10 @@ def verify_protocol(
     corrections R_z into hierarchy levels (they sit one level below U).
     Refuses fewer than one trial, which would check nothing, a seed that
     is not an integer >= 0, and a gate that _magic_psi refuses, before the
-    first state is drawn."""
+    first state is drawn. Each correction is classified by min_level's root
+    parity test and search (hierarchy._min_level), not re-read as a gate:
+    it is conjugated from the admitted U, whose unitarity slack it
+    inherits, about twice U's defect."""
     _integer(trials, "trials", 1)
     _integer(k_max_corrections, "level cap", 1)
     n = _magic_psi(u, tol)[0]
@@ -335,7 +349,7 @@ def verify_protocol(
     # so ||R_z - lambda R_z'||_F^2 = 2 * 2^n for every phase lambda.
     by_level = Counter()
     for _, corrections in _correction_runs(u, *_byproducts(n)[:2]):
-        by_level.update(min_level(r, k_max_corrections, tol) for r in corrections)
+        by_level.update(_min_level(r, parity_of(r, tol.residual), k_max_corrections, tol) for r in corrections)
     levels = tuple(sorted(by_level.items(), key=lambda kv: (kv[0] is None, kv[0])))
     return ProtocolReport(
         n,

@@ -20,7 +20,7 @@ from matchgates import classify_gate, extract_rotation, random_fermionic, random
 from matchgates import hierarchy, majorana, svn, teleport
 from matchgates.circuits import build_CnZ, circuit_to_operator, named_gate
 from matchgates.io import dumps_stable
-from matchgates.linalg import DEFAULT_TOL, NORM_TOL
+from matchgates.linalg import DEFAULT_TOL
 from matchgates.majorana import SUPPORT_RESIDUAL_QUBITS, _conjugates, _traces, jw_majorana, jw_set, majorana_words
 from matchgates.sampling import random_matchgate_circuit
 
@@ -132,13 +132,12 @@ def dense_basis(n):
 
 def reference_first_level(nodes, n, tol):
     """Coefficients and first-level flags of a stack, the residual read off
-    the dense Jordan-Wigner stack, as _first_level did at every n."""
+    the dense Jordan-Wigner stack, as _first_level did at every n. A leaf's
+    unit norm is the admitted gate's, so it is not tested here either."""
     coeffs = _traces(nodes, n)
     ok = np.abs(coeffs.imag).max(axis=1) <= tol.residual
     a = coeffs.real.copy()
     ok &= np.abs(nodes.reshape(len(nodes), -1) - a @ dense_basis(n)).max(axis=1) <= tol.residual
-    norm = np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
-    ok &= np.abs(norm - 1.0) <= NORM_TOL
     return a, ok
 
 
@@ -207,10 +206,11 @@ def test_support_residual_equals_the_dense_stack_residual(monkeypatch, n):
     # only the generic fermionic gates fail, and they pass on one qubit
     assert ok.tolist() == [n == 1] * 2 + [True] * 8
     # of the gates only c_1 is first level; of the conjugates, those of the
-    # Gaussians are, and the 1e-10 perturbation pushes some out by the norm
+    # Gaussians are, and those of the generic gates are not, but on one
+    # qubit, where every gate is Gaussian, every conjugate is
     assert first_level_on_both_routes(ops, n, monkeypatch).tolist() == [False] * 9 + [True]
     kid_flags = np.concatenate(kid_flags)
-    assert kid_flags.any() and not kid_flags.all()
+    assert kid_flags.all() if n == 1 else kid_flags.any() and not kid_flags.all()
     monkeypatch.setattr(majorana, "SUPPORT_RESIDUAL_QUBITS", 1)
     got = majorana._rotations(ops, n, DEFAULT_TOL)
     assert [a.tobytes() for a in got] == [r.tobytes(), ok.tobytes()]

@@ -249,7 +249,7 @@ def test_protocol_skips_the_lambda_test_and_magic_state_keeps_it(monkeypatch):
     def refuse(psi, tol=None):
         raise AssertionError("Lambda test ran")
 
-    monkeypatch.setattr(teleport, "is_gaussian_state_lambda", refuse)
+    monkeypatch.setattr(teleport, "_state_lambda_norm", refuse)
     u = named_gate("CZ")
     simulate_protocol(u, random_state(2, np.random.default_rng(1)))
     with pytest.raises(AssertionError, match="Lambda test ran"):

@@ -41,12 +41,17 @@ Each fact about a gate is decided once, by one function:
     _check_blocks     G/J blocks are 2x2 unitaries
     _guard_wires      the wires fit the register (linalg; CircuitIR and
                       the parser call it)
-    _violation        the gate belongs in a matchgate circuit: a one-qubit
-                      gate keeps parity by the classifier's rule (parity_of
-                      on its matrix), a two-qubit one has det A = det B
-                      (the parser calls it on every gate, circuit_to_rotation
-                      on the gates of a circuit that allows free-form ones)
+    _violations       each gate of a list belongs in a matchgate circuit: a
+                      one-qubit gate keeps parity by the classifier's rule
+                      (parity_of on its matrix), a two-qubit one has
+                      det A = det B (the parser calls it once per file, on
+                      every gate above any `allow freeform` line;
+                      circuit_to_rotation once, on the gates of a circuit
+                      that allows free-form ones)
     _dets             the block determinants (hierarchy reads them too)
+
+A parse error names the first failing line: before any other error is
+raised, the gates parsed above it are admitted.
 
 A GateApp builds its 2x2 or 4x4 matrix once and keeps it read-only; the
 backends only read it. One primitive, apply_circuit, applies a circuit
@@ -138,7 +143,8 @@ _BLOCK_SLOTS = {
 
 def _dets(a: np.ndarray, b: np.ndarray) -> tuple[complex, complex]:
     """det A and det B of a two-qubit gate's blocks, in one LAPACK call: the
-    numbers the admission rule and every two-qubit closed form read.
+    numbers every two-qubit closed form reads and a refused gate's message
+    prints. _violations' one call on many gates' blocks gives the same bits.
 
     Adding +0j turns a -0.0 part into +0.0, so the printed determinants do
     not depend on the signs of a gate's structural zeros."""
@@ -253,7 +259,7 @@ class GateApp:
     A gate is checked and its matrix built once, when it is built: named
     gates by named_gate, G/J blocks by _check_blocks. G/J blocks are then
     views into that read-only matrix. Whether the gate belongs in a
-    matchgate circuit is not stored; _violation decides it from the matrix.
+    matchgate circuit is not stored; _violations decides it from the matrix.
     Two gates are equal, and hash alike, when their kind, wire, name,
     parameters, block names and matrix bytes agree.
     """
@@ -366,6 +372,8 @@ def lex_token(token: str, what: str = "gate") -> tuple[str, str | None]:
 
 def split_args(text: str) -> list[str]:
     """Arguments split on commas outside parentheses; blanks are dropped."""
+    if "," not in text:
+        return [text.strip()] if text.strip() else []
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         depth += (ch == "(") - (ch == ")")
@@ -395,120 +403,154 @@ def _block_token(token: str) -> tuple[str, tuple[float, ...], np.ndarray]:
     return named_token(name, inner)
 
 
-def _violation(gate: GateApp, tol: float) -> str | None:
-    """Why gate is not a matchgate-circuit gate, or None when it is one.
+def _violations(gates, tol: float) -> list[str | None]:
+    """Why each gate is not a matchgate-circuit gate, None for one that is.
 
-    The one admission rule: a one-qubit gate must be parity even or odd by
-    the classifier's parity rule (majorana._parities, behind parity_of) on
-    its matrix, and the blocks of a two-qubit gate, read off its matrix
-    (every named two-qubit gate is of G form), must have det A = det B
-    within tol.
+    The one admission rule, judged for a whole list of gates at once: a
+    one-qubit gate must be parity even or odd by the classifier's parity rule
+    (majorana._parities, behind parity_of) on its matrix, and the blocks of a
+    two-qubit gate, read off its matrix (every named two-qubit gate is of G
+    form), must have det A = det B within tol. All one-qubit gates take one
+    _parities call and all blocks one stacked determinant call, whose values
+    are bit-equal to _dets' per gate; a refused gate's message prints _dets.
     """
-    m = gate.local_matrix()
-    if gate.n_wires == 1:
-        is_even, is_odd = _parities(m[None], 1, tol)
-        return None if is_even[0] or is_odd[0] else "mixes parities"
-    slot_a, slot_b = _BLOCK_SLOTS[gate.kind == "J"]
-    det_a, det_b = _dets(m[slot_a], m[slot_b])
-    if abs(det_a - det_b) < tol:
-        return None
-    return f"determinant mismatch: |A| = {det_a:.6g}, |B| = {det_b:.6g}"
+    verdicts: list[str | None] = [None] * len(gates)
+    one = [i for i, g in enumerate(gates) if g.n_wires == 1]
+    two = [i for i, g in enumerate(gates) if g.n_wires == 2]
+    if one:
+        is_even, is_odd = _parities(np.stack([gates[i].local_matrix() for i in one]), 1, tol)
+        for i, keeps in zip(one, (is_even | is_odd).tolist()):
+            if not keeps:
+                verdicts[i] = "mixes parities"
+    if two:
+        blocks = [[gates[i].local_matrix()[s] for s in _BLOCK_SLOTS[gates[i].kind == "J"]] for i in two]
+        dets = np.linalg.det(np.stack([b for pair in blocks for b in pair])).reshape(-1, 2).tolist()
+        for i, pair, (det_a, det_b) in zip(two, blocks, dets):
+            if not abs(det_a - det_b) < tol:
+                det_a, det_b = _dets(*pair)
+                verdicts[i] = f"determinant mismatch: |A| = {det_a:.6g}, |B| = {det_b:.6g}"
+    return verdicts
+
+
+_TOKEN_SPAN = re.compile(r"\S+")
+
+
+def _col(line: str, k: int) -> int:
+    """1-based column of the k-th whitespace-separated token of line (k = -1
+    for the last): the positions str.split() drops, found only for an error."""
+    return [m.start() + 1 for m in _TOKEN_SPAN.finditer(line)][k]
 
 
 def parse_circuit(text: str, tol: Tolerances = DEFAULT_TOL) -> CircuitIR:
     """Parse the circuit text format into a CircuitIR.
 
-    Gates that are not matchgate-circuit gates (_violation) are rejected
-    unless the file carries an `allow freeform` directive; offending
-    determinants are reported in the error. Two-qubit gates must sit at
-    nearest-neighbour positions (pos, pos+1) with pos in 1..n-1.
+    Gates that are not matchgate-circuit gates (_violations) are rejected
+    unless an `allow freeform` directive stands above them; the directive
+    covers only the lines below it. Offending determinants are reported in
+    the error. Two-qubit gates must sit at nearest-neighbour positions
+    (pos, pos+1) with pos in 1..n-1.
+
+    The admission rule runs once per file, on every gate it covers, after the
+    last line or before any other error is raised: an error always names the
+    first failing line.
     """
+    lines = text.splitlines()
     n_qubits: int | None = None
-    allow_freeform = False
+    ruled: int | None = None  # gates[:ruled] stand above `allow freeform` (all of them: None)
     gates: list[GateApp] = []
+    gate_lines: list[int] = []
+    try:
+        for line_no, raw_line in enumerate(lines, start=1):
+            line = raw_line.split("#", 1)[0]
+            tokens = line.split()
+            if not tokens:
+                continue
+            head = tokens[0].upper()
 
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0]
-        tokens = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
-        if not tokens:
-            continue
-        head, head_col = tokens[0]
-        head_up = head.upper()
+            if head == "QUBITS":
+                if n_qubits is not None:
+                    raise CircuitError("duplicate qubits header", line_no, _col(line, 0))
+                if len(tokens) != 2 or not tokens[1].isdecimal():
+                    raise CircuitError("expected: qubits N", line_no, _col(line, 0))
+                n_qubits = int(tokens[1])
+                if n_qubits < 1:
+                    raise CircuitError("qubit count must be at least 1", line_no, _col(line, 1))
+                continue
 
-        if head_up == "QUBITS":
-            if n_qubits is not None:
-                raise CircuitError("duplicate qubits header", line_no, head_col)
-            if len(tokens) != 2 or not tokens[1][0].isdecimal():
-                raise CircuitError("expected: qubits N", line_no, head_col)
-            n_qubits = int(tokens[1][0])
-            if n_qubits < 1:
-                raise CircuitError("qubit count must be at least 1", line_no, tokens[1][1])
-            continue
+            if head == "ALLOW":
+                if len(tokens) != 2 or tokens[1].upper() != "FREEFORM":
+                    raise CircuitError("expected: allow freeform", line_no, _col(line, 0))
+                if ruled is None:
+                    ruled = len(gates)
+                continue
 
-        if head_up == "ALLOW":
-            if len(tokens) != 2 or tokens[1][0].upper() != "FREEFORM":
-                raise CircuitError("expected: allow freeform", line_no, head_col)
-            allow_freeform = True
-            continue
+            if n_qubits is None:
+                raise CircuitError("gate before qubits header", line_no, _col(line, 0))
 
-        if n_qubits is None:
-            raise CircuitError("gate before qubits header", line_no, head_col)
-
-        # Gate line: <gate tokens> @ k
-        at = next((i for i, (t, _) in enumerate(tokens) if t == "@"), None)
-        if at is None or at != len(tokens) - 2:
-            raise CircuitError("expected trailing '@ <wire>'", line_no, tokens[-1][1])
-        if at == 0:
-            raise CircuitError("expected a gate before '@'", line_no, head_col)
-        pos_tok, pos_col = tokens[-1]
-        try:
-            pos = int(pos_tok)
-        except ValueError:
-            raise CircuitError(f"bad wire {pos_tok!r}", line_no, pos_col) from None
-        gates.append(_parse_gate(tokens[:at], pos, n_qubits, allow_freeform, line_no, tol))
+            # Gate line: <gate tokens> @ k
+            at = tokens.index("@") if "@" in tokens else None
+            if at is None or at != len(tokens) - 2:
+                raise CircuitError("expected trailing '@ <wire>'", line_no, _col(line, -1))
+            if at == 0:
+                raise CircuitError("expected a gate before '@'", line_no, _col(line, 0))
+            try:
+                pos = int(tokens[-1])
+            except ValueError:
+                raise CircuitError(f"bad wire {tokens[-1]!r}", line_no, _col(line, -1)) from None
+            gates.append(_parse_gate(tokens[:at], pos, n_qubits, line, line_no))
+            gate_lines.append(line_no)
+    except CircuitError:
+        _admit(gates[:ruled], gate_lines, lines, tol)  # a refused gate above the error comes first
+        raise
 
     if n_qubits is None:
         raise CircuitError("missing qubits header", 1, 1)
-    return CircuitIR(n_qubits, tuple(gates), allow_freeform)
+    _admit(gates[:ruled], gate_lines, lines, tol)
+    return CircuitIR(n_qubits, tuple(gates), ruled is not None)
 
 
-def _circuit_token(token: str | None, line_no: int, col: int, build):
-    """build(token) of a circuit-file token; errors point at (line_no, col)."""
+def _admit(gates: list[GateApp], gate_lines: list[int], lines: list[str], tol: Tolerances) -> None:
+    """Refuse the first of gates that _violations refuses, at its line."""
+    for gate, line_no, violation in zip(gates, gate_lines, _violations(gates, tol.residual)):
+        if violation is not None:
+            prefix = f"{gate.name}: " if gate.name else ""
+            raise CircuitError(
+                f"{prefix}{violation} (not a matchgate; add 'allow freeform' to admit it)",
+                line_no,
+                _col(lines[line_no - 1], 0),
+            )
+
+
+def _circuit_token(token: str | None, line_no: int, line: str, k: int, build):
+    """build(token) of the k-th token of a circuit-file line; errors point at it."""
     try:
         return build(token)
     except ValueError as exc:
-        raise CircuitError(str(exc), line_no, col) from None
+        raise CircuitError(str(exc), line_no, _col(line, k)) from None
 
 
-def _parse_gate(gate_tokens, pos, n_qubits, allow_freeform, line_no, tol) -> GateApp:
-    head, head_col = gate_tokens[0]
-    kind = head.upper()
+def _parse_gate(gate_tokens: list[str], pos: int, n_qubits: int, line: str, line_no: int) -> GateApp:
+    kind = gate_tokens[0].upper()
 
     if kind in ("G", "J"):
         if len(gate_tokens) != 3:
-            raise CircuitError(f"{kind} needs two block tokens", line_no, head_col)
+            raise CircuitError(f"{kind} needs two block tokens", line_no, _col(line, 0))
         (name_a, params_a, a), (name_b, params_b, b) = (
-            _circuit_token(tok, line_no, col, _block_token) for tok, col in gate_tokens[1:]
+            _circuit_token(tok, line_no, line, k, _block_token) for k, tok in enumerate(gate_tokens[1:], start=1)
         )
         block_names = (_format_block(name_a, params_a), _format_block(name_b, params_b))
         fields = dict(kind=kind, blocks=(a, b), block_names=block_names)
     else:
         if len(gate_tokens) != 1:
-            raise CircuitError(f"unexpected token {gate_tokens[1][0]!r}", line_no, gate_tokens[1][1])
-        name, inner = _circuit_token(head, line_no, head_col, lex_token)
-        fields = dict(kind="NAMED", name=name.upper(), params=_circuit_token(inner, line_no, head_col, _angles))
+            raise CircuitError(f"unexpected token {gate_tokens[1]!r}", line_no, _col(line, 1))
+        name, inner = _circuit_token(gate_tokens[0], line_no, line, 0, lex_token)
+        fields = dict(kind="NAMED", name=name.upper(), params=_circuit_token(inner, line_no, line, 0, _angles))
     try:
         # refuses an unknown name (named_gate), a bad arity or a G/J block that is not unitary
         gate = GateApp(pos=pos, **fields)
         _guard_wires(pos, gate.n_wires, n_qubits)
     except ValueError as exc:
-        raise CircuitError(str(exc), line_no, head_col) from None
-    violation = _violation(gate, tol.residual)
-    if violation is not None and not allow_freeform:
-        prefix = f"{gate.name}: " if gate.name else ""
-        raise CircuitError(
-            f"{prefix}{violation} (not a matchgate; add 'allow freeform' to admit it)", line_no, head_col
-        )
+        raise CircuitError(str(exc), line_no, _col(line, 0)) from None
     return gate
 
 
@@ -565,7 +607,7 @@ def circuit_to_rotation(circuit: CircuitIR, tol: Tolerances = DEFAULT_TOL) -> np
     Never forms the 2^n-dimensional unitary. The composed R satisfies
     U c_mu U^dag = sum_nu R[mu, nu] c_nu for the dense circuit unitary U,
     and det R = (-1)^(number of parity-odd gates). In a circuit that allows
-    free-form gates, a gate the parser's admission rule (_violation) would
+    free-form gates, a gate the parser's admission rule (_violations) would
     refuse is refused here, with its reason: such circuits are not Gaussian.
 
     The local rotations and parities of all gates of one width come from
@@ -574,11 +616,10 @@ def circuit_to_rotation(circuit: CircuitIR, tol: Tolerances = DEFAULT_TOL) -> np
     rotation, which touches only the columns of its own Majoranas and,
     for an odd gate, flips the sign of the columns to its right.
     """
-    for g in circuit.gates if circuit.allow_freeform else ():
-        violation = _violation(g, tol.residual)
+    gates = circuit.gates
+    for g, violation in zip(gates, _violations(gates, tol.residual) if circuit.allow_freeform else ()):
         if violation is not None:
             raise NotGaussianError(f"free-form gate {g.name or g.kind} @ {g.pos} has no rotation ({violation})")
-    gates = circuit.gates
     local_rotations: list[np.ndarray | None] = [None] * len(gates)
     odd = np.zeros(len(gates), dtype=bool)
     failed = np.zeros(len(gates), dtype=bool)

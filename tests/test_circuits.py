@@ -278,6 +278,31 @@ def test_allow_freeform_admits_and_marks():
     assert np.allclose(circuit_to_operator(circ), want)
 
 
+def _parse_error(text: str) -> str:
+    with pytest.raises(CircuitError) as err:
+        parse_circuit(text)
+    return str(err.value)
+
+
+def test_a_refused_gate_is_reported_before_a_later_bad_line():
+    msg = _parse_error("qubits 2\nG X I @ 1\nQQ @ 1\n")
+    assert msg.startswith("line 2, col 1: determinant mismatch: |A| = -1+0j, |B| = 1+0j")
+    msg = _parse_error("qubits 2\nH @ 1\nqubits 2\n")
+    assert msg == "line 2, col 1: H: mixes parities (not a matchgate; add 'allow freeform' to admit it)"
+
+
+def test_allow_freeform_covers_only_later_lines():
+    msg = _parse_error("qubits 2\nSWAP @ 1\nallow freeform\n")
+    assert msg.startswith("line 2, col 1: SWAP: determinant mismatch")
+    circ = parse_circuit("qubits 2\nallow freeform\nSWAP @ 1\n")
+    assert circ.allow_freeform and circ.gates[0].name == "SWAP"
+
+
+def test_error_columns_count_tabs_and_em_spaces_as_one_character():
+    assert _parse_error("qubits 2\n\tX @ 1 #\u2003\nZ\t\u2003@ a\n") == "line 3, col 6: bad wire 'a'"
+    assert _parse_error("qubits 2\n\u2003\tX Y\t@ 1\n") == "line 2, col 5: unexpected token 'Y'"
+
+
 def test_operator_time_order():
     # first listed gate acts first
     circ = parse_circuit("qubits 1\nX @ 1\nZ @ 1\n")

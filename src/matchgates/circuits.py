@@ -472,7 +472,10 @@ def parse_circuit(text: str, tol: Tolerances = DEFAULT_TOL) -> CircuitIR:
                     raise CircuitError("duplicate qubits header", line_no, _col(line, 0))
                 if len(tokens) != 2 or not tokens[1].isdecimal():
                     raise CircuitError("expected: qubits N", line_no, _col(line, 0))
-                n_qubits = int(tokens[1])
+                try:
+                    n_qubits = int(tokens[1])
+                except ValueError:  # past the interpreter's limit on integer digits
+                    raise CircuitError("qubit count has too many digits", line_no, _col(line, 1)) from None
                 if n_qubits < 1:
                     raise CircuitError("qubit count must be at least 1", line_no, _col(line, 1))
                 continue

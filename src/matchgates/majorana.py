@@ -411,11 +411,19 @@ def _parities(ops: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, np.ndarr
     """Which operators of the stack are parity even and which parity odd, as
     two (B,) masks: even when the largest |entry| of the parity-odd part is
     below tol, otherwise odd when that of the parity-even part is, otherwise
-    neither."""
-    mags = np.abs(ops).reshape(len(ops), -1)[:, _parity_order(n)]
-    even_max, odd_max = mags.reshape(len(ops), 2, -1).max(axis=2).T
-    is_even = odd_max < tol
-    return is_even, ~is_even & (even_max < tol)
+    neither.
+
+    Both halves of _parity_order(n) are gathered at once: by take for one
+    operator, and by a fancy index for a stack, whose result lies along the
+    stack so that the max runs over whole rows. One max and one comparison
+    then judge both halves. A max does not depend on the order of its
+    entries, and a NaN entry makes its half's max NaN, which no tol passes."""
+    order = _parity_order(n)
+    mags = np.abs(ops).reshape(len(ops), -1)
+    mags = mags.take(order, axis=1) if len(ops) == 1 else mags[:, order]
+    below = mags.reshape(len(ops), 2, -1).max(axis=2) < tol  # [:, 0] the parity-even part
+    is_even = below[:, 1]
+    return is_even, below[:, 0] > is_even  # odd: even part below tol, odd part not
 
 
 @_cached

@@ -243,6 +243,15 @@ def test_parse_errors_carry_line_and_col():
         parse_circuit("# nothing\n")
 
 
+@pytest.mark.parametrize("lead", ["", "  ", "\t"])
+def test_a_qubit_count_past_the_integer_digit_limit_is_refused_at_its_column(lead):
+    # int() refuses more than 4300 digits with its own error, which named no line
+    with pytest.raises(CircuitError) as err:
+        parse_circuit(f"{lead}qubits  {'7' * 4301}\nX @ 1\n")
+    assert str(err.value) == f"line 1, col {len(lead) + 9}: qubit count has too many digits"
+    assert parse_circuit(f"qubits {'0' * 4299}1\nX @ 1\n").n_qubits == 1
+
+
 def test_a_line_with_no_gate_is_refused_at_the_at_sign():
     with pytest.raises(CircuitError) as err:
         parse_circuit("qubits 2\n  @ 1\n")

@@ -474,8 +474,10 @@ def _root_bits(angle: float) -> int:
     return bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoQubitBlocks:
+    """The G/J blocks of a fermionic two-qubit gate. == and hash() go by identity."""
+
     parity: Parity
     a: np.ndarray
     b: np.ndarray
@@ -572,7 +574,7 @@ def _two_qubit(blocks: TwoQubitBlocks, tol: Tolerances) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HierarchyReport:
     """Everything the classifier can say about one gate.
 
@@ -582,7 +584,8 @@ class HierarchyReport:
     and by the tests, not by the classifier. min_level is 1 or 2 for a
     fermionic gate with a rotation and comes from the levels 3 .. k_max
     for one without, so is_gaussian == (min_level <= 2) holds by
-    construction whenever k_max >= 2.
+    construction whenever k_max >= 2. == and hash() go by identity: the
+    rotation is an array.
     """
 
     n_qubits: int

@@ -155,13 +155,13 @@ def jw_set(n: int) -> list[np.ndarray]:
     return [jw_majorana(n, mu) for mu in range(1, 2 * n + 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MajoranaWords:
     """The Jordan-Wigner Majoranas on n qubits as signed permutations.
 
     flip[mu - 1] and phase[mu - 1] give c_mu[i, i ^ flip] = phase[i], every
     other entry being zero. sign[i] = (-1)^popcount(i) is the diagonal of
-    Z^{(x)n}.
+    Z^{(x)n}. == and hash() go by identity.
     """
 
     flip: np.ndarray

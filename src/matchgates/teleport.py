@@ -95,10 +95,10 @@ from .sampling import random_state
 DENSE_NETWORK_QUBITS = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MagicState:
     """The resource state |M_U> for teleporting a fermionic gate U; its
-    parity is U's, read by parity_of."""
+    parity is U's, read by parity_of. == and hash() go by identity."""
 
     n: int  # qubits of the teleported gate; the state lives on 2n
     psi: np.ndarray
@@ -193,7 +193,7 @@ def _correction_runs(u: np.ndarray, flips: np.ndarray, phases: np.ndarray):
         yield run, _word_conjugates(u[None], cols, phases[run].conj()).reshape(-1, dim, dim)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Branch:
     """One measurement outcome of the protocol.
 
@@ -201,9 +201,10 @@ class Branch:
     them, and a frozen __init__ sets each of the six fields by
     object.__setattr__. 64 records took 152 us frozen, 158 us frozen with
     slots and 49 us slotted (2-vCPU x86-64 host). What that gives up is the
-    refusal to rebind a field; dataclasses.replace works as before. hash()
-    is refused as before: the frozen record raised TypeError on its array
-    fields, and this one has no __hash__.
+    refusal to rebind a field; dataclasses.replace works as before. == and
+    hash() go by identity (eq=False), as for every record of the package
+    with array fields: a generated __eq__ compares the arrays and raised
+    ValueError on two distinct records.
     """
 
     z: tuple[int, ...]
@@ -214,8 +215,11 @@ class Branch:
     phase: complex  # <U psi | corrected>, should be 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TeleportTranscript:
+    """One protocol run: its input, target and 4^n branches. == and hash()
+    go by identity."""
+
     n: int
     input_state: np.ndarray
     target_state: np.ndarray

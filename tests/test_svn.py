@@ -7,6 +7,7 @@ from matchgates import equal_up_to_phase, jw_set, named_gate, random_fermionic, 
 from matchgates.io import tuple_from_json, tuple_to_json
 from matchgates.linalg import DEFAULT_TOL, Tolerances, canonical_phase
 from matchgates.majorana import check_car
+from matchgates.sampling import haar_unitary
 from matchgates.svn import PROBE_THRESHOLD, _contract_residuals
 
 
@@ -298,3 +299,89 @@ def test_refused_tuples_skip_the_work_the_certificate_cannot_use(monkeypatch):
         noisy.append(d + 3e-11 * h / np.abs(h).max())
     assert svn_reconstruct(noisy).max_residual < 1e-9
     assert calls == ["_columns", "check_car", "_contract_residuals"]
+
+
+def _bytes_or_error(ops, tol=DEFAULT_TOL):
+    """The bytes of a reconstruction's u and residuals, or its error text."""
+    try:
+        result = svn_reconstruct(ops, tol)
+    except ValueError as exc:
+        return str(exc)
+    return result.u.tobytes(), result.residuals.tobytes()
+
+
+def _spy(monkeypatch, calls, *names):
+    for name in names:
+        real = getattr(svn, name)
+
+        def counting(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(svn, name, counting)
+
+
+@pytest.mark.parametrize("n, parity", [(6, "even"), (6, "odd"), (7, "even"), (7, "odd")])
+def test_an_exactly_odd_tuple_takes_the_block_route(monkeypatch, n, parity):
+    calls = []
+    _spy(monkeypatch, calls, "_OddTuple", "_columns", "_contract_residuals", "check_car")
+    svn_reconstruct(_conjugated_tuple(random_fermionic(n, np.random.default_rng([41, n]), parity)))
+    assert calls == ["_OddTuple"]
+
+
+def _fallback(case):
+    rng = np.random.default_rng(42)
+    tup = _conjugated_tuple(random_fermionic(6, rng, "odd"))
+    if case == "kicked":
+        kick = rng.normal(size=tup[3].shape)
+        return tup[:3] + [tup[3] + 1e-13 * (kick + kick.T)] + tup[4:]
+    if case == "no parity":
+        return _conjugated_tuple(haar_unitary(64, rng))
+    return [d.astype(np.complex64) for d in tup]
+
+
+@pytest.mark.parametrize(
+    "case, work",
+    [
+        ("kicked", ["_columns"]),
+        ("no parity", ["_columns"]),
+        # check_car multiplies complex64 operators in single precision and refuses them
+        ("complex64", []),
+    ],
+)
+def test_tuples_outside_the_block_route_take_the_dense_route(monkeypatch, case, work):
+    ops = _fallback(case)
+    calls = []
+    _spy(monkeypatch, calls, "_OddTuple", "_columns")
+    got = _bytes_or_error(ops)
+    assert calls == work
+    assert isinstance(got, str) == (case == "complex64")
+    monkeypatch.setattr(svn, "BLOCK_QUBITS", range(0))
+    assert _bytes_or_error(ops) == got
+
+
+def test_a_refused_odd_tuple_goes_from_the_block_route_to_the_dense_routes_error(monkeypatch):
+    # operator 3 copies operator 1: exactly odd, so the block route reconstructs
+    # it, the certificate fails, and check_car gives the refusal once
+    tup = _conjugated_tuple(random_fermionic(6, np.random.default_rng(43), "even"))
+    copied = tup[:2] + [tup[0]] + tup[3:]
+    calls = []
+    _spy(monkeypatch, calls, "_OddTuple", "_columns", "check_car")
+    got = _bytes_or_error(copied)
+    assert got.startswith("tuple fails the anticommutation relations at pair")
+    assert calls == ["_OddTuple", "check_car"]
+    calls.clear()
+    monkeypatch.setattr(svn, "BLOCK_QUBITS", range(0))
+    assert _bytes_or_error(copied) == got
+    assert calls == ["_columns", "check_car"]
+
+
+def test_a_degenerate_odd_tuple_gets_the_dense_routes_rank(monkeypatch):
+    # d_2 = -i d_1 makes the first projector factor zero; under tol 5 it passes
+    # check_car and the Hermiticity test, and the projector's rank is refused
+    ops = jw_set(6)
+    ops[1] = -1j * ops[0]
+    got = _bytes_or_error(ops, Tolerances(5))
+    assert got == "projector annihilates every basis probe (numerical rank 0); the tuple is degenerate"
+    monkeypatch.setattr(svn, "BLOCK_QUBITS", range(0))
+    assert _bytes_or_error(ops, Tolerances(5)) == got

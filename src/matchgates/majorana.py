@@ -32,6 +32,18 @@ table derived from it per n go through the package's one cache rule,
 linalg._cached: built once per n and read-only. The 4^n monomials are
 not cached; ``expand`` builds them on each call.
 
+Parity superselection (Bravyi and Kitaev, arXiv:quant-ph/0003137) splits
+the basis states into two sectors, the states of sign +1 and of sign -1
+in the word table, and every c_mu maps each sector onto the other. The
+parity-block table ``_parity_blocks``, derived from the word table per n,
+is the one copy of that split: the states of each sector, each state's
+sector and index there, the flat entries of an operator's four
+2^(n-1)-square blocks grouped same-parity and other-parity, and each c_mu's
+block gather with its phases on the columns of either sector. The parity
+rule ``_parities`` reads its entries; ``svn``'s block route reads its
+entries, sectors and block gathers; ``sampling.random_fermionic`` reads its
+sectors.
+
 The batched kernels built on the table take stacks (B, 2^n, 2^n) of
 operators: conjugation of each by every c_mu, the coefficients
 tr(c_mu V) / 2^n, the parity of each operator (``_parities``, the one
@@ -90,6 +102,7 @@ bit.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -261,11 +274,43 @@ def _word_gathers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return words.phase, cols, np.take_along_axis(words.phase, cols, axis=1)
 
 
+@dataclass(frozen=True, eq=False)
+class ParityBlocks:
+    """The parity-block table on n qubits, h = 2^(n-1).
+
+    Parity superselection splits the basis states into two sectors: s = 0,
+    the states of sign +1 in the word table, and s = 1, those of sign -1.
+    states[s] holds the states of sector s in increasing order, and
+    sector[i] and rank[i] give the sector of state i and its index there.
+    entries[p, s] holds the flat entries of the (h, h) block of a
+    2^n x 2^n operator with rows in sector s and columns in sector s ^ p:
+    p = 0 the two same-parity blocks, p = 1 the two other-parity blocks.
+    Every c_mu maps sector t to sector 1 - t, and gather[mu - 1, t] and
+    gather_phase[mu - 1, t] are its block gather on the columns of sector
+    t: (V c_mu)[:, states[t]] = V[:, states[1 - t]][:, gather] gather_phase.
+    == and hash() go by identity.
+    """
+
+    states: np.ndarray
+    sector: np.ndarray
+    rank: np.ndarray
+    entries: np.ndarray
+    gather: np.ndarray
+    gather_phase: np.ndarray
+
+
 @_cached
-def _parity_order(n: int) -> np.ndarray:
-    """The flat entries of a 2^n x 2^n operator, the same-parity half first."""
-    sign = majorana_words(n).sign
-    return np.argsort(np.not_equal.outer(sign, sign).ravel(), kind="stable")
+def _parity_blocks(n: int) -> ParityBlocks:
+    """The parity-block table on n qubits, from the word table and its
+    gathers, built once per n (linalg._cached)."""
+    sector = (majorana_words(n).sign < 0).astype(np.intp)
+    states = np.argsort(sector, kind="stable").reshape(2, -1)
+    rank = np.empty(2**n, dtype=np.intp)
+    rank[states] = np.arange(2 ** (n - 1))
+    # entries[p, s, i, j] = states[s, i] 2^n + states[s ^ p, j]
+    entries = states[:, :, None] * 2**n + states[[[0, 1], [1, 0]], None, :]
+    _, cols, col_phase = _word_gathers(n)
+    return ParityBlocks(states, sector, rank, entries, rank[cols[:, states]], col_phase[:, states])
 
 
 def _runs(count: int, size: int, limit: int | None = None):
@@ -413,14 +458,15 @@ def _parities(ops: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, np.ndarr
     below tol, otherwise odd when that of the parity-even part is, otherwise
     neither.
 
-    Both halves of _parity_order(n) are gathered at once: by take for one
-    operator, and by a fancy index for a stack, whose result lies along the
-    stack so that the max runs over whole rows. One max and one comparison
-    then judge both halves. A max does not depend on the order of its
-    entries, and a NaN entry makes its half's max NaN, which no tol passes."""
-    order = _parity_order(n)
+    The same-parity and the other-parity entries of the parity-block table
+    are gathered at once: by take for one operator, and by a fancy index for
+    a stack, whose result lies along the stack so that the max runs over
+    whole rows. One max and one comparison then judge both halves. A max
+    does not depend on the order of its entries, and a NaN entry makes its
+    half's max NaN, which no tol passes."""
+    entries = _parity_blocks(n).entries
     mags = np.abs(ops).reshape(len(ops), -1)
-    mags = mags.take(order, axis=1) if len(ops) == 1 else mags[:, order]
+    mags = mags.take(entries, axis=1) if len(ops) == 1 else mags[:, entries]
     below = mags.reshape(len(ops), 2, -1).max(axis=2) < tol  # [:, 0] the parity-even part
     is_even = below[:, 1]
     return is_even, below[:, 0] > is_even  # odd: even part below tol, odd part not
@@ -645,18 +691,22 @@ def check_car(ops: list[np.ndarray], tol: float = DEFAULT_TOL.residual) -> CarRe
     """Check {c_mu, c_nu} = 2 delta_{mu nu} 1 over all pairs of a candidate tuple.
 
     The tuple must contain exactly 2n operators of dimension 2^n, with
-    finite entries.
+    finite entries. Their products may still overflow: a residual that is
+    not finite fails, and the first NaN residual is the one reported.
     """
     n = _car_operands(ops)
     eye2 = 2 * np.eye(2**n)
     worst = 0.0
     worst_pair = (1, 1)
-    for i, a in enumerate(ops):
-        square = a @ a
-        for j in range(i, len(ops)):
-            anti = square + square if i == j else a @ ops[j] + ops[j] @ a
-            target = eye2 if i == j else 0.0
-            resid = norm_max(anti - target)
-            if resid > worst:
-                worst, worst_pair = resid, (i + 1, j + 1)
-    return CarReport(n, worst, worst_pair, _max_hermiticity(ops), worst < tol)
+    # an overflow gives inf or NaN, which the comparisons below judge
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, a in enumerate(ops):
+            square = a @ a
+            for j in range(i, len(ops)):
+                anti = square + square if i == j else a @ ops[j] + ops[j] @ a
+                target = eye2 if i == j else 0.0
+                resid = norm_max(anti - target)
+                if resid > worst or (math.isnan(resid) and not math.isnan(worst)):
+                    worst, worst_pair = resid, (i + 1, j + 1)
+        hermiticity = _max_hermiticity(ops)
+    return CarReport(n, worst, worst_pair, hermiticity, worst < tol)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .circuits import CircuitIR, GateApp, build_G, build_J
 from .linalg import _integer
-from .majorana import jw_majorana, majorana_words
+from .majorana import _parity_blocks, jw_majorana
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -87,16 +87,16 @@ def random_fermionic(n: int, rng: np.random.Generator, parity: str = "even") -> 
     """Random fermionic unitary of the requested parity on n qubits.
 
     Even gates are Haar unitaries on each parity sector, the basis states
-    of sign +1 and of sign -1 in the word table; odd gates are c_1 (X on
-    the first wire) times an even gate. Generic samples sit at no finite
-    hierarchy level. A parity other than "even" or "odd" is refused before
-    anything is drawn.
+    of sign +1 and of sign -1 in the word table, read from majorana's
+    parity-block table; odd gates are c_1 (X on the first wire) times an
+    even gate. Generic samples sit at no finite hierarchy level. A parity
+    other than "even" or "odd" is refused before anything is drawn.
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    sign = majorana_words(n).sign
+    states = _parity_blocks(n).states  # the table reads n by the one size rule
     u = np.zeros((2**n, 2**n), dtype=complex)
-    for idx in (np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)):
+    for idx in states:
         u[np.ix_(idx, idx)] = haar_unitary(len(idx), rng)
     if parity == "even":
         return u

@@ -34,6 +34,14 @@ only where the certificate below does not hold, and every refusal comes
 from it, in its order: the anticommutation message, then the Hermiticity
 message, then the degenerate probe.
 
+Entries past about 1e154 overflow the products and norms to inf or NaN
+while every entry stays finite. Those values are judged, not warned
+about: overflow and invalid-operation warnings are silenced for the
+reconstruction and in check_car. A probe norm that overflows leaves a
+vacuum that is not finite or normalises to zero, which is not certified,
+and check_car, for which a residual that is not finite fails, gives the
+refusal.
+
 The certificate. Let g = ||U^dag U - 1||_max and r = max_mu ||U^dag c_mu U -
 d_mu||_max for the computed U. Since ||A||_2 <= d ||A||_max, delta = d g
 and rho = d r bound the same defects in the spectral norm. With
@@ -79,7 +87,9 @@ the least rho, that of r = 0, still holds; otherwise they follow check_car
 once it passes.
 
 The block route. Parity superselection splits the basis states into two
-sectors, those of sign +1 and of sign -1 in the word table. A tuple
+sectors, those of sign +1 and of sign -1 in the word table; majorana's
+parity-block table holds the sectors, the entries of the blocks they cut
+and the block gathers of the c_mu, and this route reads them. A tuple
 d_mu = V^dag c_mu V from a gate V of definite parity is exactly parity
 odd: each d_mu is zero between states of one sector. Then each factor
 (1 + (-i) d_{2k-1} d_{2k}) / 2 and the projector are block diagonal, the
@@ -88,7 +98,7 @@ by the parity of z, so U has two nonzero blocks (diagonal or off-diagonal),
 and U^dag c_mu U is odd again. A float64 or complex128 tuple at n in
 BLOCK_QUBITS whose every same-sector entry is zero keeps only its
 operators' two blocks between the sectors, runs the projector as two
-half-size chains, forms the Gram defect from U's two blocks, and forms the
+half-size chains (built by the dense route's one chain helper), forms the Gram defect from U's two blocks, and forms the
 contract conjugates of each sector as one tall half-size product for all
 mu of a run. That is a quarter of the GEMM work of the dense route.
 
@@ -111,6 +121,9 @@ BLOCK_QUBITS is 6..7. Below 6 the gathers cost more than the smaller
 products save. From n = 8 BLAS splits the 256-term sums of the full
 products into panels, and the half-size sums no longer match them: U and
 every residual differed in the last bits on two of two seeded tuples.
+The same bits hold on OpenBLAS's SkylakeX kernel; under
+OPENBLAS_CORETYPE=Haswell the two routes differ in the last bits at
+n = 6 and 7 on every seeded tuple tried.
 Other tuples take the dense route unchanged: a perturbed tuple, one of no
 definite parity, another dtype, any other n. A tuple the block route does
 not certify goes on to the same check_car tail, keeping what the block
@@ -128,16 +141,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances, _cached, canonical_phase, norm_max
+from .linalg import DEFAULT_TOL, Tolerances, canonical_phase, norm_max
 from .majorana import (
     _car_operands,
     _conjugates,
     _max_hermiticity,
-    _parity_order,
+    _parity_blocks,
     _runs,
-    _word_gathers,
     check_car,
-    majorana_words,
 )
 
 PROBE_THRESHOLD = 1e-6
@@ -174,40 +185,43 @@ def svn_reconstruct(ops: list[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> Svn
     gives the same bits.
     """
     n = _car_operands(ops)
-    # the certificate covers Hermitian float64 or complex128 operators only
-    double = all(a.dtype in (np.float64, np.complex128) for a in ops)
-    route = _route(ops, n, double)
-    projector = columns = u = residuals = None
-    if double and route.hermiticity() < tol.residual:
-        projector, columns = route.columns()
-        if columns is not None and np.isfinite(columns).all():
+    # an overflow gives inf or NaN, which the comparisons below judge
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the certificate covers Hermitian float64 or complex128 operators only
+        double = all(a.dtype in (np.float64, np.complex128) for a in ops)
+        route = _route(ops, n, double)
+        projector = columns = u = residuals = None
+        if double and route.hermiticity() < tol.residual:
+            projector, columns = route.columns()
+            # an overflowed probe norm leaves a NaN or a zero vacuum: not certified
+            if columns is not None and np.isfinite(columns).all() and columns[0].any():
+                u = canonical_phase(columns.conj())
+                holds = _certificate(route.gram_defect(u), len(u), tol.residual)
+                if holds is not None:
+                    residuals = route.residuals(u)
+                    if holds(float(residuals.max())):
+                        return SvnResult(u, residuals)
+        report = check_car(ops, tol.residual)
+        if not report.passed:
+            raise ValueError(
+                f"tuple fails the anticommutation relations at pair {report.worst_pair} "
+                f"(residual {report.max_pair_residual:.3e})"
+            )
+        if report.max_hermiticity >= tol.residual:
+            raise ValueError(
+                f"tuple is not Hermitian (max ||d_mu - d_mu^dag|| {report.max_hermiticity:.3e})"
+            )
+        if projector is None and columns is None:  # a built route gives one or both
+            projector, columns = route.columns()
+        if columns is None:
+            rank = int(np.linalg.matrix_rank(projector, tol=PROBE_THRESHOLD))
+            raise ValueError(
+                f"projector annihilates every basis probe (numerical rank {rank}); "
+                "the tuple is degenerate"
+            )
+        if u is None:
             u = canonical_phase(columns.conj())
-            holds = _certificate(route.gram_defect(u), len(u), tol.residual)
-            if holds is not None:
-                residuals = route.residuals(u)
-                if holds(float(residuals.max())):
-                    return SvnResult(u, residuals)
-    report = check_car(ops, tol.residual)
-    if not report.passed:
-        raise ValueError(
-            f"tuple fails the anticommutation relations at pair {report.worst_pair} "
-            f"(residual {report.max_pair_residual:.3e})"
-        )
-    if report.max_hermiticity >= tol.residual:
-        raise ValueError(
-            f"tuple is not Hermitian (max ||d_mu - d_mu^dag|| {report.max_hermiticity:.3e})"
-        )
-    if projector is None and columns is None:  # a built route gives one or both
-        projector, columns = route.columns()
-    if columns is None:
-        rank = int(np.linalg.matrix_rank(projector, tol=PROBE_THRESHOLD))
-        raise ValueError(
-            f"projector annihilates every basis probe (numerical rank {rank}); "
-            "the tuple is degenerate"
-        )
-    if u is None:
-        u = canonical_phase(columns.conj())
-    return SvnResult(u, route.residuals(u) if residuals is None else residuals)
+        return SvnResult(u, route.residuals(u) if residuals is None else residuals)
 
 
 class _Dense:
@@ -232,14 +246,20 @@ class _Dense:
 def _columns(ops: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray | None]:
     """The vacuum projector and the rows z = column z of S, or None for the
     rows when the projector annihilates every basis probe."""
-    dim = 2**n
+    projector = _projector(zip(ops[0::2], ops[1::2]), 2**n)
+    found = _vacuum(lambda probe: projector[:, probe], 2**n)
+    return projector, None if found is None else _recurrence(ops, n, found[1])
+
+
+def _projector(pairs, dim: int) -> np.ndarray:
+    """prod_k (1 + (-i) a_k b_k) / 2 over the pairs (a_k, b_k) of dim x dim
+    operators, in order."""
     eye = np.eye(dim)
-    factors = ((eye + (-1j) * ops[2 * k - 2] @ ops[2 * k - 1]) / 2 for k in range(1, n + 1))
+    factors = ((eye + (-1j) * a @ b) / 2 for a, b in pairs)
     projector = next(factors)  # the product of the factors: 1 + X holds no -0.0 to be changed
     for factor in factors:
         projector = projector @ factor
-    found = _vacuum(lambda probe: projector[:, probe], dim)
-    return projector, None if found is None else _recurrence(ops, n, found[1])
+    return projector
 
 
 def _vacuum(image, dim: int) -> tuple[int, np.ndarray] | None:
@@ -267,36 +287,15 @@ def _recurrence(ops: list[np.ndarray], n: int, vacuum: np.ndarray) -> np.ndarray
     return columns
 
 
-@_cached
-def _sectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The parity sectors of the basis states on n qubits, from the word
-    table: (states, sector, rank) with states[s] the states of sector s in
-    increasing order (s = 0 sign +1, s = 1 sign -1), and sector[i] and
-    rank[i] the sector of state i and its place there."""
-    sector = (majorana_words(n).sign < 0).astype(np.intp)
-    states = np.stack([np.flatnonzero(sector == 0), np.flatnonzero(sector == 1)])
-    rank = np.empty(2**n, dtype=np.intp)
-    rank[states] = np.arange(2 ** (n - 1))
-    return states, sector, rank
-
-
-@_cached
-def _off_blocks(n: int) -> np.ndarray:
-    """The flat entries of the two (h, h) blocks of a 2^n x 2^n operator
-    between the sectors, block s with its rows in sector s, h = 2^(n-1)."""
-    states = _sectors(n)[0]
-    return states[:, :, None] * 2**n + states[::-1, None]
-
-
 def _route(ops: list[np.ndarray], n: int, double: bool) -> _Dense | _OddTuple:
     """The block route for a float64 or complex128 tuple at n in BLOCK_QUBITS
     whose every entry between basis states of one sector is zero, gathering
     only its operators' blocks between the sectors; else the dense route."""
     if double and n in BLOCK_QUBITS:
-        same = _parity_order(n)[: 2 ** (2 * n - 1)]  # the same-parity half
+        same, other = _parity_blocks(n).entries
         flat = [a.reshape(-1) for a in ops]
         if not any(f.take(same).any() for f in flat):
-            return _OddTuple(ops, n, [f.take(_off_blocks(n)) for f in flat])
+            return _OddTuple(ops, n, [f.take(other) for f in flat])
     return _Dense(ops, n)
 
 
@@ -319,37 +318,29 @@ class _OddTuple:
         """(projector, columns) as _columns gives them, but with None for the
         projector once the vacuum is found: only the degenerate refusal
         reads it, assembled from its two blocks."""
-        n, blocks = self.n, self.blocks
-        eye = np.eye(2 ** (n - 1))
-        chains = []
-        for s in (0, 1):  # block s of the projector, rows and columns in sector s
-            pairs = ((blocks[2 * k - 2][s], blocks[2 * k - 1][1 - s]) for k in range(1, n + 1))
-            factors = ((eye + (-1j) * a @ b) / 2 for a, b in pairs)
-            chain = next(factors)
-            for factor in factors:
-                chain = chain @ factor
-            chains.append(chain)
-        states, sector, rank = _sectors(n)
+        n, table = self.n, _parity_blocks(self.n)
+        pairs = list(zip(self.blocks[0::2], self.blocks[1::2]))
+        # block s of the projector, rows and columns in sector s
+        chains = [_projector([(a[s], b[1 - s]) for a, b in pairs], 2 ** (n - 1)) for s in (0, 1)]
 
         def image(probe: int) -> np.ndarray:
-            s = sector[probe]
+            s = table.sector[probe]
             column = np.zeros(2**n, dtype=complex)
-            column[states[s]] = chains[s][:, rank[probe]]
+            column[table.states[s]] = chains[s][:, table.rank[probe]]
             return column
 
         found = _vacuum(image, 2**n)
         if found is None:
             projector = np.zeros((2**n, 2**n), dtype=complex)
-            for s in (0, 1):
-                projector[np.ix_(states[s], states[s])] = chains[s]
+            projector.put(table.entries[0], chains)
             return projector, None
-        self.shift = int(sector[found[0]])
+        self.shift = int(table.sector[found[0]])
         return None, _recurrence(self.ops, n, found[1])
 
     def _u_blocks(self, u: np.ndarray) -> list[np.ndarray]:
         """u's block s: columns in sector s, rows in sector s ^ shift."""
         if self._u is None or self._u[0] is not u:
-            states = _sectors(self.n)[0]
+            states = _parity_blocks(self.n).states
             self._u = u, [u[np.ix_(states[s ^ self.shift], states[s])] for s in (0, 1)]
         return self._u[1]
 
@@ -359,16 +350,15 @@ class _OddTuple:
 
     def residuals(self, u: np.ndarray) -> np.ndarray:
         n, h = self.n, 2 ** (self.n - 1)
-        states, _, rank = _sectors(n)
-        _, cols, col_phase = _word_gathers(n)
+        table = _parity_blocks(n)
         u_blocks = self._u_blocks(u)
         rows = [np.conjugate(b) for b in u_blocks]  # rows[s][j] is row j of u's block s, conjugated
         residuals = np.zeros(2 * n)
         for mus in _runs(2 * n, h * h):
             for s in (0, 1):  # the block of u^dag c_mu u with rows in sector s
-                k = states[(1 - s) ^ self.shift]  # the columns of u^dag c_mu that are not zero there
-                vw = rows[s][rank[cols[mus][:, k]].T]
-                vw *= col_phase[mus][:, k].T[:, :, None]
+                t = (1 - s) ^ self.shift  # the sector of the columns of u^dag c_mu that are not zero there
+                vw = rows[s][table.gather[mus, t].T]
+                vw *= table.gather_phase[mus, t].T[:, :, None]
                 conj = (vw.reshape(h, -1).T @ u_blocks[1 - s]).reshape(-1, h, h)
                 for c, b in zip(conj, self.blocks[mus]):
                     c -= b[s]

@@ -328,6 +328,18 @@ def test_svn_car_failure_exits_one(runner, tmp_path):
     assert "anticommutation" in _err(result)
 
 
+def test_svn_overflowing_tuple_exits_one_on_one_error_line(runner, tmp_path):
+    # one operator scaled by 1e200 overflows the probe norm; no warning precedes the refusal
+    v = matchgates.random_fermionic(3, np.random.default_rng(3), "odd")
+    tup = [v.conj().T @ c @ v for c in jw_set(3)]
+    tup[4] = 1e200 * tup[4]
+    path = tmp_path / "huge.json"
+    save_json(path, tuple_to_json(tup))
+    result = runner.invoke(main, ["svn", "--tuple", str(path)])
+    assert result.exit_code == 1
+    assert _err(result) == "error: tuple fails the anticommutation relations at pair (5, 5) (residual nan)\n"
+
+
 def test_svn_mixed_shapes_exit_one_before_any_product(runner, tmp_path):
     path = tmp_path / "mixed.json"
     save_json(path, tuple_to_json([np.eye(2, dtype=complex), np.eye(4, dtype=complex)]))

@@ -143,7 +143,7 @@ def test_every_memoised_builder_follows_the_cache_rule():
         majorana.majorana_words,
         majorana._jw_stack,
         majorana._word_gathers,
-        majorana._parity_order,
+        majorana._parity_blocks,
         majorana._support_entries,
         teleport._network,
         teleport._byproducts,

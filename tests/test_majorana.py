@@ -1,3 +1,8 @@
+import dataclasses
+import math
+import warnings
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +22,7 @@ from matchgates import (
 from matchgates.linalg import PAULI_Y, PAULI_Z, norm_max
 from matchgates.majorana import (
     CarReport,
+    _parity_blocks,
     majorana_monomial,
     majorana_words,
     parity_sign,
@@ -197,3 +203,50 @@ def test_car_report_equals_the_pairwise_reference(n):
     assert reports["exact"].passed
     assert not reports["scaled"].passed and reports["scaled"].worst_pair == (2 * n, 2 * n)
     assert not reports["mixed"].passed and not reports["swapped"].passed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_car_fails_a_tuple_whose_products_overflow(n):
+    # every entry is finite, but every product overflows to a NaN residual
+    v = random_fermionic(n, np.random.default_rng(n), "odd")
+    huge = [1e160 * (v.conj().T @ c @ v) for c in jw_set(n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_car(huge)
+    assert not report.passed
+    assert math.isnan(report.max_pair_residual) and report.worst_pair == (1, 1)
+
+
+def _popcount_sectors(n):
+    """The basis states of even and of odd popcount, in increasing order."""
+    return np.array([[i for i in range(2**n) if bin(i).count("1") % 2 == s] for s in (0, 1)])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_parity_block_table_matches_a_popcount_construction(n):
+    table, states, dim, half = _parity_blocks(n), _popcount_sectors(n), 2**n, 2 ** (n - 1)
+    assert np.array_equal(table.states, states)
+    # the sectors partition the states, and the sector index inverts them
+    assert sorted(table.states.ravel().tolist()) == list(range(dim))
+    for s in (0, 1):
+        assert np.array_equal(table.sector[states[s]], np.full(half, s))
+        assert np.array_equal(table.rank[states[s]], np.arange(half))
+    # the same-parity and other-parity entries are the halves not_equal.outer marks
+    sign = np.array([(-1) ** bin(i).count("1") for i in range(dim)])
+    other = np.not_equal.outer(sign, sign).ravel()
+    assert sorted(table.entries[0].ravel().tolist()) == np.flatnonzero(~other).tolist()
+    assert sorted(table.entries[1].ravel().tolist()) == np.flatnonzero(other).tolist()
+    for p, s in product((0, 1), (0, 1)):  # rows in sector s, columns in sector s ^ p
+        assert np.array_equal(table.entries[p, s], states[s][:, None] * dim + states[s ^ p])
+    # each block gather reproduces V c_mu on its blocks
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    for mu, c in enumerate(kron_majoranas(n)):
+        vc = v @ c
+        for r, t in product((0, 1), (0, 1)):
+            block = v[np.ix_(states[r], states[1 - t])]
+            got = block[:, table.gather[mu, t]] * table.gather_phase[mu, t]
+            assert np.array_equal(got, vc[np.ix_(states[r], states[t])])
+    # read-only, and built once
+    assert not any(getattr(table, f.name).flags.writeable for f in dataclasses.fields(table))
+    assert _parity_blocks(n) is table

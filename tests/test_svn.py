@@ -1,3 +1,4 @@
+import warnings
 from itertools import product
 
 import numpy as np
@@ -385,3 +386,32 @@ def test_a_degenerate_odd_tuple_gets_the_dense_routes_rank(monkeypatch):
     assert got == "projector annihilates every basis probe (numerical rank 0); the tuple is degenerate"
     monkeypatch.setattr(svn, "BLOCK_QUBITS", range(0))
     assert _bytes_or_error(ops, Tolerances(5)) == got
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_an_overflowing_car_tuple_gets_the_anticommutation_refusal(n):
+    # every product of 1e160 x a CAR tuple is NaN, which fails, so the
+    # anticommutation refusal comes before the Hermiticity one
+    v = random_fermionic(n, np.random.default_rng(n), "odd")
+    huge = [1e160 * d for d in _conjugated_tuple(v)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^tuple fails the anticommutation relations at pair \(1, 1\) \(residual nan\)$"):
+            svn_reconstruct(huge)
+
+
+@pytest.mark.parametrize("n, route", [(2, "dense"), (3, "dense"), (6, "block"), (6, "dense"), (7, "block"), (7, "dense")])
+def test_an_overflowing_probe_norm_keeps_the_refusal_order(monkeypatch, n, route):
+    # d_{2n-1} scaled by 1e200: the probe norm overflows and the vacuum
+    # normalises to zero, so nothing is certified and check_car refuses
+    tup = _conjugated_tuple(random_fermionic(n, np.random.default_rng([40, n]), "odd"))
+    tup[2 * n - 2] = 1e200 * tup[2 * n - 2]
+    if route == "dense":
+        monkeypatch.setattr(svn, "BLOCK_QUBITS", range(0))
+    calls = []
+    _spy(monkeypatch, calls, "_OddTuple", "_columns", "check_car")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^tuple fails the anticommutation relations at pair \(%d, %d\)" % (2 * n - 1, 2 * n - 1)):
+            svn_reconstruct(tup)
+    assert calls == ["_OddTuple" if route == "block" else "_columns", "check_car"]

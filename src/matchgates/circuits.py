@@ -58,6 +58,11 @@ backends only read it. One primitive, apply_circuit, applies a circuit
 or its adjoint to an array gate by gate, each gate on its own wires,
 O(2^w) per entry for a w-qubit gate; it forms no Kronecker embedding.
 The dense route, circuit_to_operator, is apply_circuit on the identity.
+When every gate has one parity half exactly zero, as the G/J blocks and
+the named matchgates do, so does the operator: each of its entries in the
+other half sums only terms with a zero factor. hierarchy.extract_rotation
+of such an operator takes the rotation kernel's block route from
+majorana.BLOCK_ROTATION_QUBITS qubits on, with the dense route's bits.
 The compact route, circuit_to_rotation, finds the local rotations of
 all one-qubit and of all two-qubit gates in one call each of the batched
 rotation kernel on the Majorana word table (the kernel behind

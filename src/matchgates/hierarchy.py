@@ -149,6 +149,7 @@ from .majorana import (
     _chunks,
     _conjugates,
     _linear_residuals,
+    _read_finite,
     _read_gate,
     _rotations,
     _runs,
@@ -211,9 +212,13 @@ def extract_rotation(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
     or None when the conjugations fail to be linear in the Majoranas or R
     fails orthogonality. det R = +1 for proper Gaussian gates, -1 for the
     generalised ones. This is the batched rotation kernel of the word table
-    on a batch of one; the compact circuit route runs the same kernel.
+    on a batch of one; the compact circuit route runs the same kernel. From
+    majorana.BLOCK_ROTATION_QUBITS qubits on, a gate with one parity half
+    exactly zero takes the kernel's block route, which forms only the two
+    nonzero parity blocks of each conjugate, with the same bits. An operator
+    with an entry that is not finite is refused with a ValueError.
     """
-    r, ok = _rotations(u[None], _read_operator(u, "rotation kernel"), tol)
+    r, ok = _rotations(u[None], _read_finite(u, "rotation kernel"), tol)
     return r[0] if ok[0] else None
 
 

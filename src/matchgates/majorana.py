@@ -86,6 +86,37 @@ forms the operands V^T and V^dag of a parent split into runs once
 the (m, 2^n) word table itself; no flat index of the m 4^n gathered
 entries is built or cached.
 
+The rotation kernel's block route. Every fermionic gate has definite
+parity, and for a gate V of definite parity each V c_mu V^dag is odd: its
+two same-parity blocks are zero. From BLOCK_ROTATION_QUBITS qubits on, a
+stack whose every operator is finite and has one of its two parity halves
+exactly zero (``_zero_half``, the one exact-parity test, which svn's block
+route calls too) is conjugated as parity-block pairs, the two nonzero
+blocks of each conjugate (``_block_conjugates``). For each sector s the
+rows in s of the products V c_mu of a parent are gathered into one tall
+column-major block, as ``_word_conjugates`` gathers them, and one GEMM
+multiplies it by V^dag restricted to its columns in sector 1 - s: half the
+multiply work of the dense route. The operands (``_block_adjoints``) are
+formed once per block of ``_chunks``, whose runs, and so the early exit of
+a failing gate, are the dense route's. The sums stay full length: every
+entry is the dense GEMM's dot product over all 2^n terms, those with an
+exactly zero factor included, which add a zero and change no partial sum,
+so the pairs are the dense conjugates' nonzero blocks to the bit.
+Half-length sums over the nonzero terms, as svn's block route takes them,
+would quarter the work, but from n = 8 BLAS splits the full sums into
+panels that the shorter ones do not match, and the last bits change. The
+traces and the support residual are read straight off the pairs through
+small per-n gathers (``_block_gathers``): ``_traces`` gathers the same
+(B, 2n, 2^n) diagonal array, in the same memory order, as from a dense
+stack, for the one sum, and the residual's max loses only the zeros of the
+same-parity blocks. No 4^n array is scattered. A gate with any nonzero
+entry in its zero half, however small, every n below the threshold, and a
+stack holding one such operator take the dense route. The same bits hold
+on OpenBLAS's SkylakeX kernel with any BLAS thread count; under
+OPENBLAS_CORETYPE=Haswell a GEMM entry's last bits also depend on the
+number of rows of the product, and R differs between the routes in the last
+bits at n = 7..9 on the seeded gates tried.
+
 Both the first level and Gaussianity ask whether an operator V is a real
 combination sum_nu a_nu c_nu: the level search asks it of a node, the
 rotation kernel ``_rotations`` of each conjugate u c_mu u^dag. One helper,
@@ -137,6 +168,15 @@ CHUNK_ENTRIES = 2**16
 # hierarchy_mix and compile_compact_s +4.2% on compile_mix, slower in 10 of
 # 10 pairs each.
 SUPPORT_RESIDUAL_QUBITS = 5
+
+# The rotation kernel takes its block route (module docstring) from this many
+# qubits on. Per call of _rotations on one Gaussian gate, block against dense,
+# median over six gates of both parities of the best of 8-200 calls, one BLAS
+# thread, 2-vCPU x86-64 host (AVX-512, OpenBLAS SkylakeX kernel): n = 2 0.067
+# against 0.042 ms, n = 3 0.074 against 0.048 ms, n = 4 0.095 against 0.070
+# ms, n = 5 0.169 against 0.168 ms, n = 6 0.53 against 1.15 ms, n = 7 3.0
+# against 4.7 ms, n = 8 19.9 against 30.7 ms, n = 9 113 against 165 ms.
+BLOCK_ROTATION_QUBITS = 6
 
 
 def _worker_count() -> int:
@@ -408,7 +448,7 @@ def _adjoints(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.conjugate(rows)
 
 
-def _word_conjugates(parents: np.ndarray, cols: np.ndarray, phases: np.ndarray, adjoints=None) -> np.ndarray:
+def _word_conjugates(parents: np.ndarray, cols: np.ndarray, phases: np.ndarray, adjoints=None, out=None) -> np.ndarray:
     """V W V^dag for every V of the stack (B, 2^n, 2^n) and every word W of
     the list, as a (B, m 2^n, 2^n) array ordered by V, then W.
 
@@ -417,19 +457,54 @@ def _word_conjugates(parents: np.ndarray, cols: np.ndarray, phases: np.ndarray, 
     one contiguous (m 2^n, 2^n) block in column-major order, and one GEMM per
     parent multiplies the block by V^dag. A caller that conjugates the stack
     by several lists of words passes its _adjoints, formed once; otherwise
-    V^T is formed here and turned into V^dag in place.
+    V^T is formed here and turned into V^dag in place. The block route of the
+    rotation kernel passes operands restricted to r rows of V and c columns
+    of V^dag (_block_adjoints), for a (B, m r, c) result, written into out.
     """
     if adjoints is None:
         # rows[b, k] is column k of V, in complex128 whatever the dtype of V
         rows, dagger = parents.transpose(0, 2, 1).astype(complex, order="C"), None
     else:
         rows, dagger = adjoints
-    b, m, dim = len(parents), len(cols), parents.shape[-1]
-    # vw[b, j, w] is column j of V W
+    b, dim = rows.shape[:2]
+    # vw[b, j, w] is column j of V W, on the rows of V that rows holds
     vw = rows[:, cols.T]
     vw *= phases.T[:, :, None]
-    tall = vw.reshape(b, dim, m * dim).transpose(0, 2, 1)
-    return np.matmul(tall, np.conjugate(rows, out=rows) if dagger is None else dagger)
+    tall = vw.reshape(b, dim, -1).transpose(0, 2, 1)
+    return np.matmul(tall, np.conjugate(rows, out=rows) if dagger is None else dagger, out=out)
+
+
+def _block_adjoints(parents: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The operands of _block_conjugates for every V of the stack (B, 2^n,
+    2^n), (rows, dagger), each (2, B, 2^n, 2^(n-1)) C-contiguous complex128:
+    rows[s] is V^T restricted to the rows of V in sector s, and dagger[s] =
+    conj(rows[s]) is V^dag restricted to its columns in sector s."""
+    states = _parity_blocks(n).states
+    rows = parents.take(states, axis=1).transpose(1, 0, 3, 2).astype(complex, order="C")
+    return rows, np.conjugate(rows)
+
+
+def _block_conjugates(parents: np.ndarray, n: int, mus: slice, adjoints) -> np.ndarray:
+    """The two nonzero blocks of V c_mu V^dag for every V of a stack of
+    finite operators, each with one parity half exactly zero, and every mu
+    in mus, ordered by V, then mu, as
+    parity-block pairs (B m, 2, 4^(n-1)): pair k, block s holds the entries
+    of conjugate k with rows in sector s and columns in sector 1 - s, row by
+    row in sector order. adjoints are the stack's _block_adjoints.
+
+    For each sector s, the rows in s of the products V c_mu of one parent
+    are gathered into one tall column-major block, as _word_conjugates
+    gathers them, and one GEMM multiplies the block by V^dag restricted to
+    the columns in sector 1 - s: every entry keeps its whole 2^n-term sum.
+    """
+    _, cols, col_phase = _word_gathers(n)
+    rows, dagger = adjoints
+    h = 2 ** (n - 1)
+    cols, col_phase = cols[mus], col_phase[mus]
+    pairs = np.empty((2, len(parents), len(cols) * h, h), dtype=complex)
+    for s in (0, 1):
+        _word_conjugates(parents, cols, col_phase, (rows[s], dagger[1 - s]), out=pairs[s])
+    return pairs.reshape(2, -1, h * h).transpose(1, 0, 2)
 
 
 def _conjugates(parents: np.ndarray, n: int, mus: slice, adjoints=None) -> np.ndarray:
@@ -445,10 +520,18 @@ def _conjugates(parents: np.ndarray, n: int, mus: slice, adjoints=None) -> np.nd
 
 
 def _traces(nodes: np.ndarray, n: int) -> np.ndarray:
-    """tr(c_mu V) / 2^n for every V of the stack and every mu, as a (B, 2n) array."""
+    """tr(c_mu V) / 2^n for every V of the stack and every mu, as a (B, 2n)
+    array. The stack is dense, (B, 2^n, 2^n), or parity-block pairs (B, 2,
+    4^(n-1)) (_block_conjugates), whose trailing axes are never square: both
+    layouts gather the same (B, 2n, 2^n) diagonal array, in the same memory
+    order, for the one sum."""
     phase, cols, _ = _word_gathers(n)
     # tr(c_mu V) = sum_i phase[mu, i] V[i ^ f_mu, i]
-    diag = nodes[:, cols, np.arange(2**n)]
+    if nodes.shape[1] == nodes.shape[2]:
+        diag = nodes[:, cols, np.arange(2**n)]
+    else:
+        sectors, cells = _block_gathers(n)[:2]
+        diag = nodes[:, sectors, cells]
     return np.einsum("bmi,mi->bm", diag, phase) / 2**n
 
 
@@ -472,6 +555,15 @@ def _parities(ops: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, np.ndarr
     return is_even, below[:, 0] > is_even  # odd: even part below tol, odd part not
 
 
+def _zero_half(op: np.ndarray, n: int, half: int) -> bool:
+    """Whether every entry of the 2^n x 2^n operator op in one half of the
+    parity-block table is exactly zero: half 0 the same-parity entries (op is
+    exactly odd), half 1 the other-parity entries (op is exactly even). The
+    one exact-parity test, of the rotation kernel's and svn's block routes;
+    a NaN entry is not zero."""
+    return not op.reshape(-1).take(_parity_blocks(n).entries[half]).any()
+
+
 @_cached
 def _support_entries(n: int) -> np.ndarray:
     """The flat entries on which a Majorana can be nonzero: the n flip
@@ -482,21 +574,46 @@ def _support_entries(n: int) -> np.ndarray:
 
 
 def _support_residuals(nodes: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """max |V_b - sum_nu rows[b, nu] c_nu| for each V_b of the stack nodes
-    (B, 2^n, 2^n), subtracting on the Majoranas' support. nodes is only read.
+    """max |V_b - sum_nu rows[b, nu] c_nu| for each V_b of the stack nodes,
+    dense or parity-block pairs (as in _traces), subtracting on the
+    Majoranas' support. nodes is only read.
 
     On diagonal k the sum is rows[b, 2k] phase[2k] + rows[b, 2k+1] phase[2k+1]
     (0-based mu): one real term (phases +-1) and one imaginary term (phases
     +-i), so it is the same value as the product with the dense stack in any
-    summation order, and so is the residual.
+    summation order, and so is the residual. A max does not depend on the
+    order of its entries, and the entries the parity-block pairs leave out
+    are zeros, which no |entry| exceeds, so both layouts give the same bits.
     """
     phase, _, _ = _word_gathers(n)
     recon = rows[:, 0::2, None] * phase[0::2] + rows[:, 1::2, None] * phase[1::2]
+    if nodes.shape[1] != nodes.shape[2]:
+        sectors, cells = _block_gathers(n)[2:]
+        mags = np.abs(nodes)
+        mags[:, sectors, cells] = np.abs(nodes[:, sectors, cells] - recon.reshape(len(rows), -1))
+        return mags.max(axis=(1, 2))
     entries = _support_entries(n)
     flat = nodes.reshape(len(nodes), -1)
     mags = np.abs(flat)
     mags[:, entries] = np.abs(flat[:, entries] - recon.reshape(len(rows), -1))
     return mags.max(axis=1)
+
+
+@_cached
+def _block_gathers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where the kernel reads a conjugate held as parity-block pairs (B, 2,
+    4^(n-1)) (_block_conjugates), as (sector, cell) index pairs, cell =
+    h rank(row) + rank(column) with h = 2^(n-1): the trace entries V[i ^ f_mu,
+    i], each array (2n, 2^n), as _traces' dense gather is shaped, then the
+    Majoranas' support V[i, i ^ f_k], each array (n 2^n,) in _support_entries'
+    order. Built once per n (linalg._cached)."""
+    table = _parity_blocks(n)
+    _, cols, _ = _word_gathers(n)
+    support = np.broadcast_to(np.arange(2**n), (n, 2**n))
+    at = []
+    for rows, columns in ((cols, np.arange(2**n)), (support, cols[::2])):
+        at += [table.sector[rows], table.rank[rows] * 2 ** (n - 1) + table.rank[columns]]
+    return at[0], at[1], at[2].ravel(), at[3].ravel()
 
 
 def _linear_residuals(nodes: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -509,28 +626,47 @@ def _linear_residuals(nodes: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray
     return np.abs(nodes.reshape(len(nodes), -1) - rows @ basis).max(axis=1)
 
 
+def _graded(ops: np.ndarray, n: int) -> bool:
+    """Whether the rotation kernel takes its block route on the stack: from
+    BLOCK_ROTATION_QUBITS qubits on, when every operator is finite and has
+    one of its two parity halves exactly zero (_zero_half)."""
+    return n >= BLOCK_ROTATION_QUBITS and all(
+        np.isfinite(u).all() and (_zero_half(u, n, 1) or _zero_half(u, n, 0)) for u in ops
+    )
+
+
 def _rotation_runs(ops: np.ndarray, n: int):
     """The runs of _chunks over the stack, each as (ops, n, block, mus,
-    adjoints): the _adjoints of a block split into runs of its mus are
-    formed once, for all of its runs; a block of one run forms its own
-    (adjoints is None), so they are freed with the run.
+    adjoints, graded). On the dense route the _adjoints of a block split
+    into runs of its mus are formed once, for all of its runs; a block of
+    one run forms its own (adjoints is None), so they are freed with the
+    run. On the block route (graded) every block forms its _block_adjoints
+    once.
 
     The per-n tables the runs read are built first, here: a run may execute
     on the pool, and the builders call public functions.
     """
     _word_gathers(n)
-    if n < SUPPORT_RESIDUAL_QUBITS:
+    graded = _graded(ops, n)
+    if graded:
+        _block_gathers(n)
+    elif n < SUPPORT_RESIDUAL_QUBITS:
         _jw_stack(n)
     for block, mus in _chunks(len(ops), n):
         if mus.start == 0:
-            adjoints = _adjoints(ops[block]) if mus.stop < 2 * n else None
-        yield ops, n, block, mus, adjoints
+            if graded:
+                adjoints = _block_adjoints(ops[block], n)
+            else:
+                adjoints = _adjoints(ops[block]) if mus.stop < 2 * n else None
+        yield ops, n, block, mus, adjoints, graded
 
 
 def _rotation_run(run) -> tuple:
     """One run of _rotation_runs: (block, mus, rows, residuals, conjugates)
     with rows[i, nu] = Re tr(c_nu V_i) / 2^n and the residuals of
-    _linear_residuals, V_i the conjugates of the run in order.
+    _linear_residuals, V_i the conjugates of the run in order: dense, or on
+    the block route parity-block pairs, whose residuals _support_residuals
+    reads at every n.
 
     The conjugates go back with the result, to be freed only once the next
     run has allocated: freed at the end of its run, a run's arrays leave
@@ -538,7 +674,11 @@ def _rotation_run(run) -> tuple:
     pages in again (8192 against 1248 minor faults per 8-qubit call on one
     worker).
     """
-    ops, n, block, mus, adjoints = run
+    ops, n, block, mus, adjoints, graded = run
+    if graded:
+        kids = _block_conjugates(ops[block], n, mus, adjoints)
+        rows = _traces(kids, n).real
+        return block, mus, rows, _support_residuals(kids, rows, n), kids
     kids = _conjugates(ops[block], n, mus, adjoints)
     rows = _traces(kids, n).real
     return block, mus, rows, _linear_residuals(kids, rows, n), kids
@@ -603,9 +743,7 @@ def expand(op: np.ndarray) -> MajoranaPoly:
     n = 7): the gathers are taken in runs of monomials of at most
     CHUNK_ENTRIES entries.
     """
-    n = _read_operator(op, "operator")
-    if not np.isfinite(op).all():  # a NaN trace is below no threshold and reads as zero
-        raise ValueError("operator has an entry that is not finite")
+    n = _read_finite(op, "operator")
     flips, phases = _monomials(n)
     index = np.arange(2**n)
     traces = np.empty(4**n, dtype=complex)
@@ -615,6 +753,17 @@ def expand(op: np.ndarray) -> MajoranaPoly:
         traces[run] = (np.take_along_axis(phases[run], rows, axis=1).conj() * op[rows, index]).sum(axis=1)
     coefs = (t / 2**n for t in traces.tolist())
     return MajoranaPoly(n, {mask: c for mask, c in enumerate(coefs) if abs(c) >= NORM_TOL})
+
+
+def _read_finite(op: np.ndarray, what: str) -> int:
+    """The qubit count of an operator read by linalg._read_operator (naming
+    `what`) whose every entry is finite; ValueError otherwise. A NaN trace
+    or residual is below no threshold, and an infinite entry times the zeros
+    of a product gives NaN."""
+    n = _read_operator(op, what)
+    if not np.isfinite(op).all():
+        raise ValueError("operator has an entry that is not finite")
+    return n
 
 
 def total_parity(n: int) -> np.ndarray:

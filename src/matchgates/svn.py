@@ -148,6 +148,7 @@ from .majorana import (
     _max_hermiticity,
     _parity_blocks,
     _runs,
+    _zero_half,
     check_car,
 )
 
@@ -291,11 +292,9 @@ def _route(ops: list[np.ndarray], n: int, double: bool) -> _Dense | _OddTuple:
     """The block route for a float64 or complex128 tuple at n in BLOCK_QUBITS
     whose every entry between basis states of one sector is zero, gathering
     only its operators' blocks between the sectors; else the dense route."""
-    if double and n in BLOCK_QUBITS:
-        same, other = _parity_blocks(n).entries
-        flat = [a.reshape(-1) for a in ops]
-        if not any(f.take(same).any() for f in flat):
-            return _OddTuple(ops, n, [f.take(other) for f in flat])
+    if double and n in BLOCK_QUBITS and all(_zero_half(a, n, 0) for a in ops):
+        other = _parity_blocks(n).entries[1]
+        return _OddTuple(ops, n, [a.reshape(-1).take(other) for a in ops])
     return _Dense(ops, n)
 
 

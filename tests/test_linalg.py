@@ -145,6 +145,7 @@ def test_every_memoised_builder_follows_the_cache_rule():
         majorana._word_gathers,
         majorana._parity_blocks,
         majorana._support_entries,
+        majorana._block_gathers,
         teleport._network,
         teleport._byproducts,
         hierarchy._root_bits,
